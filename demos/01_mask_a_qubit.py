@@ -14,13 +14,11 @@ import numpy as np
 from qmask import (
     AngleState,
     MaskerParams,
-    apply_masker,
     build_masker,
     hbar,
     maskable_circle,
-    partial_trace_a,
-    partial_trace_b,
     predicted_reduced,
+    reduced_pair,
     sample_circle,
     verify_mask,
 )
@@ -33,9 +31,8 @@ print("isometry check, S+S =")
 print(np.round(iso.matrix.conj().T @ iso.matrix, 12).real)
 
 message = AngleState(x=np.pi / 3, y=np.pi / 4)
-psi = apply_masker(iso, message)
-rho_a = partial_trace_b(psi)
-rho_b = partial_trace_a(psi)
+psi = iso.apply(message.x, message.y)
+rho_a, rho_b = reduced_pair(psi)
 print(f"\ninput state (x, y) = ({message.x:.4f}, {message.y:.4f})")
 print(f"masking invariant hbar = {hbar(params, message):+.6f}")
 print("rho_A =\n", np.round(rho_a, 6))

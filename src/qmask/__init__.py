@@ -12,7 +12,6 @@ circle intersection on the sphere.
 from .analysis import (
     AffineConstraint,
     Circle,
-    FullSphere,
     GeneralLinearOp,
     MaskableClass,
     PointPair,
@@ -25,7 +24,6 @@ from .analysis import (
     maskable_set,
     operator_scale,
     product_form_diagnosis,
-    reduced_pair_raw,
 )
 from .bloch import (
     AngleState,
@@ -55,12 +53,10 @@ from .errors import (
     InvariantViolationError,
     MaskingError,
 )
-from .linalg import TOL_EQUALITY, TOL_SELF, mat_distance, partial_trace_a, partial_trace_b
+from .linalg import TOL_EQUALITY, TOL_SELF, mat_distance, reduced_pair
 from .masking import (
-    Isometry42,
     MaskerParams,
     MaskReport,
-    apply_masker,
     build_masker,
     hbar,
     maskable_circle,

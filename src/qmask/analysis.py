@@ -31,6 +31,7 @@ import numpy as np
 
 from .bloch import AngleState, SphericalCircle, angles_to_bloch, distance_to_circle
 from .errors import InvalidInputError, InvariantViolationError
+from .linalg import reduced_pair
 
 # Rank decisions on the stacked constraint normals use this absolute
 # singular-value threshold after row normalization.
@@ -45,20 +46,23 @@ ENTRY_LABELS = (
     "rhoB.re00", "rhoB.re11", "rhoB.re01", "rhoB.im01",
 )
 
-# Fit states sitting at the Bloch points +Z, -Z, +X, +Y, with -Y as the
-# consistency probe; these four are affinely independent.
-_FIT_STATES = (
-    (0.0, 0.0),
-    (np.pi, 0.0),
-    (np.pi / 2, 0.0),
-    (np.pi / 2, np.pi / 2),
-    (np.pi / 2, 3 * np.pi / 2),
-)
+# Fit states (x, y) sitting at the Bloch points +Z, -Z, +X, +Y, with -Y
+# as the consistency probe; the first four are affinely independent.
+_FIT_X = np.array([0.0, np.pi, np.pi / 2, np.pi / 2, np.pi / 2])
+_FIT_Y = np.array([0.0, 0.0, 0.0, np.pi / 2, 3 * np.pi / 2])
+
+# Gram-matrix allowance for :attr:`GeneralLinearOp.is_isometry`.
+ISOMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class GeneralLinearOp:
-    """An arbitrary nonzero linear map from one qubit into two."""
+    """An arbitrary nonzero linear map from one qubit into two.
+
+    The 4x2 matrix has columns :attr:`col0` and :attr:`col1`, the images
+    of |0> and |1>; maskers are the operators whose :attr:`is_isometry`
+    holds.
+    """
 
     a0: complex
     a1: complex
@@ -94,6 +98,31 @@ class GeneralLinearOp:
         return np.array([self.b0, self.b1, self.d0, self.d1], dtype=complex)
 
     @property
+    def matrix(self) -> np.ndarray:
+        """The 4x2 matrix with columns col0 and col1."""
+        return np.column_stack([self.col0, self.col1])
+
+    @property
+    def is_isometry(self) -> bool:
+        """Whether the columns are orthonormal within ISOMETRY_TOL."""
+        c0, c1 = self.col0, self.col1
+        return bool(
+            abs(np.vdot(c0, c0) - 1.0) <= ISOMETRY_TOL
+            and abs(np.vdot(c1, c1) - 1.0) <= ISOMETRY_TOL
+            and abs(np.vdot(c0, c1)) <= ISOMETRY_TOL
+        )
+
+    def apply(self, x, y) -> np.ndarray:
+        """Image cos(x/2) col0 + e^{iy} sin(x/2) col1 of the state |(x, y)>.
+
+        ``x`` and ``y`` are floats or equal-shape arrays of angles; the
+        result has their shape plus a trailing axis of 4 amplitudes.
+        """
+        w0 = np.cos(x / 2.0)
+        w1 = np.exp(1j * y) * np.sin(x / 2.0)
+        return w0[..., None] * self.col0 + w1[..., None] * self.col1
+
+    @property
     def mu0(self) -> np.ndarray:
         return np.array([self.a0, self.a1], dtype=complex)
 
@@ -119,6 +148,7 @@ class GeneralLinearOp:
 
     @classmethod
     def from_isometry(cls, iso) -> "GeneralLinearOp":
+        """An operator with the columns of ``iso``; a masker already is one, so this copies it."""
         return cls.from_columns(iso.col0, iso.col1)
 
 
@@ -164,27 +194,12 @@ class Circle:
     circle: SphericalCircle
 
 
-@dataclass(frozen=True)
-class FullSphere:
-    pass
+MaskableClass = SinglePoint | PointPair | Circle
 
 
-MaskableClass = SinglePoint | PointPair | Circle | FullSphere
-
-
-def _amplitudes(states) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.array([s[0] for s in states])
-    ys = np.array([s[1] for s in states])
-    return np.cos(xs / 2.0), np.exp(1j * ys) * np.sin(xs / 2.0)
-
-
-def _entry_values(op: GeneralLinearOp, states) -> np.ndarray:
-    """The 8 real entry functions at each (x, y) pair; shape (len(states), 8)."""
-    w0, w1 = _amplitudes(states)
-    psi = np.outer(w0, op.col0) + np.outer(w1, op.col1)
-    m = psi.reshape(-1, 2, 2)
-    rho_a = np.einsum("nab,ncb->nac", m, m.conj())
-    rho_b = np.einsum("nab,nac->nbc", m, m.conj())
+def _entry_values(op: GeneralLinearOp, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The 8 real entry functions at each (x, y) pair; shape (len(xs), 8)."""
+    rho_a, rho_b = reduced_pair(op.apply(xs, ys))
     return np.column_stack(
         [
             rho_a[:, 0, 0].real, rho_a[:, 1, 1].real,
@@ -195,14 +210,6 @@ def _entry_values(op: GeneralLinearOp, states) -> np.ndarray:
     )
 
 
-def reduced_pair_raw(op: GeneralLinearOp, s: AngleState) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized (Tr_B, Tr_A) of the operator applied to |(x, y)>."""
-    w0 = np.cos(s.x / 2.0)
-    w1 = np.exp(1j * s.y) * np.sin(s.x / 2.0)
-    m = (w0 * op.col0 + w1 * op.col1).reshape(2, 2)
-    return m @ m.conj().T, m.T @ m.conj()
-
-
 def extract_constraints(op: GeneralLinearOp) -> list[AffineConstraint]:
     """Recover the 8 affine entry functions by evaluation at fixed Bloch points.
 
@@ -211,7 +218,7 @@ def extract_constraints(op: GeneralLinearOp) -> list[AffineConstraint]:
     whole pipeline.  One uniform numeric path covers both reduced
     matrices (the rho_B family has no special-case handling).
     """
-    vals = _entry_values(op, _FIT_STATES)
+    vals = _entry_values(op, _FIT_X, _FIT_Y)
     v_zp, v_zm, v_xp, v_yp, v_ym = vals
     r = (v_zp + v_zm) / 2.0
     nz = (v_zp - v_zm) / 2.0
@@ -294,8 +301,6 @@ def class_distance(mask_class: MaskableClass, points) -> np.ndarray:
         )
     elif isinstance(mask_class, Circle):
         d = np.atleast_1d(distance_to_circle(mask_class.circle, p))
-    elif isinstance(mask_class, FullSphere):
-        d = np.zeros(len(p))
     else:
         raise InvalidInputError(f"not a maskable-set class: {mask_class!r}")
     return d if d.size > 1 else d[0]

@@ -22,7 +22,6 @@ import numpy as np
 from . import documents as docs
 from .analysis import (
     Circle,
-    FullSphere,
     PointPair,
     SinglePoint,
     extract_constraints,
@@ -32,8 +31,8 @@ from .analysis import (
 from .bloch import AngleState, angles_to_bloch, bloch_to_angles, canonical_mask_params, sample_circle
 from .crosscheck import agreement_report
 from .errors import InvalidInputError, InvariantViolationError, MaskingError
-from .linalg import partial_trace_a, partial_trace_b
-from .masking import MaskerParams, apply_masker, build_masker, hbar, maskable_circle
+from .linalg import reduced_pair
+from .masking import MaskerParams, build_masker, hbar, maskable_circle
 from .oracle import GridSpec, default_kappa, grid_deviations, masked_fraction_scaling
 from .protocol import (
     AmbiguousCircle,
@@ -134,8 +133,6 @@ def _class_doc(mask_class) -> dict:
                 docs.state_to_doc(bloch_to_angles(mask_class.p2)),
             ],
         }
-    if isinstance(mask_class, FullSphere):  # unreachable for valid operators
-        return {"class": "full_sphere"}
     raise InvalidInputError(f"unknown classification {mask_class!r}")
 
 
@@ -145,14 +142,15 @@ def _class_doc(mask_class) -> dict:
 def _cmd_mask(args) -> int:
     params = MaskerParams(args.alpha, args.theta)
     state = _state_from_args(args)
-    psi = apply_masker(build_masker(params), state)
+    psi = build_masker(params).apply(state.x, state.y)
+    rho_a, rho_b = reduced_pair(psi)
     doc = {
         "masker": docs.masker_to_doc(params),
         "state": docs.state_to_doc(state),
         "hbar": hbar(params, state),
         "psi": _vec_doc(psi),
-        "rho_a": docs.matrix_to_doc(partial_trace_b(psi)),
-        "rho_b": docs.matrix_to_doc(partial_trace_a(psi)),
+        "rho_a": docs.matrix_to_doc(rho_a),
+        "rho_b": docs.matrix_to_doc(rho_b),
     }
     _emit(args, docs.dump(doc))
     return 0

@@ -26,6 +26,8 @@ distinct states determine such a circle and hence a common masker.
 The masker is represented by its two isometry columns (the images of
 |0> and |1>), not by a unitary dilation on the full two-qubit space:
 with the ancilla input fixed, the 4x2 isometry is the faithful object.
+It is a :class:`~qmask.analysis.GeneralLinearOp` whose ``is_isometry``
+holds, so maskers and arbitrary operators share one type.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ from .bloch import (
     circle_from_mask_params,
     circle_through_three,
 )
-from .errors import InvalidInputError
-from .linalg import TOL_EQUALITY, mat_distance, partial_trace_a, partial_trace_b
+from .analysis import GeneralLinearOp
+from .errors import InvalidInputError, InvariantViolationError
+from .linalg import TOL_EQUALITY, reduced_pair
 
 TWO_PI = 2.0 * np.pi
 
@@ -65,39 +68,6 @@ class MaskerParams:
             raise InvalidInputError(f"theta={t!r} outside [0, 2*pi)")
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "theta", t)
-
-
-@dataclass(frozen=True, eq=False)
-class Isometry42:
-    """A 4x2 isometry given by its columns, the images of |0> and |1>.
-
-    Columns must be orthonormal within 1e-12 (checked at construction).
-    """
-
-    col0: np.ndarray
-    col1: np.ndarray
-
-    def __post_init__(self):
-        c0 = np.asarray(self.col0, dtype=complex).copy()
-        c1 = np.asarray(self.col1, dtype=complex).copy()
-        if c0.shape != (4,) or c1.shape != (4,):
-            raise InvalidInputError("isometry columns must be 4-component vectors")
-        if not (np.all(np.isfinite(c0.view(float))) and np.all(np.isfinite(c1.view(float)))):
-            raise InvalidInputError("isometry columns contain non-finite components")
-        if (
-            abs(np.vdot(c0, c0) - 1.0) > 1e-12
-            or abs(np.vdot(c1, c1) - 1.0) > 1e-12
-            or abs(np.vdot(c0, c1)) > 1e-12
-        ):
-            raise InvalidInputError("columns are not orthonormal: not an isometry")
-        c0.setflags(write=False)
-        c1.setflags(write=False)
-        object.__setattr__(self, "col0", c0)
-        object.__setattr__(self, "col1", c1)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.column_stack([self.col0, self.col1])
 
 
 @dataclass(frozen=True)
@@ -126,8 +96,11 @@ def hbar(params: MaskerParams, s: AngleState) -> float:
     )
 
 
-def build_masker(params: MaskerParams) -> Isometry42:
-    """Construct the 4x2 isometry of the (alpha, theta) masker."""
+def build_masker(params: MaskerParams) -> GeneralLinearOp:
+    """Construct the 4x2 isometry of the (alpha, theta) masker.
+
+    Raises InvariantViolationError if the result fails ``is_isometry``.
+    """
     a, t = params.alpha, params.theta
     s2 = np.sqrt(2.0) / 2.0
     ca, sa = np.cos(a / 2.0), np.sin(a / 2.0)
@@ -137,12 +110,10 @@ def build_masker(params: MaskerParams) -> Isometry42:
     u1 = s2 * sa * np.exp(1j * (t - np.pi / 4)) * minus
     v0 = -s2 * sa * np.exp(1j * np.pi / 4) * plus
     v1 = s2 * ca * np.exp(-1j * np.pi / 4) * minus
-    return Isometry42(np.concatenate([u0, u1]), np.concatenate([v0, v1]))
-
-
-def apply_masker(iso: Isometry42, s: AngleState) -> np.ndarray:
-    """Image cos(x/2) col0 + e^{iy} sin(x/2) col1 of the state |(x, y)>."""
-    return np.cos(s.x / 2.0) * iso.col0 + np.exp(1j * s.y) * np.sin(s.x / 2.0) * iso.col1
+    op = GeneralLinearOp.from_columns(np.concatenate([u0, u1]), np.concatenate([v0, v1]))
+    if not op.is_isometry:
+        raise InvariantViolationError(f"masker columns for {params} are not orthonormal")
+    return op
 
 
 def predicted_reduced(params: MaskerParams, s: AngleState) -> tuple[np.ndarray, np.ndarray]:
@@ -162,8 +133,8 @@ def maskable_circle(params: MaskerParams, anchor: AngleState) -> SphericalCircle
     return circle_from_mask_params(params.alpha, params.theta, hbar(params, anchor))
 
 
-def verify_mask(iso: Isometry42, states: list[AngleState], tol: float = TOL_EQUALITY) -> MaskReport:
-    """Check that all states produce identical reduced pairs under the isometry.
+def verify_mask(op: GeneralLinearOp, states: list[AngleState], tol: float = TOL_EQUALITY) -> MaskReport:
+    """Check that all states produce identical reduced pairs under the operator.
 
     Every state is compared against the first (identity of marginals is
     transitive, so O(n) comparisons suffice); deviations are Frobenius
@@ -171,21 +142,16 @@ def verify_mask(iso: Isometry42, states: list[AngleState], tol: float = TOL_EQUA
     """
     if not states:
         raise InvalidInputError("verify_mask needs at least one state")
-    psi0 = apply_masker(iso, states[0])
-    ref_a, ref_b = partial_trace_b(psi0), partial_trace_a(psi0)
-    max_a = max_b = 0.0
-    witness = None
-    for s in states[1:]:
-        psi = apply_masker(iso, s)
-        da = mat_distance(partial_trace_b(psi), ref_a)
-        db = mat_distance(partial_trace_a(psi), ref_b)
-        if witness is None and (da > tol or db > tol):
-            witness = (states[0], s)
-        max_a = max(max_a, da)
-        max_b = max(max_b, db)
+    xs = np.array([s.x for s in states])
+    ys = np.array([s.y for s in states])
+    rho_a, rho_b = reduced_pair(op.apply(xs, ys))
+    dev_a = np.linalg.norm(rho_a - rho_a[0], axis=(1, 2))
+    dev_b = np.linalg.norm(rho_b - rho_b[0], axis=(1, 2))
+    max_a, max_b = float(dev_a.max()), float(dev_b.max())
     ok = max_a <= tol and max_b <= tol
-    return MaskReport(ok=ok, max_deviation_a=max_a, max_deviation_b=max_b,
-                      witness=None if ok else witness)
+    offenders = np.flatnonzero((dev_a[1:] > tol) | (dev_b[1:] > tol))
+    witness = (states[0], states[1 + int(offenders[0])]) if offenders.size else None
+    return MaskReport(ok=ok, max_deviation_a=max_a, max_deviation_b=max_b, witness=witness)
 
 
 def masker_for_states(s1: AngleState, s2: AngleState, s3: AngleState) -> tuple[MaskerParams, float]:

@@ -5,6 +5,9 @@ through the operator, take both raw reduced matrices directly, and
 compare against the anchor's pair in Frobenius norm.  Nothing in this
 module calls the constraint extraction or the classifier -- that
 independence is the point, so the two paths cross-validate each other.
+Both paths do share the one reduced-pair kernel,
+:func:`qmask.linalg.reduced_pair`, which the oracle therefore does not
+check.
 
 The grid tolerance is tied to the spacing (tol = kappa * h) so the
 discrete masked set converges onto the continuum set as the grid is
@@ -29,6 +32,7 @@ import numpy as np
 from .analysis import GeneralLinearOp, operator_scale
 from .bloch import AngleState
 from .errors import InvalidInputError
+from .linalg import reduced_pair
 
 DEFAULT_REGION = ((0.0, float(np.pi)), (0.0, float(2.0 * np.pi)))
 
@@ -68,17 +72,6 @@ class GridSpec:
         return gx.ravel(), gy.ravel()
 
 
-def _reduced_stack(op: GeneralLinearOp, xs: np.ndarray, ys: np.ndarray):
-    """Raw (rho_A, rho_B) stacks over (x, y) arrays, computed inline."""
-    w0 = np.cos(xs / 2.0)
-    w1 = np.exp(1j * ys) * np.sin(xs / 2.0)
-    psi = np.outer(w0, op.col0) + np.outer(w1, op.col1)
-    m = psi.reshape(-1, 2, 2)
-    rho_a = np.einsum("nab,ncb->nac", m, m.conj())
-    rho_b = np.einsum("nab,nac->nbc", m, m.conj())
-    return rho_a, rho_b
-
-
 def grid_deviations(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec):
     """Per-node deviation of the raw reduced pair from the anchor's.
 
@@ -86,11 +79,11 @@ def grid_deviations(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec):
     larger of the two Frobenius distances.  The anchor itself is
     evaluated exactly, not snapped to the grid.
     """
-    ra0, rb0 = _reduced_stack(op, np.array([anchor.x]), np.array([anchor.y]))
+    ra0, rb0 = reduced_pair(op.apply(anchor.x, anchor.y))
     xs, ys = grid.points()
-    rho_a, rho_b = _reduced_stack(op, xs, ys)
-    dev_a = np.sqrt(np.sum(np.abs(rho_a - ra0[0]) ** 2, axis=(1, 2)))
-    dev_b = np.sqrt(np.sum(np.abs(rho_b - rb0[0]) ** 2, axis=(1, 2)))
+    rho_a, rho_b = reduced_pair(op.apply(xs, ys))
+    dev_a = np.sqrt(np.sum(np.abs(rho_a - ra0) ** 2, axis=(1, 2)))
+    dev_b = np.sqrt(np.sum(np.abs(rho_b - rb0) ** 2, axis=(1, 2)))
     return xs, ys, np.maximum(dev_a, dev_b)
 
 

@@ -35,8 +35,8 @@ from .bloch import (
     intersect_circles,
 )
 from .errors import CorruptShareError, InvalidInputError, InvalidSchemeError
-from .linalg import partial_trace_a
-from .masking import MaskerParams, apply_masker, build_masker
+from .linalg import reduced_pair
+from .masking import MaskerParams, build_masker
 
 DECODE_TOL = 1e-8
 
@@ -74,11 +74,9 @@ class Share:
 
 def encode(message: AngleState, scheme: Scheme) -> list[Share]:
     """Mask the message once per scheme masker and collect the B-side shares."""
-    shares = []
-    for params in scheme.maskers:
-        psi = apply_masker(build_masker(params), message)
-        shares.append(Share(masker=params, rho_b=partial_trace_a(psi)))
-    return shares
+    images = np.stack([build_masker(p).apply(message.x, message.y) for p in scheme.maskers])
+    _, rho_b = reduced_pair(images)
+    return [Share(masker=p, rho_b=r) for p, r in zip(scheme.maskers, rho_b)]
 
 
 def share_constraint(share: Share, tol: float = DECODE_TOL) -> SphericalCircle:
@@ -273,10 +271,12 @@ def fig2_vertical(n: int) -> Scheme:
 def general(n: int) -> Scheme:
     """Maskers (k*pi/n, k*pi/n) for k = 1..n-1.
 
-    For n >= 5 every triple of plane normals has full rank, so any three
-    shares decode uniquely.  At n = 4 the three normals are linearly
-    dependent (n1 - n2 + n3 = 0): all three planes stay parallel to one
-    line and a generic message only narrows to two candidates.
+    Three shares decode uniquely when their plane normals have full
+    rank.  For even n the shares k, n/2 and n - k never do: n_k + n_{n-k}
+    is parallel to n_{n/2}, so all three planes stay parallel to one line
+    and a generic message only narrows to two candidates.  At n = 4 that
+    is the only triple (n1 - n2 + n3 = 0).  A check of every n up to 41
+    finds no other rank-deficient triple.
     """
     if n < 4:
         raise InvalidSchemeError("the general family needs n >= 4")

@@ -22,7 +22,7 @@ from qmask import (
     operator_scale,
     predicted_reduced,
     product_form_diagnosis,
-    reduced_pair_raw,
+    reduced_pair,
 )
 from _helpers import (
     identity_embedding,
@@ -46,7 +46,7 @@ def test_reduced_pair_raw_matches_masker_closed_form():
     for _ in range(100):
         params, s = random_params(rng), random_state(rng)
         op = GeneralLinearOp.from_isometry(build_masker(params))
-        rho_a, rho_b = reduced_pair_raw(op, s)
+        rho_a, rho_b = reduced_pair(op.apply(s.x, s.y))
         pa, pb = predicted_reduced(params, s)
         assert np.abs(rho_a - pa).max() < 1e-12
         assert np.abs(rho_b - pb).max() < 1e-12
@@ -55,7 +55,7 @@ def test_reduced_pair_raw_matches_masker_closed_form():
 def test_reduced_pair_raw_identity_embedding():
     op = identity_embedding()
     s = AngleState(1.1, 0.7)
-    rho_a, rho_b = reduced_pair_raw(op, s)
+    rho_a, rho_b = reduced_pair(op.apply(s.x, s.y))
     assert np.allclose(rho_a, np.diag([1.0, 0.0]))
     vec = angles_to_state(s)
     assert np.allclose(rho_b, np.outer(vec, vec.conj()))
@@ -64,7 +64,7 @@ def test_reduced_pair_raw_identity_embedding():
 def test_reduced_pair_raw_unnormalized_convention():
     op = GeneralLinearOp(2, 0, 0, 0, 0, 0, 0, 0)
     x = np.pi / 3
-    rho_a, _ = reduced_pair_raw(op, AngleState(x, 0.0))
+    rho_a, _ = reduced_pair(op.apply(x, 0.0))
     assert abs(np.trace(rho_a).real - 4 * np.cos(x / 2) ** 2) < 1e-12
 
 
@@ -98,7 +98,7 @@ def test_constraints_reproduce_entry_functions():
         for _ in range(20):
             s = random_state(rng)
             p = angles_to_bloch(s)
-            rho_a, rho_b = reduced_pair_raw(op, s)
+            rho_a, rho_b = reduced_pair(op.apply(s.x, s.y))
             values = [
                 rho_a[0, 0].real, rho_a[1, 1].real, rho_a[0, 1].real, rho_a[0, 1].imag,
                 rho_b[0, 0].real, rho_b[1, 1].real, rho_b[0, 1].real, rho_b[0, 1].imag,
@@ -151,9 +151,9 @@ def test_maskable_set_rank_two_gives_mirror_pair():
             np.linalg.norm(got.p2 - mirror) + np.linalg.norm(got.p1 - p0),
         ) < 1e-9
         # both points carry identical raw reduced pairs
-        ra1, rb1 = reduced_pair_raw(op, anchor)
+        ra1, rb1 = reduced_pair(op.apply(anchor.x, anchor.y))
         s2 = AngleState(anchor.x, 2 * np.pi - anchor.y)
-        ra2, rb2 = reduced_pair_raw(op, s2)
+        ra2, rb2 = reduced_pair(op.apply(s2.x, s2.y))
         assert np.abs(ra1 - ra2).max() < 1e-12
         assert np.abs(rb1 - rb2).max() < 1e-12
 

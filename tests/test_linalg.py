@@ -7,11 +7,9 @@ from qmask import (
     AngleState,
     InvalidInputError,
     MaskerParams,
-    apply_masker,
     build_masker,
     mat_distance,
-    partial_trace_a,
-    partial_trace_b,
+    reduced_pair,
     sample_circle,
     maskable_circle,
 )
@@ -20,34 +18,34 @@ BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 
 def test_partial_trace_b_product_state():
-    rho = partial_trace_b(np.array([1, 0, 0, 0], dtype=complex))
+    rho = reduced_pair(np.array([1, 0, 0, 0], dtype=complex))[0]
     assert np.allclose(rho, np.diag([1.0, 0.0]))
 
 
 def test_partial_trace_b_bell_state():
-    assert np.allclose(partial_trace_b(BELL), np.eye(2) / 2)
+    assert np.allclose(reduced_pair(BELL)[0], np.eye(2) / 2)
 
 
 def test_partial_trace_a_product_state():
-    rho = partial_trace_a(np.array([0, 1, 0, 0], dtype=complex))
+    rho = reduced_pair(np.array([0, 1, 0, 0], dtype=complex))[1]
     assert np.allclose(rho, np.diag([0.0, 1.0]))
 
 
 def test_partial_trace_a_bell_state():
-    assert np.allclose(partial_trace_a(BELL), np.eye(2) / 2)
+    assert np.allclose(reduced_pair(BELL)[1], np.eye(2) / 2)
 
 
 def test_masked_equator_state_is_maximally_mixed():
     # the invariant of the (0, 0) masker vanishes on the equator, so the
     # closed form predicts exactly I/2 on the A side
-    psi = apply_masker(build_masker(MaskerParams(0.0, 0.0)), AngleState(np.pi / 2, 0.0))
-    assert np.abs(partial_trace_b(psi) - np.eye(2) / 2).max() < 1e-12
+    psi = build_masker(MaskerParams(0.0, 0.0)).apply(np.pi / 2, 0.0)
+    assert np.abs(reduced_pair(psi)[0] - np.eye(2) / 2).max() < 1e-12
 
 
 def test_masked_state_b_offdiagonal_is_half_invariant():
     iso = build_masker(MaskerParams(0.0, 0.0))
     for x, y in [(0.3, 1.0), (1.2, 4.0), (2.8, 0.5)]:
-        rho_b = partial_trace_a(apply_masker(iso, AngleState(x, y)))
+        rho_b = reduced_pair(iso.apply(x, y))[1]
         assert abs(rho_b[0, 1] - np.cos(x) / 2) < 1e-12
         assert abs(rho_b[1, 0] - np.cos(x) / 2) < 1e-12
 
@@ -63,22 +61,22 @@ def test_mat_distance_vanishes_on_equal_invariant_states():
     iso = build_masker(params)
     circle = maskable_circle(params, AngleState(1.0, 0.3))
     samples = sample_circle(circle, 7)
-    ref = partial_trace_b(apply_masker(iso, samples[0]))
+    ref = reduced_pair(iso.apply(samples[0].x, samples[0].y))[0]
     for s in samples[1:]:
-        assert mat_distance(partial_trace_b(apply_masker(iso, s)), ref) < 1e-12
+        assert mat_distance(reduced_pair(iso.apply(s.x, s.y))[0], ref) < 1e-12
 
 
 @pytest.mark.parametrize("bad", [np.array([1, np.nan, 0, 0]), np.array([np.inf, 0, 0, 0])])
 def test_non_finite_input_rejected(bad):
     with pytest.raises(InvalidInputError):
-        partial_trace_b(bad.astype(complex))
+        reduced_pair(bad.astype(complex))[0]
     with pytest.raises(InvalidInputError):
-        partial_trace_a(bad.astype(complex))
+        reduced_pair(bad.astype(complex))[1]
 
 
 def test_wrong_shape_rejected():
     with pytest.raises(InvalidInputError):
-        partial_trace_b(np.array([1, 0], dtype=complex))
+        reduced_pair(np.array([1, 0], dtype=complex))[0]
 
 
 finite = st.floats(min_value=-5, max_value=5)
@@ -88,8 +86,7 @@ finite = st.floats(min_value=-5, max_value=5)
 def test_trace_consistency_and_psd(parts):
     psi = np.array(parts[:4]) + 1j * np.array(parts[4:])
     norm_sq = float(np.vdot(psi, psi).real)
-    rho_a = partial_trace_b(psi)
-    rho_b = partial_trace_a(psi)
+    rho_a, rho_b = reduced_pair(psi)
     for rho in (rho_a, rho_b):
         assert abs(np.trace(rho).real - norm_sq) < 1e-12 * max(1.0, norm_sq)
         assert np.abs(rho - rho.conj().T).max() < 1e-12 * max(1.0, norm_sq)
@@ -102,5 +99,30 @@ def test_partial_trace_scaling(parts, lam_re, lam_im):
     lam = complex(lam_re, lam_im)
     scale = abs(lam) ** 2
     bound = 1e-12 * max(1.0, scale * float(np.vdot(psi, psi).real))
-    assert np.abs(partial_trace_b(lam * psi) - scale * partial_trace_b(psi)).max() < bound
-    assert np.abs(partial_trace_a(lam * psi) - scale * partial_trace_a(psi)).max() < bound
+    assert np.abs(reduced_pair(lam * psi)[0] - scale * reduced_pair(psi)[0]).max() < bound
+    assert np.abs(reduced_pair(lam * psi)[1] - scale * reduced_pair(psi)[1]).max() < bound
+
+
+@given(st.lists(st.tuples(*[finite] * 8), min_size=1, max_size=8))
+def test_reduced_pair_batch_equals_rows(rows):
+    parts = np.array(rows)
+    psi = parts[:, :4] + 1j * parts[:, 4:]
+    rho_a, rho_b = reduced_pair(psi)
+    assert rho_a.shape == rho_b.shape == (len(rows), 2, 2)
+    for i, row in enumerate(psi):
+        row_a, row_b = reduced_pair(row)
+        assert np.array_equal(rho_a[i], row_a) and np.array_equal(rho_b[i], row_b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_reduced_pair_batch_rejects_non_finite(bad):
+    psi = np.ones((3, 4), dtype=complex)
+    psi[2, 1] = bad
+    with pytest.raises(InvalidInputError):
+        reduced_pair(psi)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (3, 8), (2, 2, 4), (4, 1), ()])
+def test_reduced_pair_batch_rejects_bad_shape(shape):
+    with pytest.raises(InvalidInputError):
+        reduced_pair(np.zeros(shape, dtype=complex))

@@ -4,19 +4,17 @@ import pytest
 from qmask import (
     AngleState,
     DegenerateInputError,
+    GeneralLinearOp,
     InvalidInputError,
-    Isometry42,
     MaskerParams,
     angles_to_bloch,
-    apply_masker,
     build_masker,
     hbar,
     maskable_circle,
     masker_for_states,
     mat_distance,
-    partial_trace_a,
-    partial_trace_b,
     predicted_reduced,
+    reduced_pair,
     sample_circle,
     verify_mask,
 )
@@ -69,17 +67,17 @@ def test_isometry_condition_grid():
 
 
 def test_isometry42_rejects_non_isometry():
-    with pytest.raises(InvalidInputError):
-        Isometry42(np.array([1, 0, 0, 0], dtype=complex), np.array([1, 0, 0, 0], dtype=complex))
-    with pytest.raises(InvalidInputError):
-        Isometry42(np.array([2, 0, 0, 0], dtype=complex), np.array([0, 1, 0, 0], dtype=complex))
+    op = GeneralLinearOp.from_columns(np.array([1, 0, 0, 0], dtype=complex), np.array([1, 0, 0, 0], dtype=complex))
+    assert op.is_isometry is False
+    op = GeneralLinearOp.from_columns(np.array([2, 0, 0, 0], dtype=complex), np.array([0, 1, 0, 0], dtype=complex))
+    assert op.is_isometry is False
 
 
 def test_apply_masker_basis_and_superposition():
     iso = build_masker(MaskerParams(1.0, 2.0))
-    assert np.allclose(apply_masker(iso, AngleState(0.0, 0.0)), iso.col0)
-    assert np.allclose(apply_masker(iso, AngleState(np.pi, 0.0)), iso.col1)
-    psi = apply_masker(build_masker(MaskerParams(0.0, 0.0)), AngleState(np.pi / 2, 0.0))
+    assert np.allclose(iso.apply(0.0, 0.0), iso.col0)
+    assert np.allclose(iso.apply(np.pi, 0.0), iso.col1)
+    psi = build_masker(MaskerParams(0.0, 0.0)).apply(np.pi / 2, 0.0)
     iso0 = build_masker(MaskerParams(0.0, 0.0))
     assert np.allclose(psi, (iso0.col0 + iso0.col1) / np.sqrt(2))
     assert abs(np.vdot(psi, psi) - 1.0) < 1e-14
@@ -98,10 +96,10 @@ def test_reduced_matches_closed_form():
     rng = np.random.default_rng(1)
     for _ in range(1000):
         params, s = random_params(rng), random_state(rng)
-        psi = apply_masker(build_masker(params), s)
+        psi = build_masker(params).apply(s.x, s.y)
         rho_a, rho_b = predicted_reduced(params, s)
-        assert mat_distance(partial_trace_b(psi), rho_a) < 1e-12
-        assert mat_distance(partial_trace_a(psi), rho_b) < 1e-12
+        assert mat_distance(reduced_pair(psi)[0], rho_a) < 1e-12
+        assert mat_distance(reduced_pair(psi)[1], rho_b) < 1e-12
 
 
 def test_maskable_circle_examples():
@@ -180,3 +178,14 @@ def test_masker_for_states_degenerate():
     s = AngleState(0.3, 0.4)
     with pytest.raises(DegenerateInputError):
         masker_for_states(s, s, AngleState(1.0, 1.0))
+
+
+def test_verify_mask_witness_is_first_offender():
+    # states[1:3] share the first state's circle; states[3] and states[4] do not
+    params = MaskerParams(0.0, 0.0)
+    x = np.pi / 3
+    states = [AngleState(x, 0.1), AngleState(x, 2.0), AngleState(x, 4.0),
+              AngleState(2.0, 1.0), AngleState(0.5, 1.0)]
+    report = verify_mask(build_masker(params), states, tol=1e-10)
+    assert not report.ok
+    assert report.witness == (states[0], states[3])

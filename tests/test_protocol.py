@@ -292,3 +292,19 @@ def test_preset_scheme_parsing():
     with pytest.raises(InvalidSchemeError):
         preset_scheme("fig3_pole:x")
     assert set(preset_schemes()) == {"fig1_axes", "fig3_pole:N", "fig2_vertical:N", "general:N"}
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_general_triples_decode_by_rank(n):
+    # for even n the shares k, n/2, n-k have rank-2 normals (n_k + n_{n-k}
+    # is parallel to n_{n/2}); every other triple has full rank
+    message = AngleState(1.1, 2.2)
+    shares = encode(message, general(n))
+    for trio in combinations(range(1, n), 3):
+        result = decode([shares[k - 1] for k in trio])
+        if n % 2 == 0 and trio[1] == n // 2 and trio[0] + trio[2] == n:
+            assert isinstance(result, TwoCandidates), trio
+            assert any(states_close(c, message) for c in candidate_set(result)), trio
+        else:
+            assert isinstance(result, Unique), trio
+            assert states_close(result.state, message), trio
