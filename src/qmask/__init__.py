@@ -5,8 +5,8 @@ states are identical across the whole input set.  This package builds
 the explicit isometry maskers that achieve it, characterizes exactly
 which state sets any linear operator can mask (spherical circles at
 most), cross-validates that analysis with a brute-force grid oracle,
-and runs a multi-masker secret-sharing protocol whose decoding is
-circle intersection on the sphere.
+and runs a multi-masker secret-sharing protocol whose decoding cuts
+the sphere by the share planes, the same solver that classifies.
 """
 
 from .analysis import (
@@ -40,8 +40,8 @@ from .bloch import (
     circle_from_mask_params,
     circle_through_three,
     circles_equal,
+    cut_sphere,
     distance_to_circle,
-    intersect_circles,
     sample_circle,
 )
 from .errors import (

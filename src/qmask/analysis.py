@@ -29,7 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import AngleState, SphericalCircle, angles_to_bloch, distance_to_circle
+from .bloch import (
+    POINT_CIRCLE_RADIUS, AngleState, Coincident, SphericalCircle, TwoPoints,
+    angles_to_bloch, cut_sphere, distance_to_circle,
+)
 from .errors import InvalidInputError, InvariantViolationError
 from .linalg import reduced_pair
 
@@ -75,9 +78,9 @@ class GeneralLinearOp:
 
     def __post_init__(self):
         coeffs = self.coefficients
-        if not np.all(np.isfinite(coeffs.view(float))):
+        if not np.isfinite(coeffs).all():
             raise InvalidInputError("operator coefficients must be finite")
-        if not np.any(coeffs):
+        if not coeffs.any():
             raise InvalidInputError("the zero operator has no maskable-set analysis")
 
     @property
@@ -210,13 +213,13 @@ def _entry_values(op: GeneralLinearOp, xs: np.ndarray, ys: np.ndarray) -> np.nda
     )
 
 
-def extract_constraints(op: GeneralLinearOp) -> list[AffineConstraint]:
-    """Recover the 8 affine entry functions by evaluation at fixed Bloch points.
+def _affine_fit(op: GeneralLinearOp) -> tuple[np.ndarray, np.ndarray]:
+    """The (8, 3) normals and 8 offsets of the entry functions, rows as ENTRY_LABELS.
 
-    The four points +Z, -Z, +X, +Y determine each affine function; the
-    value at -Y then has to agree, which guards the affineness of the
-    whole pipeline.  One uniform numeric path covers both reduced
-    matrices (the rho_B family has no special-case handling).
+    Each affine function is recovered from its values at the Bloch points
+    +Z, -Z, +X and +Y; the value at -Y then has to agree, which guards the
+    affineness of the whole pipeline.  One uniform numeric path covers
+    both reduced matrices (the rho_B family has no special-case handling).
     """
     vals = _entry_values(op, _FIT_X, _FIT_Y)
     v_zp, v_zm, v_xp, v_yp, v_ym = vals
@@ -229,31 +232,33 @@ def extract_constraints(op: GeneralLinearOp) -> list[AffineConstraint]:
         raise InvariantViolationError(
             f"entry functions failed the affine consistency probe (residual {residual:.3e})"
         )
-    return [
-        AffineConstraint(np.array([nx[i], ny[i], nz[i]]), float(r[i]), ENTRY_LABELS[i])
-        for i in range(8)
-    ]
+    return np.column_stack([nx, ny, nz]), r
+
+
+def extract_constraints(op: GeneralLinearOp) -> list[AffineConstraint]:
+    """The 8 affine entry functions of :func:`_affine_fit` as labelled constraints."""
+    normals, r = _affine_fit(op)
+    return [AffineConstraint(n, float(ri), label) for n, ri, label in zip(normals, r, ENTRY_LABELS)]
 
 
 def constraint_matrix(op: GeneralLinearOp) -> np.ndarray:
     """The 8x3 stack of constraint normals, rows ordered as ENTRY_LABELS."""
-    return np.vstack([c.n for c in extract_constraints(op)])
+    return _affine_fit(op)[0]
 
 
 def maskable_set(op: GeneralLinearOp, anchor: AngleState) -> MaskableClass:
     """Classify the largest state set sharing the anchor's raw reduced pair.
 
-    The anchored constraints n_i . (p - p0) = 0 are ranked by singular
-    values of the row-normalized normal stack (threshold RANK_TOL, with
-    rows below the operator's noise floor treated as zero):
-
-      rank 1 -> circle through the anchor (a point if its radius collapses)
-      rank 2 -> the plane-line against the sphere: two points or a tangent point
-      rank 3 -> the anchor alone
-
-    Rank 0 would mean every state is masked, which no nonzero operator
-    admits; it raises InvariantViolationError.
+    Dividing the coefficients by about their largest magnitude leaves the
+    set unchanged and keeps the quadratic entries clear of under- and
+    overflow.  The anchored planes n_i . p = n_i . p0 (rows normalized,
+    rows below the noise floor dropped) cut the sphere at RANK_TOL: one
+    plane gives the circle through the anchor (unless it collapses), two
+    crossings the point pair, and anything else the anchor alone.
     """
+    # a power of two near the largest magnitude scales without rounding
+    c = op.coefficients
+    op = GeneralLinearOp(*(c / np.ldexp(1.0, np.frexp(np.abs(c).max())[1] - 1)).tolist())
     normals = constraint_matrix(op)
     p0 = angles_to_bloch(anchor)
     row_norms = np.linalg.norm(normals, axis=1)
@@ -263,29 +268,11 @@ def maskable_set(op: GeneralLinearOp, anchor: AngleState) -> MaskableClass:
         raise InvariantViolationError(
             "all entry functions are constant: a nonzero operator cannot mask the full sphere"
         )
-    _, svals, vt = np.linalg.svd(keep)
-    rank = int(np.sum(svals > RANK_TOL))
-    if rank == 0:
-        raise InvariantViolationError(
-            "constraint stack has rank 0: a nonzero operator cannot mask the full sphere"
-        )
-    if rank == 1:
-        circle = SphericalCircle(vt[0], float(vt[0] @ p0))
-        if circle.radius < 1e-9:
-            return SinglePoint(p0)
-        return Circle(circle)
-    if rank == 2:
-        d = np.cross(vt[0], vt[1])
-        d /= np.linalg.norm(d)
-        # the anchored line passes through p0; its second sphere crossing is
-        # at parameter t = -2 (p0 . d), degenerating to tangency when that vanishes
-        t = -2.0 * float(p0 @ d)
-        if abs(t) < 1e-9:
-            return SinglePoint(p0)
-        p1 = p0 + t * d
-        p1 /= np.linalg.norm(p1)
-        a, b = (p0, p1) if tuple(p0) <= tuple(p1) else (p1, p0)
-        return PointPair(a, b)
+    hit = cut_sphere(keep, keep @ p0, RANK_TOL)
+    if isinstance(hit, Coincident) and hit.circle.radius >= POINT_CIRCLE_RADIUS:
+        return Circle(hit.circle)
+    if isinstance(hit, TwoPoints):
+        return PointPair(hit.p1, hit.p2)
     return SinglePoint(p0)
 
 

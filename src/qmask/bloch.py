@@ -1,4 +1,4 @@
-"""Bloch-sphere geometry: angle coordinates, spherical circles, intersections.
+"""Bloch-sphere geometry: angle coordinates, spherical circles, plane cuts.
 
 A pure qubit state is parametrized as
 
@@ -26,7 +26,7 @@ from .errors import DegenerateInputError, EmptyCircleError, InvalidInputError
 TWO_PI = 2.0 * np.pi
 
 # Orientation tie-break threshold for |c| ~ 0 and the tangency threshold
-# on the circle-circle intersection discriminant.  Double-precision
+# on the discriminant of a plane line against the sphere.  Double-precision
 # geometry noise at unit scale sits far below 1e-9.
 CANON_EPS = 1e-12
 TANGENT_EPS = 1e-9
@@ -255,7 +255,7 @@ def circle_through_three(p1, p2, p3) -> SphericalCircle:
     return SphericalCircle(n, c)
 
 
-# --- circle-circle intersection -------------------------------------------
+# --- the sphere cut by a stack of planes -------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,49 +282,76 @@ class Empty:
 CircleIntersection = Coincident | TwoPoints | OnePoint | Empty
 
 
-def intersect_circles(c1: SphericalCircle, c2: SphericalCircle) -> CircleIntersection:
-    """Intersect two spherical circles.
+def _polish(start: np.ndarray, normals: np.ndarray, offsets: np.ndarray, tol: float) -> np.ndarray:
+    """Gauss-Newton steps on the planes plus the sphere, from ``start``.
 
-    Parallel planes give Coincident or Empty; otherwise the plane-plane
-    line is cut against the unit sphere, with the discriminant
-    classified as TwoPoints, OnePoint (tangency within TANGENT_EPS) or
-    Empty.  Returned points satisfy both plane equations and lie on the
-    sphere to within 1e-9; the two-point case is ordered
-    lexicographically by (X, Y, Z) so the result is symmetric in the
-    argument order.
+    Directions with singular values at or below ``tol`` are dropped, not
+    inverted: planes that agree within ``tol`` would only amplify noise.
     """
-    n1, o1 = c1.normal, c1.offset
-    n2, o2 = c2.normal, c2.offset
-    if n1 @ n2 < 0.0:
-        # same plane, opposite orientation: flip so the angle stays acute
-        n2, o2 = -n2, -o2
-    d = np.cross(n1, n2)
-    dn = np.linalg.norm(d)
-    if dn < TANGENT_EPS:
-        if abs(o1 - o2) <= TANGENT_EPS:
-            return Coincident(c1)
+    q = start
+    for _ in range(8):
+        jac = np.vstack([normals, q])
+        residual = np.append(offsets - normals @ q, (1.0 - q @ q) / 2.0)
+        u, s, vt = np.linalg.svd(jac, full_matrices=False)
+        keep = s > tol
+        step = vt[keep].T @ ((u[:, keep].T @ residual) / s[keep])
+        q = q + step
+        if np.linalg.norm(step) < 1e-15:
+            break
+    return q / np.linalg.norm(q)
+
+
+def cut_sphere(normals, offsets, tol: float) -> CircleIntersection:
+    """The unit sphere cut by the planes ``normals[i] . p = offsets[i]``.
+
+    ``normals`` is a (k, 3) stack of unit rows, sorted first so the
+    result is bit-identical for every row order.  One SVD ranks it: if
+    the second singular value is at most ``tol``, the cut is the
+    least-squares plane's Coincident circle (Empty if some plane lies
+    further than ``tol`` from it).  Otherwise the two strongest
+    directions fix a line; its sphere crossings (its foot point alone
+    when the discriminant is within TANGENT_EPS) survive when within
+    ``tol`` of every plane.  Only if none does are they polished, checked
+    again and merged within 1e-6.  Two points are ordered by (X, Y, Z),
+    coordinates within 1e-9 counting as equal.
+    """
+    normals = np.asarray(normals, dtype=float).reshape(-1, 3)
+    offsets = np.asarray(offsets, dtype=float).reshape(-1)
+    # a canonical row order makes every rounding error independent of the input order
+    order = np.lexsort((offsets, normals[:, 2], normals[:, 1], normals[:, 0]))
+    normals, offsets = normals[order], offsets[order]
+    u, s, vt = np.linalg.svd(normals)
+    proj = u.T @ offsets
+    if len(s) < 2 or s[1] <= tol:
+        c = float(proj[0] / s[0])
+        if abs(c) > 1.0 + tol or np.abs(offsets - (normals @ vt[0]) * c).max() > tol:
+            return Empty()
+        return Coincident(SphericalCircle(vt[0], min(max(c, -1.0), 1.0)))
+    q = vt[:2].T @ (proj[:2] / s[:2])
+    disc = 1.0 - q @ q
+    if disc <= TANGENT_EPS:
+        candidates = [q / np.sqrt(q @ q)]
+    else:
+        t = np.sqrt(disc) * vt[2]
+        candidates = [q + t, q - t]
+
+    def worst_residual(p):
+        return np.abs(p @ normals.T - offsets).max(axis=-1)
+
+    points = [p for p, r in zip(candidates, worst_residual(np.array(candidates))) if r <= tol]
+    if not points:
+        for p in candidates:
+            p = _polish(p, normals, offsets, tol)
+            if worst_residual(p) <= tol and all(np.linalg.norm(p - r) > 1e-6 for r in points):
+                points.append(p)
+    if not points:
         return Empty()
-    d /= dn
-    # The textbook line-point formula divides by 1 - dot^2, which loses
-    # every digit once the plane angle drops below ~1e-8 (dot rounds to 1).
-    # Both 1 -/+ dot are recovered from the normal difference instead:
-    # |n1 - n2|^2 = 2 (1 - dot) is cancellation-free at small angles, and
-    # the flip above keeps 1 + dot away from zero.
-    w = n1 - n2
-    one_minus = float(w @ w) / 2.0
-    one_plus = 2.0 - one_minus
-    q0 = (o1 - o2) / (2.0 * one_minus) * w + (o1 + o2) / (2.0 * one_plus) * (n1 + n2)
-    disc = 1.0 - float(q0 @ q0)
-    if disc > TANGENT_EPS:
-        t = np.sqrt(disc)
-        pa, pb = q0 + t * d, q0 - t * d
-        if tuple(pa) > tuple(pb):
-            pa, pb = pb, pa
-        return TwoPoints(pa, pb)
-    if disc < -TANGENT_EPS:
-        return Empty()
-    nq = np.linalg.norm(q0)
-    return OnePoint(q0 / nq if nq > 0 else q0)
+    if len(points) == 1:
+        return OnePoint(points[0])
+    # order by the first coordinate that tells them apart, so rounding cannot flip a mirror pair
+    pa, pb = points
+    i = int(np.argmax(np.abs(pa - pb) > 1e-9))
+    return TwoPoints(pa, pb) if pa[i] < pb[i] else TwoPoints(pb, pa)
 
 
 def sample_circle(circle: SphericalCircle, k: int) -> list[AngleState]:

@@ -22,9 +22,8 @@ from .analysis import (
     class_distance,
     extract_constraints,
     maskable_set,
-    operator_scale,
 )
-from .bloch import AngleState, angles_to_bloch
+from .bloch import AngleState
 from .oracle import GridSpec, default_kappa, grid_deviations
 
 # rho_A and rho_B each contribute their off-diagonal entry twice to the
@@ -36,8 +35,6 @@ def agreement_report(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec) ->
     """Scan the grid and compare against the classified maskable set."""
     mask_class = maskable_set(op, anchor)
     constraints = extract_constraints(op)
-    p0 = angles_to_bloch(anchor)
-    scale = operator_scale(op)
     tol = default_kappa(op) * grid.spacing
 
     xs, ys, dev = grid_deviations(op, anchor, grid)
@@ -57,13 +54,9 @@ def agreement_report(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec) ->
         trans = float(np.sqrt(1.0 + 4.0 / max(mask_class.circle.radius, 1e-3) ** 2))
     elif isinstance(mask_class, PointPair):
         rank = 2
-        row_norms = np.linalg.norm(normals, axis=1)
-        keep = normals[row_norms > 1e-12 * scale]
-        keep = keep / np.linalg.norm(keep, axis=1)[:, None]
-        _, _, vt = np.linalg.svd(keep)
-        d = np.cross(vt[0], vt[1])
-        d /= np.linalg.norm(d)
-        trans = 1.0 + 1.0 / max(abs(float(p0 @ d)), 1e-3)
+        # the pair is the anchored line's two crossings: half its chord is |p0 . d|
+        half_chord = float(np.linalg.norm(mask_class.p1 - mask_class.p2)) / 2.0
+        trans = 1.0 + 1.0 / max(half_chord, 1e-3)
     else:
         rank = 3
         trans = 1.0

@@ -8,14 +8,15 @@ reveals nothing beyond a spherical circle the message must lie on: its
 reduced state is I/2 + (c_k/2)(|0><1| + |1><0|) with c_k the masker's
 invariant at the message, so the circle is the invariant's level set.
 
-Cooperating receivers intersect their circles.  Depending on the scheme
-geometry the survivors are a unique point (the message), a point pair
-that no number of further shares can split (all-vertical schemes), or
-the whole circle when every share repeats the same constraint.
+Cooperating receivers cut the sphere by all their share planes at once.
+Depending on the scheme geometry the survivors are a unique point (the
+message), a point pair that no number of further shares can split
+(all-vertical schemes), or the whole circle when every share repeats
+the same constraint.
 
-Shares carry exact reduced matrices; tomography noise is out of scope,
-but the candidate-filter tolerance is an argument so noisy inputs can
-be admitted later.
+Honest shares whose entries carry noise within the decode tolerance
+still decode: it bounds both the share-structure check and every
+candidate's distance to each share plane.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .bloch import (
     SphericalCircle,
     bloch_to_angles,
     circle_from_mask_params,
-    intersect_circles,
+    cut_sphere,
 )
 from .errors import CorruptShareError, InvalidInputError, InvalidSchemeError
 from .linalg import reduced_pair
@@ -136,90 +137,29 @@ class Inconsistent:
 DecodeResult = Unique | TwoCandidates | AmbiguousCircle | Inconsistent
 
 
-def _refine(points: list[np.ndarray], circles: list[SphericalCircle], cutoff: float) -> list[np.ndarray]:
-    """Polish candidates by Newton steps on the joint plane-plus-sphere system.
-
-    Near-tangent or nearly-duplicate circle pairs can misplace an
-    intersection point by far more than the decode tolerance (the
-    position error grows like rounding noise over the pair's angular
-    separation).  Solving the full system restores the precision the
-    shares jointly carry: the sphere row resolves the direction a
-    rank-deficient plane stack leaves free whenever the crossing is
-    transversal.
-
-    Jacobian directions with singular values below ``cutoff`` are
-    dropped rather than inverted; they belong to constraints that agree
-    to within the decode tolerance, where inversion would only amplify
-    noise, and they leave at most ~cutoff of residual behind.
-    """
-    normals = np.vstack([c.normal for c in circles])
-    offsets = np.array([c.offset for c in circles])
-    refined = []
-    for p in points:
-        q = p.astype(float).copy()
-        for _ in range(4):
-            jac = np.vstack([normals, q])
-            residual = np.concatenate([offsets - normals @ q, [(1.0 - q @ q) / 2.0]])
-            u, s, vt = np.linalg.svd(jac, full_matrices=False)
-            rank = int(np.sum(s > cutoff))
-            if rank == 0:
-                break
-            step = vt[:rank].T @ ((u[:, :rank].T @ residual) / s[:rank])
-            q = q + step
-            if np.linalg.norm(step) < 1e-15:
-                break
-        nq = np.linalg.norm(q)
-        if nq > 1e-12:
-            q = q / nq
-        refined.append(q)
-    return refined
-
-
 def decode(shares: list[Share], tol: float = DECODE_TOL) -> DecodeResult:
-    """Intersect the share circles and classify what survives.
+    """Cut the sphere by all share planes at once and classify what survives.
 
-    The circles are intersected sequentially -- circle against circle
-    first, then plane-membership filtering of candidate points -- and
-    the surviving points are refined against the full constraint system
-    before the final tolerance check.  Inconsistent is a result, not an
-    error: it can only arise from corrupted shares.
+    One :func:`~qmask.bloch.cut_sphere` call makes the result independent
+    of the share order; a candidate survives within ``tol`` of every
+    share plane, so noise within ``tol`` still decodes.  Inconsistent is
+    a result, not an error: only corrupt shares (or noise beyond ``tol``)
+    give it.
     """
     if not shares:
         raise InvalidInputError("decode needs at least one share")
     circles = [share_constraint(s, tol=tol) for s in shares]
-    current_circle: SphericalCircle | None = circles[0]
-    points: list[np.ndarray] = []
-    # candidate positions may sit off by ~sqrt(tangency threshold) before
-    # refinement, so the running filter is looser than the final one
-    prefilter = max(tol, 1e-4)
-    for ck in circles[1:]:
-        if current_circle is not None:
-            hit = intersect_circles(current_circle, ck)
-            if isinstance(hit, Coincident):
-                continue
-            if isinstance(hit, Empty):
-                return Inconsistent()
-            points = [hit.p] if isinstance(hit, OnePoint) else [hit.p1, hit.p2]
-            current_circle = None
-        else:
-            points = [p for p in points if ck.plane_residual(p) <= prefilter]
-            if not points:
-                return Inconsistent()
-    if current_circle is not None:
-        return AmbiguousCircle(current_circle)
-    points = _refine(points, circles, cutoff=tol)
-    points = [p for p in points if max(c.plane_residual(p) for c in circles) <= tol]
-    # refinement can merge a near-tangent pair into one candidate
-    deduped: list[np.ndarray] = []
-    for p in points:
-        if all(np.linalg.norm(p - q) > 1e-6 for q in deduped):
-            deduped.append(p)
-    if not deduped:
+    hit = cut_sphere(
+        np.vstack([c.normal for c in circles]), np.array([c.offset for c in circles]), tol
+    )
+    if isinstance(hit, Coincident):
+        return AmbiguousCircle(hit.circle)
+    if isinstance(hit, OnePoint):
+        return Unique(bloch_to_angles(hit.p))
+    if isinstance(hit, Empty):
         return Inconsistent()
-    if len(deduped) == 1:
-        return Unique(bloch_to_angles(deduped[0]))
-    states = sorted((bloch_to_angles(p) for p in deduped), key=lambda s: (s.x, s.y))
-    return TwoCandidates(states[0], states[1])
+    first, second = sorted((bloch_to_angles(hit.p1), bloch_to_angles(hit.p2)), key=lambda s: (s.x, s.y))
+    return TwoCandidates(first, second)
 
 
 # --- preset schemes -----------------------------------------------------------
@@ -292,7 +232,10 @@ def preset_schemes() -> dict[str, str]:
         "fig1_axes": "three axis maskers; any message decodes uniquely",
         "fig3_pole:N": "N-1 circles tangent at the north pole (N >= 3); two shares decode (0, 0)",
         "fig2_vertical:N": "N vertical circles (N >= 4); every subset leaves two candidates",
-        "general:N": "N-1 maskers (k*pi/N, k*pi/N) (N >= 4); three shares decode for N >= 5",
+        "general:N": (
+            "N-1 maskers (k*pi/N, k*pi/N) (N >= 4); three shares decode for N >= 5, "
+            "except k, N/2, N-k for even N, which leave two candidates"
+        ),
     }
 
 

@@ -184,6 +184,43 @@ def test_maskable_set_scale_invariant_class():
         assert isinstance(maskable_set(op, anchor), SinglePoint)
 
 
+def _class_parts(mask_class):
+    """The class's points, or its circle's normal with the offset appended."""
+    if isinstance(mask_class, Circle):
+        return [np.append(mask_class.circle.normal, mask_class.circle.offset)]
+    if isinstance(mask_class, PointPair):
+        return [mask_class.p1, mask_class.p2]
+    return [mask_class.point]
+
+
+def _b_rotated(op, u):
+    """The operator followed by the unitary ``u`` on qubit B."""
+    return GeneralLinearOp.from_columns(
+        *((col.reshape(2, 2) @ u.T).ravel() for col in (op.col0, op.col1))
+    )
+
+
+def test_maskable_set_metamorphic_scale_phase_and_b_unitary():
+    # the maskable set of k*op is that of op for every nonzero complex k, and
+    # a unitary on qubit B leaves both reduced-pair equalities unchanged
+    rng = np.random.default_rng(8)
+    ops = [random_op(rng), rank_two_op(rng), GeneralLinearOp.from_isometry(build_masker(random_params(rng)))]
+    factors = (1e-150, 1e-100, 1e100, 1e150, np.exp(0.7j), 3 - 4j)
+    for op in ops:
+        anchor = random_state(rng, margin=0.3)
+        ref = maskable_set(op, anchor)
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        variants = [GeneralLinearOp.from_columns(k * op.col0, k * op.col1) for k in factors]
+        for got in [maskable_set(v, anchor) for v in variants + [_b_rotated(op, u)]]:
+            assert type(got) is type(ref)
+            want, have = _class_parts(ref), _class_parts(got)
+            err = min(
+                max(np.abs(a - b).max() for a, b in zip(want, order))
+                for order in (have, have[::-1])
+            )
+            assert err < 1e-9
+
+
 def test_product_form_masker_rejected():
     for alpha in np.linspace(0.0, np.pi, 20, endpoint=False):
         op = GeneralLinearOp.from_isometry(build_masker(MaskerParams(alpha, 1.0)))

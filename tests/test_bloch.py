@@ -20,10 +20,11 @@ from qmask import (
     circle_from_mask_params,
     circle_through_three,
     circles_equal,
+    cut_sphere,
     distance_to_circle,
-    intersect_circles,
     sample_circle,
 )
+from qmask.bloch import TANGENT_EPS
 
 angles_x = st.floats(min_value=0.0, max_value=np.pi)
 angles_y = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True)
@@ -205,10 +206,15 @@ def test_circle_through_three_degenerate():
 # --- intersections ------------------------------------------------------------
 
 
+def cut_pair(c1, c2):
+    """The sphere cut by the planes of two circles."""
+    return cut_sphere(np.vstack([c1.normal, c2.normal]), [c1.offset, c2.offset], TANGENT_EPS)
+
+
 def test_intersect_tangent_at_pole():
     c1 = circle_from_mask_params(np.pi / 8, 0.0, np.cos(np.pi / 8))
     c2 = circle_from_mask_params(np.pi / 4, 0.0, np.cos(np.pi / 4))
-    hit = intersect_circles(c1, c2)
+    hit = cut_pair(c1, c2)
     assert isinstance(hit, OnePoint)
     assert np.linalg.norm(hit.p - np.array([0, 0, 1])) < 1e-9
 
@@ -218,7 +224,7 @@ def test_intersect_vertical_pair():
     p0 = angles_to_bloch(anchor)
     c1 = circle_from_mask_params(np.pi / 2, 0.3, float(-np.sin(np.pi / 6) * np.cos(np.pi / 4 - 0.3)))
     c2 = circle_from_mask_params(np.pi / 2, 1.9, float(-np.sin(np.pi / 6) * np.cos(np.pi / 4 - 1.9)))
-    hit = intersect_circles(c1, c2)
+    hit = cut_pair(c1, c2)
     assert isinstance(hit, TwoPoints)
     expected = {tuple(np.round(p0, 9)), tuple(np.round(angles_to_bloch(AngleState(5 * np.pi / 6, np.pi / 4)), 9))}
     got = {tuple(np.round(hit.p1, 9)), tuple(np.round(hit.p2, 9))}
@@ -227,16 +233,16 @@ def test_intersect_vertical_pair():
 
 def test_intersect_coincident_and_empty():
     c = circle_from_mask_params(0.4, 1.0, 0.2)
-    assert isinstance(intersect_circles(c, c), Coincident)
+    assert isinstance(cut_pair(c, c), Coincident)
     other = circle_from_mask_params(0.4, 1.0, 0.7)
-    assert isinstance(intersect_circles(c, other), Empty)
+    assert isinstance(cut_pair(c, other), Empty)
 
 
 def test_intersect_disjoint_tilted():
     # two small caps on opposite sides
     c1 = SphericalCircle(np.array([0.0, 0.0, 1.0]), 0.95)
     c2 = SphericalCircle(np.array([0.0, 0.0, -1.0]), 0.95)
-    assert isinstance(intersect_circles(c1, c2), Empty)
+    assert isinstance(cut_pair(c1, c2), Empty)
 
 
 @pytest.mark.parametrize("angle", [1e-5, 1e-6, 1e-7, 1e-8, 3e-9])
@@ -253,7 +259,7 @@ def test_intersect_tiny_plane_angles_stay_accurate(angle):
     n2 /= np.linalg.norm(n2)
     c1 = SphericalCircle(n1, float(n1 @ p0))
     c2 = SphericalCircle(n2, float(n2 @ p0))
-    hit = intersect_circles(c1, c2)
+    hit = cut_pair(c1, c2)
     assert isinstance(hit, (TwoPoints, OnePoint))
     pts = [hit.p] if isinstance(hit, OnePoint) else [hit.p1, hit.p2]
     best = min(np.linalg.norm(p - p0) for p in pts)
@@ -275,8 +281,8 @@ def test_intersect_tiny_plane_angles_stay_accurate(angle):
 def test_intersect_symmetric_and_on_both(n1, n2, c1, c2):
     a = SphericalCircle(np.array(n1) / np.linalg.norm(n1), c1)
     b = SphericalCircle(np.array(n2) / np.linalg.norm(n2), c2)
-    ab = intersect_circles(a, b)
-    ba = intersect_circles(b, a)
+    ab = cut_pair(a, b)
+    ba = cut_pair(b, a)
     assert type(ab) is type(ba)
     if isinstance(ab, TwoPoints):
         for p in (ab.p1, ab.p2, ba.p1, ba.p2):

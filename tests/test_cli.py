@@ -288,7 +288,9 @@ def test_qmask_tol_env_override(tmp_path, capsys, monkeypatch):
 def test_presets_command(capsys):
     code, out, _ = run(capsys, "presets")
     assert code == 0
-    assert "fig1_axes" in json.loads(out)
+    presets = json.loads(out)
+    assert "fig1_axes" in presets
+    assert "except k, N/2, N-k for even N" in presets["general:N"]
 
 
 def test_deterministic_output(tmp_path, capsys):

@@ -2,6 +2,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qmask import (
     AmbiguousCircle,
@@ -16,6 +18,7 @@ from qmask import (
     TwoCandidates,
     Unique,
     angles_to_bloch,
+    circles_equal,
     decode,
     encode,
     fig1_axes,
@@ -28,6 +31,12 @@ from qmask import (
     share_constraint,
 )
 from _helpers import random_params, random_state
+
+maskers = st.builds(
+    MaskerParams,
+    st.floats(0.0, np.pi, exclude_max=True),
+    st.floats(0.0, 2 * np.pi, exclude_max=True),
+)
 
 
 def states_close(a: AngleState, b: AngleState, tol=1e-8) -> bool:
@@ -187,6 +196,40 @@ def test_decode_order_independent():
     for perm in permutations(shares):
         got = sorted((s.x, s.y) for s in candidate_set(decode(list(perm))))
         assert np.allclose(reference, got, atol=1e-9)
+
+
+@given(
+    st.floats(0.0, np.pi),
+    st.floats(0.0, 2 * np.pi, exclude_max=True),
+    st.lists(maskers, min_size=2, max_size=4),
+)
+def test_decode_same_for_every_share_order(x, y, params):
+    shares = encode(AngleState(x, y), Scheme(tuple(params)))
+    reference = decode(shares)
+    want = [angles_to_bloch(s) for s in candidate_set(reference)]
+    for perm in permutations(shares):
+        got = decode(list(perm))
+        assert type(got) is type(reference)
+        for a, b in zip(want, [angles_to_bloch(s) for s in candidate_set(got)]):
+            assert np.abs(a - b).max() < 1e-12
+        if isinstance(got, AmbiguousCircle):
+            assert circles_equal(got.circle, reference.circle, tol=1e-12)
+
+
+def test_decode_admits_noise_within_tol():
+    # honest shares whose off-diagonals carry noise of 1e-5 still decode
+    # under tol = 1e-4, whatever the message
+    rng = np.random.default_rng(9)
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for _ in range(50):
+        message = random_state(rng)
+        shares = [
+            Share(s.masker, s.rho_b + rng.normal(scale=1e-5) * flip)
+            for s in encode(message, general(8))
+        ]
+        result = decode(shares, tol=1e-4)
+        assert isinstance(result, Unique)
+        assert states_close(result.state, message, tol=1e-3)
 
 
 def test_decode_monotone_in_shares():
