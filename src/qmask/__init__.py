@@ -35,6 +35,8 @@ from .bloch import (
     TwoPoints,
     angles_to_bloch,
     angles_to_state,
+    bloch_angles,
+    bloch_points,
     bloch_to_angles,
     canonical_mask_params,
     circle_from_mask_params,
@@ -53,7 +55,7 @@ from .errors import (
     InvariantViolationError,
     MaskingError,
 )
-from .linalg import TOL_EQUALITY, TOL_SELF, mat_distance, reduced_pair
+from .linalg import TOL_EQUALITY, mat_distance, reduced_pair
 from .masking import (
     MaskerParams,
     MaskReport,

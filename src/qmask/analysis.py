@@ -165,6 +165,16 @@ def operator_scale(op: GeneralLinearOp) -> float:
     return float(np.sum(np.abs(op.coefficients) ** 2))
 
 
+def unit_scaled(op: GeneralLinearOp) -> tuple[GeneralLinearOp, int]:
+    """``(op / 2**e, e)`` with 2**e the power of two nearest the largest coefficient magnitude.
+
+    Exact; it keeps the quadratic reduced-matrix entries clear of under- and overflow.
+    """
+    c = op.coefficients
+    e = int(np.frexp(np.abs(c).max())[1]) - 1
+    return GeneralLinearOp(*(c / np.ldexp(1.0, e)).tolist()), e
+
+
 @dataclass(frozen=True, eq=False)
 class AffineConstraint:
     """One real entry function as n . (X, Y, Z) + r over the Bloch sphere."""
@@ -172,10 +182,6 @@ class AffineConstraint:
     n: np.ndarray
     r: float
     label: str = ""
-
-    def evaluate(self, p) -> np.ndarray:
-        """Value at a Bloch point or an (N, 3) stack of points."""
-        return np.asarray(p, dtype=float) @ self.n + self.r
 
 
 # --- maskable-set classification -------------------------------------------
@@ -249,16 +255,13 @@ def constraint_matrix(op: GeneralLinearOp) -> np.ndarray:
 def maskable_set(op: GeneralLinearOp, anchor: AngleState) -> MaskableClass:
     """Classify the largest state set sharing the anchor's raw reduced pair.
 
-    Dividing the coefficients by about their largest magnitude leaves the
-    set unchanged and keeps the quadratic entries clear of under- and
-    overflow.  The anchored planes n_i . p = n_i . p0 (rows normalized,
+    The set does not change under :func:`unit_scaled`, so it is computed
+    at unit scale.  The anchored planes n_i . p = n_i . p0 (rows normalized,
     rows below the noise floor dropped) cut the sphere at RANK_TOL: one
     plane gives the circle through the anchor (unless it collapses), two
     crossings the point pair, and anything else the anchor alone.
     """
-    # a power of two near the largest magnitude scales without rounding
-    c = op.coefficients
-    op = GeneralLinearOp(*(c / np.ldexp(1.0, np.frexp(np.abs(c).max())[1] - 1)).tolist())
+    op, _ = unit_scaled(op)
     normals = constraint_matrix(op)
     p0 = angles_to_bloch(anchor)
     row_norms = np.linalg.norm(normals, axis=1)

@@ -17,6 +17,7 @@ component positive.  All circle-equality tests compare canonical forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +48,9 @@ class AngleState:
     y: float
 
     def __post_init__(self):
-        x = float(self.x)
-        y = float(self.y)
-        if not (np.isfinite(x) and np.isfinite(y)):
+        x = float(self.x) + 0.0  # clears negative zeros
+        y = float(self.y) + 0.0
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise InvalidInputError("angle coordinates must be finite")
         # absorb sub-epsilon range excursions from upstream arithmetic
         if -1e-12 <= x < 0.0:
@@ -70,36 +71,49 @@ class AngleState:
         object.__setattr__(self, "y", y)
 
 
+def _norms(p: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, rounded as the 1-D ``np.linalg.norm`` rounds them."""
+    return np.sqrt(p[..., None, :] @ p[..., :, None])[..., 0, 0]
+
+
+def bloch_points(xs, ys) -> np.ndarray:
+    """Unit sphere points (sin x cos y, sin x sin y, cos x): shape (3,) for floats, (N, 3) for arrays."""
+    sx = np.sin(xs)
+    return np.array([sx * np.cos(ys), sx * np.sin(ys), np.cos(xs)]).T
+
+
+def bloch_angles(points) -> tuple[np.ndarray, np.ndarray]:
+    """Angle coordinates (xs, ys) of a unit 3-vector or an (N, 3) stack; inverse of bloch_points.
+
+    Every point must be unit within 1e-9.  ys is mapped into [0, 2pi), and
+    points within 1e-12 of a pole come back as the exact pole with y = 0.
+    """
+    p = np.asarray(points, dtype=float)
+    if p.ndim not in (1, 2) or p.shape[-1] != 3:
+        raise InvalidInputError("expected a 3-vector or an (N, 3) stack of them")
+    norms = _norms(p)
+    off = ~(np.abs(norms - 1.0) <= 1e-9)  # also flags non-finite points
+    if np.count_nonzero(off):  # cheaper than .any() on a single point
+        raise InvalidInputError(f"point is not on the unit sphere: |p| = {float(np.extract(off, norms)[0])}")
+    # atan2 of the transverse radius keeps full precision near the poles, where
+    # arccos(Z) cannot resolve polar angles below ~1e-8.  Below 1e-12 the azimuth
+    # is rounding noise: masks (cheaper than np.where) zero the radius and y.
+    transverse = np.hypot(p[..., 0], p[..., 1])
+    pole = transverse < 1e-12
+    ys = np.arctan2(p[..., 1], p[..., 0]) % TWO_PI
+    return np.arctan2(transverse * ~pole, p[..., 2]), ys * ~(pole | (ys >= TWO_PI))
+
+
 def angles_to_bloch(s: AngleState) -> np.ndarray:
-    """Unit sphere point (sin x cos y, sin x sin y, cos x) of a state."""
-    sx = np.sin(s.x)
-    return np.array([sx * np.cos(s.y), sx * np.sin(s.y), np.cos(s.x)])
+    """Unit sphere point of a state; see :func:`bloch_points`."""
+    return bloch_points(s.x, s.y)
 
 
 def bloch_to_angles(p) -> AngleState:
-    """Angle coordinates of a unit 3-vector; inverse of angles_to_bloch.
-
-    The input must be unit within 1e-9.  y is mapped into [0, 2pi) and
-    poles come back with y = 0.
-    """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (3,) or not np.all(np.isfinite(p)):
-        raise InvalidInputError("expected a finite 3-vector")
-    if abs(np.linalg.norm(p) - 1.0) > 1e-9:
-        raise InvalidInputError(f"point is not on the unit sphere: |p| = {np.linalg.norm(p)!r}")
-    # atan2 of the transverse radius keeps full precision near the poles,
-    # where arccos(Z) cannot resolve polar angles below ~1e-8
-    transverse = np.hypot(p[0], p[1])
-    if transverse < 1e-12:
-        # the azimuth is pure rounding noise there; return the exact pole
-        return AngleState(0.0 if p[2] > 0 else float(np.pi), 0.0)
-    x = float(np.arctan2(transverse, p[2]))
-    y = float(np.arctan2(p[1], p[0]))
-    if y < 0.0:
-        y += TWO_PI
-    if y >= TWO_PI:
-        y = 0.0
-    return AngleState(x, y)
+    """The state at one unit 3-vector; see :func:`bloch_angles`."""
+    if np.shape(p) != (3,):
+        raise InvalidInputError("expected a 3-vector")
+    return AngleState(*bloch_angles(p))
 
 
 def angles_to_state(s: AngleState) -> np.ndarray:
@@ -163,9 +177,6 @@ class SphericalCircle:
         """|n . p - c| for a 3-vector or an (N, 3) stack of them."""
         p = np.asarray(p, dtype=float)
         return np.abs(p @ self.normal - self.offset)
-
-    def contains(self, p, tol: float = 1e-9) -> bool:
-        return bool(self.plane_residual(p) <= tol)
 
     def __repr__(self):
         n = self.normal
@@ -363,22 +374,15 @@ def sample_circle(circle: SphericalCircle, k: int) -> list[AngleState]:
     if k < 1:
         raise InvalidInputError("need at least one sample")
     n = circle.normal
-    r = circle.radius
-    if r < POINT_CIRCLE_RADIUS:
-        pole = circle.offset * n
-        pole /= np.linalg.norm(pole)
-        return [bloch_to_angles(pole)] * k
+    r = circle.radius if circle.radius >= POINT_CIRCLE_RADIUS else 0.0
     # orthonormal frame in the circle's plane, seeded off the smallest normal component
     axis = np.zeros(3)
     axis[int(np.argmin(np.abs(n)))] = 1.0
     e1 = axis - (axis @ n) * n
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(n, e1)
-    center = circle.center
-    out = []
-    for j in range(k):
-        phi = TWO_PI * j / k
-        p = center + r * (np.cos(phi) * e1 + np.sin(phi) * e2)
-        p /= np.linalg.norm(p)
-        out.append(bloch_to_angles(p))
-    return out
+    phi = TWO_PI * np.arange(k) / k
+    p = circle.center + r * (np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2)
+    p /= _norms(p)[:, None]
+    xs, ys = bloch_angles(p)
+    return list(map(AngleState, xs.tolist(), ys.tolist()))

@@ -28,12 +28,12 @@ from .analysis import (
     maskable_set,
     product_form_diagnosis,
 )
-from .bloch import AngleState, angles_to_bloch, bloch_to_angles, canonical_mask_params, sample_circle
+from .bloch import AngleState, bloch_points, bloch_to_angles, canonical_mask_params, sample_circle
 from .crosscheck import agreement_report
 from .errors import InvalidInputError, InvariantViolationError, MaskingError
 from .linalg import reduced_pair
 from .masking import MaskerParams, build_masker, hbar, maskable_circle
-from .oracle import GridSpec, default_kappa, grid_deviations, masked_fraction_scaling
+from .oracle import GridSpec, default_kappa, grid_scan, masked_fraction_scaling
 from .protocol import (
     AmbiguousCircle,
     DECODE_TOL,
@@ -102,11 +102,10 @@ def _vec_doc(psi: np.ndarray) -> list:
 
 
 def _csv_rows(states) -> str:
-    lines = ["x,y,X,Y,Z"]
-    for s in states:
-        p = angles_to_bloch(s)
-        lines.append(f"{s.x:.17g},{s.y:.17g},{p[0]:.17g},{p[1]:.17g},{p[2]:.17g}")
-    return "\n".join(lines) + "\n"
+    xs = np.array([s.x for s in states])
+    ys = np.array([s.y for s in states])
+    rows = np.column_stack([xs, ys, bloch_points(xs, ys)]).tolist()
+    return "x,y,X,Y,Z\n" + "".join("{:.17g},{:.17g},{:.17g},{:.17g},{:.17g}\n".format(*r) for r in rows)
 
 
 def _class_doc(mask_class) -> dict:
@@ -128,10 +127,7 @@ def _class_doc(mask_class) -> dict:
         return {
             "class": "point_pair",
             "points": [[float(v) for v in mask_class.p1], [float(v) for v in mask_class.p2]],
-            "states": [
-                docs.state_to_doc(bloch_to_angles(mask_class.p1)),
-                docs.state_to_doc(bloch_to_angles(mask_class.p2)),
-            ],
+            "states": [docs.state_to_doc(bloch_to_angles(p)) for p in (mask_class.p1, mask_class.p2)],
         }
     raise InvalidInputError(f"unknown classification {mask_class!r}")
 
@@ -219,18 +215,16 @@ def _cmd_scan(args) -> int:
         return 0
     grid = GridSpec(nx=args.nx, ny=args.ny)
     tol = args.tol if args.tol is not None else default_kappa(op) * grid.spacing
-    xs, ys, dev = grid_deviations(op, anchor, grid)
-    hit = dev <= tol
+    states = grid_scan(op, anchor, grid, tol)
     doc = {
         "anchor": docs.state_to_doc(anchor),
         "grid": {"nx": args.nx, "ny": args.ny},
         "tolerance": tol,
-        "flagged": int(hit.sum()),
-        "fraction": float(hit.sum()) / dev.size,
+        "flagged": len(states),
+        "fraction": float(len(states)) / (args.nx * args.ny),
     }
     _emit(args, docs.dump(doc))
     if args.csv:
-        states = [AngleState(float(x), float(y)) for x, y in zip(xs[hit], ys[hit])]
         Path(args.csv).write_text(_csv_rows(states), encoding="utf-8", newline="\n")
     return 0
 

@@ -20,10 +20,10 @@ from .analysis import (
     GeneralLinearOp,
     PointPair,
     class_distance,
-    extract_constraints,
+    constraint_matrix,
     maskable_set,
 )
-from .bloch import AngleState
+from .bloch import AngleState, bloch_points
 from .oracle import GridSpec, default_kappa, grid_deviations
 
 # rho_A and rho_B each contribute their off-diagonal entry twice to the
@@ -34,20 +34,15 @@ ENTRY_WEIGHTS = np.array([1.0, 1.0, np.sqrt(2), np.sqrt(2), 1.0, 1.0, np.sqrt(2)
 def agreement_report(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec) -> dict:
     """Scan the grid and compare against the classified maskable set."""
     mask_class = maskable_set(op, anchor)
-    constraints = extract_constraints(op)
     tol = default_kappa(op) * grid.spacing
 
     xs, ys, dev = grid_deviations(op, anchor, grid)
-    points = np.column_stack(
-        [np.sin(xs) * np.cos(ys), np.sin(xs) * np.sin(ys), np.cos(xs)]
-    )
     flagged = dev <= tol
-    dist = np.atleast_1d(class_distance(mask_class, points))
+    dist = np.atleast_1d(class_distance(mask_class, bloch_points(xs, ys)))
 
     complete = bool(np.all(flagged[dist <= grid.spacing * (1 - 1e-9)]))
 
-    normals = np.vstack([c.n for c in constraints])
-    weighted = normals * ENTRY_WEIGHTS[:, None]
+    weighted = constraint_matrix(op) * ENTRY_WEIGHTS[:, None]
     svals = np.linalg.svd(weighted, compute_uv=False)
     if isinstance(mask_class, Circle):
         rank = 1

@@ -23,11 +23,9 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-# Default tolerances: matrix-equality assertions sit at 1e-10, while
-# self-consistency checks (trace, Hermiticity) use the tighter 1e-12.
-# Closed-form comparisons at double precision land far below both.
+# Default tolerance of matrix-equality assertions; closed-form
+# comparisons at double precision land far below it.
 TOL_EQUALITY = 1e-10
-TOL_SELF = 1e-12
 
 
 def reduced_pair(psi) -> tuple[np.ndarray, np.ndarray]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import GeneralLinearOp, operator_scale
+from .analysis import GeneralLinearOp, operator_scale, unit_scaled
 from .bloch import AngleState
 from .errors import InvalidInputError
 from .linalg import reduced_pair
@@ -77,14 +77,17 @@ def grid_deviations(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec):
 
     Returns (xs, ys, dev) flattened over the grid, where dev is the
     larger of the two Frobenius distances.  The anchor itself is
-    evaluated exactly, not snapped to the grid.
+    evaluated exactly, not snapped to the grid.  The distances are computed
+    at unit scale and scaled back exactly, so only distances outside the
+    float range over- or underflow.
     """
+    op, e = unit_scaled(op)
     ra0, rb0 = reduced_pair(op.apply(anchor.x, anchor.y))
     xs, ys = grid.points()
     rho_a, rho_b = reduced_pair(op.apply(xs, ys))
     dev_a = np.sqrt(np.sum(np.abs(rho_a - ra0) ** 2, axis=(1, 2)))
     dev_b = np.sqrt(np.sum(np.abs(rho_b - rb0) ** 2, axis=(1, 2)))
-    return xs, ys, np.maximum(dev_a, dev_b)
+    return xs, ys, np.ldexp(np.maximum(dev_a, dev_b), 2 * e)
 
 
 def grid_scan(

@@ -104,7 +104,7 @@ def test_constraints_reproduce_entry_functions():
                 rho_b[0, 0].real, rho_b[1, 1].real, rho_b[0, 1].real, rho_b[0, 1].imag,
             ]
             for c, v in zip(constraints, values):
-                assert abs(c.evaluate(p) - v) < 1e-10
+                assert abs(p @ c.n + c.r - v) < 1e-10
 
 
 def test_constraints_identity_embedding_structure():

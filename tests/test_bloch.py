@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,11 +12,13 @@ from qmask import (
     Empty,
     EmptyCircleError,
     InvalidInputError,
+    MaskerParams,
     OnePoint,
     SphericalCircle,
     TwoPoints,
     angles_to_bloch,
     angles_to_state,
+    bloch_angles,
     bloch_to_angles,
     canonical_mask_params,
     circle_from_mask_params,
@@ -22,9 +26,10 @@ from qmask import (
     circles_equal,
     cut_sphere,
     distance_to_circle,
+    maskable_circle,
     sample_circle,
 )
-from qmask.bloch import TANGENT_EPS
+from qmask.bloch import POINT_CIRCLE_RADIUS, TANGENT_EPS, TWO_PI
 
 angles_x = st.floats(min_value=0.0, max_value=np.pi)
 angles_y = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True)
@@ -46,6 +51,13 @@ def test_angle_state_pole_canonicalization():
     assert AngleState(0.0, 1.23).y == 0.0
     assert AngleState(np.pi, 5.0).y == 0.0
     assert AngleState(1.0, 1.23).y == 1.23
+
+
+def test_angle_state_clears_negative_zeros():
+    s = AngleState(-0.0, -0.0)
+    assert math.copysign(1.0, s.x) == 1.0 and math.copysign(1.0, s.y) == 1.0
+    assert math.copysign(1.0, AngleState(0.5, -0.0).y) == 1.0
+    assert math.copysign(1.0, bloch_to_angles([0.6, -0.0, 0.8]).y) == 1.0
 
 
 def test_angles_to_bloch_poles():
@@ -79,6 +91,38 @@ def test_bloch_to_angles_snaps_noise_to_pole():
     assert (s.x, s.y) == (0.0, 0.0)
     s = bloch_to_angles(np.array([-1e-14, 3e-15, -1.0]))
     assert (s.x, s.y) == (np.pi, 0.0)
+
+
+def test_bloch_angles_stack_equals_rows():
+    rng = np.random.default_rng(12)
+    p = rng.normal(size=(300, 3))
+    # rows 0-19 near the north pole, 20-39 near the south pole; in each
+    # half the first ten have a transverse radius below the 1e-12 cut
+    u = p[:40, :2] / np.linalg.norm(p[:40, :2], axis=1)[:, None]
+    p[:40, :2] = u * np.tile(np.repeat([1e-17, 5e-13, 2e-12, 1e-9], 5), 2)[:, None]
+    p[:40, 2] = np.repeat([1.0, -1.0], 20)
+    # azimuths just below 2pi, the first ten rounding up to 2pi itself
+    p[40:60, 0] = np.abs(p[40:60, 0])
+    p[40:60, 1] = -p[40:60, 0] * np.repeat([1e-17, 1e-16, 1e-15, 1e-12], 5)
+    p /= np.linalg.norm(p, axis=1)[:, None]
+    xs, ys = bloch_angles(p)
+    rows = [bloch_to_angles(row) for row in p]
+    assert np.array_equal(xs, [s.x for s in rows]) and np.array_equal(ys, [s.y for s in rows])
+    assert ((0.0 <= ys) & (ys < TWO_PI)).all()
+    assert (xs[:10] == 0.0).all() and (xs[20:30] == np.pi).all()
+    assert (xs[10:20] > 0.0).all() and (xs[30:40] < np.pi).all()
+    assert (ys[:10] == 0.0).all() and (ys[20:30] == 0.0).all()
+    assert (ys[40:50] == 0.0).all() and (ys[50:60] > 6.28).all()
+
+
+def test_bloch_angles_rejects_one_non_unit_row():
+    p = np.tile([0.6, 0.0, 0.8], (5, 1))
+    p[3] *= 1.0 + 1e-8
+    with pytest.raises(InvalidInputError):
+        bloch_angles(p)
+    p[3] = [np.nan, 0.0, 1.0]
+    with pytest.raises(InvalidInputError):
+        bloch_angles(p)
 
 
 def test_angles_to_state_examples():
@@ -135,7 +179,7 @@ def test_circle_from_mask_params_membership():
     x0, y0 = np.pi / 3, np.pi / 4
     h = np.cos(np.pi / 4) * np.cos(x0) - np.sin(np.pi / 4) * np.sin(x0) * np.cos(y0 - np.pi / 4)
     circle = circle_from_mask_params(np.pi / 4, np.pi / 4, h)
-    assert circle.contains(angles_to_bloch(AngleState(x0, y0)), tol=1e-12)
+    assert circle.plane_residual(angles_to_bloch(AngleState(x0, y0))) <= 1e-12
 
 
 def test_canonical_mask_params_horizontal():
@@ -306,6 +350,43 @@ def test_sample_point_circle():
     samples = sample_circle(SphericalCircle(np.array([0.0, 0.0, 1.0]), 1.0), 3)
     assert len(samples) == 3
     assert all((s.x, s.y) == (0.0, 0.0) for s in samples)
+
+
+def _sample_circle_reference(circle, k):
+    """The per-point loop that sample_circle replaced, kept as its reference."""
+    n = circle.normal
+    r = circle.radius
+    if r < POINT_CIRCLE_RADIUS:
+        pole = circle.offset * n
+        pole /= np.linalg.norm(pole)
+        return [bloch_to_angles(pole)] * k
+    axis = np.zeros(3)
+    axis[int(np.argmin(np.abs(n)))] = 1.0
+    e1 = axis - (axis @ n) * n
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(n, e1)
+    out = []
+    for j in range(k):
+        phi = TWO_PI * j / k
+        p = circle.center + r * (np.cos(phi) * e1 + np.sin(phi) * e2)
+        p /= np.linalg.norm(p)
+        out.append(bloch_to_angles(p))
+    return out
+
+
+@given(
+    st.sampled_from([0.0]) | st.floats(min_value=0.0, max_value=np.pi, exclude_max=True),
+    angles_y,
+    st.sampled_from([0.0, np.pi]) | angles_x,
+    angles_y,
+    st.integers(1, 400),
+)
+def test_sample_circle_matches_per_point_reference(alpha, theta, x, y, k):
+    # alpha = 0 with a pole anchor gives a point circle
+    circle = maskable_circle(MaskerParams(alpha, theta), AngleState(x, y))
+    got = sample_circle(circle, k)
+    want = _sample_circle_reference(circle, k)
+    assert [(s.x.hex(), s.y.hex()) for s in got] == [(s.x.hex(), s.y.hex()) for s in want]
 
 
 def test_sample_circle_residuals():

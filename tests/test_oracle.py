@@ -155,3 +155,20 @@ def test_no_neighborhood_is_masked():
         (_, coarse), (_, fine) = rows
         assert fine <= 0.25 * coarse + 1e-12, (trial, coarse, fine)
         assert fine < 0.1, (trial, coarse, fine)
+
+
+def test_oracle_verdict_and_fractions_scale_invariant():
+    # the deviations of k*op are |k|^2 times those of op, and so is the
+    # spacing-tied tolerance, so nothing the oracle decides may move with k
+    rng = np.random.default_rng(4)
+    op = random_op(rng)
+    anchor = AngleState(0.7, 1.9)
+    grid = GridSpec(40, 80)
+    ref = agreement_report(op, anchor, grid)
+    ref_fractions = masked_fraction_scaling(op, anchor, [10, 20, 40])
+    assert ref["agreement"] == "OK" and 0 < ref["flagged"] < grid.nx * grid.ny
+    for k in (1e-150, 1e-100, 1e100, 1e150, 1e-100j):
+        scaled = GeneralLinearOp.from_columns(k * op.col0, k * op.col1)
+        rep = agreement_report(scaled, anchor, grid)
+        assert (rep["agreement"], rep["flagged"]) == (ref["agreement"], ref["flagged"]), (k, rep)
+        assert masked_fraction_scaling(scaled, anchor, [10, 20, 40]) == ref_fractions, k
