@@ -27,12 +27,8 @@ from .analysis import (
 )
 from .bloch import (
     AngleState,
-    CircleIntersection,
-    Coincident,
     Empty,
-    OnePoint,
     SphericalCircle,
-    TwoPoints,
     angles_to_bloch,
     angles_to_state,
     bloch_angles,

@@ -25,12 +25,13 @@ on isometries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bloch import (
-    POINT_CIRCLE_RADIUS, AngleState, Coincident, SphericalCircle, TwoPoints,
+    AngleState, Circle, MaskableClass, PointPair, SinglePoint,
     angles_to_bloch, cut_sphere, distance_to_circle,
 )
 from .errors import InvalidInputError, InvariantViolationError
@@ -125,22 +126,6 @@ class GeneralLinearOp:
         w1 = np.exp(1j * y) * np.sin(x / 2.0)
         return w0[..., None] * self.col0 + w1[..., None] * self.col1
 
-    @property
-    def mu0(self) -> np.ndarray:
-        return np.array([self.a0, self.a1], dtype=complex)
-
-    @property
-    def mu1(self) -> np.ndarray:
-        return np.array([self.c0, self.c1], dtype=complex)
-
-    @property
-    def nu0(self) -> np.ndarray:
-        return np.array([self.b0, self.b1], dtype=complex)
-
-    @property
-    def nu1(self) -> np.ndarray:
-        return np.array([self.d0, self.d1], dtype=complex)
-
     @classmethod
     def from_columns(cls, col0, col1) -> "GeneralLinearOp":
         c0 = np.asarray(col0, dtype=complex)
@@ -161,8 +146,20 @@ def operator_scale(op: GeneralLinearOp) -> float:
     Entry functions are quadratic forms in the coefficients, so this is
     the natural magnitude unit for constraint rows and tolerance scaling
     (2-norm of the stacked constraint matrix stays below ~0.7x this).
+    Raises InvalidInputError when the sum overflows.
     """
-    return float(np.sum(np.abs(op.coefficients) ** 2))
+    with np.errstate(over="ignore"):
+        scale = float(np.sum(np.abs(op.coefficients) ** 2))
+    if not math.isfinite(scale):
+        raise InvalidInputError("operator too large: its squared norm overflows")
+    return scale
+
+
+def _unit_coefficients(op: GeneralLinearOp) -> tuple[np.ndarray, int]:
+    """The coefficients of :func:`unit_scaled` and its e, without building an operator."""
+    c = op.coefficients
+    e = math.frexp(np.abs(c).max())[1] - 1
+    return c / math.ldexp(1.0, e), e
 
 
 def unit_scaled(op: GeneralLinearOp) -> tuple[GeneralLinearOp, int]:
@@ -170,9 +167,8 @@ def unit_scaled(op: GeneralLinearOp) -> tuple[GeneralLinearOp, int]:
 
     Exact; it keeps the quadratic reduced-matrix entries clear of under- and overflow.
     """
-    c = op.coefficients
-    e = int(np.frexp(np.abs(c).max())[1]) - 1
-    return GeneralLinearOp(*(c / np.ldexp(1.0, e)).tolist()), e
+    c, e = _unit_coefficients(op)
+    return GeneralLinearOp(*c.tolist()), e
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,25 +181,6 @@ class AffineConstraint:
 
 
 # --- maskable-set classification -------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class SinglePoint:
-    point: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class PointPair:
-    p1: np.ndarray
-    p2: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class Circle:
-    circle: SphericalCircle
-
-
-MaskableClass = SinglePoint | PointPair | Circle
 
 
 def _entry_values(op: GeneralLinearOp, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -227,14 +204,14 @@ def _affine_fit(op: GeneralLinearOp) -> tuple[np.ndarray, np.ndarray]:
     affineness of the whole pipeline.  One uniform numeric path covers
     both reduced matrices (the rho_B family has no special-case handling).
     """
-    vals = _entry_values(op, _FIT_X, _FIT_Y)
-    v_zp, v_zm, v_xp, v_yp, v_ym = vals
+    scale = operator_scale(op)  # first, so an overflowing operator raises before the fit
+    v_zp, v_zm, v_xp, v_yp, v_ym = _entry_values(op, _FIT_X, _FIT_Y)
     r = (v_zp + v_zm) / 2.0
     nz = (v_zp - v_zm) / 2.0
     nx = v_xp - r
     ny = v_yp - r
     residual = np.abs((r - ny) - v_ym).max()
-    if residual > FIT_RESIDUAL_TOL * max(1.0, operator_scale(op)):
+    if residual > FIT_RESIDUAL_TOL * max(1.0, scale):
         raise InvariantViolationError(
             f"entry functions failed the affine consistency probe (residual {residual:.3e})"
         )
@@ -257,9 +234,9 @@ def maskable_set(op: GeneralLinearOp, anchor: AngleState) -> MaskableClass:
 
     The set does not change under :func:`unit_scaled`, so it is computed
     at unit scale.  The anchored planes n_i . p = n_i . p0 (rows normalized,
-    rows below the noise floor dropped) cut the sphere at RANK_TOL: one
-    plane gives the circle through the anchor (unless it collapses), two
-    crossings the point pair, and anything else the anchor alone.
+    rows below the noise floor dropped) cut the sphere at RANK_TOL, and a
+    Circle or PointPair cut is the set.  Anything else, a cut within
+    sqrt(2 * RANK_TOL) of a single point included, is the anchor alone.
     """
     op, _ = unit_scaled(op)
     normals = constraint_matrix(op)
@@ -272,11 +249,7 @@ def maskable_set(op: GeneralLinearOp, anchor: AngleState) -> MaskableClass:
             "all entry functions are constant: a nonzero operator cannot mask the full sphere"
         )
     hit = cut_sphere(keep, keep @ p0, RANK_TOL)
-    if isinstance(hit, Coincident) and hit.circle.radius >= POINT_CIRCLE_RADIUS:
-        return Circle(hit.circle)
-    if isinstance(hit, TwoPoints):
-        return PointPair(hit.p1, hit.p2)
-    return SinglePoint(p0)
+    return hit if isinstance(hit, (Circle, PointPair)) else SinglePoint(p0)
 
 
 def class_distance(mask_class: MaskableClass, points) -> np.ndarray:
@@ -318,7 +291,9 @@ class ProductFormReport:
 
 
 def product_form_diagnosis(op: GeneralLinearOp, tol: float = 1e-10) -> ProductFormReport:
-    mu0, mu1, nu0, nu1 = op.mu0, op.mu1, op.nu0, op.nu1
+    """Decided at unit scale (:func:`unit_scaled`); the residuals are scaled back exactly."""
+    c, e = _unit_coefficients(op)
+    mu0, nu0, mu1, nu1 = c.reshape(4, 2)
     cross = [
         np.vdot(nu0, mu0),
         np.vdot(nu1, mu1),
@@ -338,7 +313,7 @@ def product_form_diagnosis(op: GeneralLinearOp, tol: float = 1e-10) -> ProductFo
         denom = float(np.vdot(mu0, mu0).real + np.vdot(nu0, nu0).real)
         if denom > tol:
             lam = complex((np.vdot(mu0, mu1) + np.vdot(nu0, nu1)) / denom)
-    return ProductFormReport(orth, norm, is_product, lam)
+    return ProductFormReport(float(np.ldexp(orth, 2 * e)), float(np.ldexp(norm, 2 * e)), is_product, lam)
 
 
 def f01_symbolic(op: GeneralLinearOp) -> tuple[complex, complex, complex, complex]:
@@ -354,7 +329,7 @@ def f01_symbolic(op: GeneralLinearOp) -> tuple[complex, complex, complex, comple
     The numeric affine fit in :func:`extract_constraints` must agree
     with these; they serve as an independent derivation for testing.
     """
-    mu0, mu1, nu0, nu1 = op.mu0, op.mu1, op.nu0, op.nu1
+    mu0, nu0, mu1, nu1 = op.coefficients.reshape(4, 2)
     p = (np.vdot(mu1, mu0) - np.vdot(nu1, nu0)) / 2.0
     q = (np.vdot(nu1, mu0) + np.vdot(mu1, nu0)) / 2.0
     h = 1j * (np.vdot(mu1, nu0) - np.vdot(nu1, mu0)) / 2.0

@@ -26,14 +26,9 @@ from .errors import DegenerateInputError, EmptyCircleError, InvalidInputError
 
 TWO_PI = 2.0 * np.pi
 
-# Orientation tie-break threshold for |c| ~ 0 and the tangency threshold
-# on the discriminant of a plane line against the sphere.  Double-precision
-# geometry noise at unit scale sits far below 1e-9.
+# Orientation tie-break threshold for |c| ~ 0; double-precision geometry
+# noise at unit scale sits far below it.
 CANON_EPS = 1e-12
-TANGENT_EPS = 1e-9
-
-# Circles with radius below this are retained as (degenerate) point circles.
-POINT_CIRCLE_RADIUS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -149,7 +144,7 @@ class SphericalCircle:
         n /= norm
         c /= norm
         if abs(c) > 1.0 + 1e-12:
-            raise EmptyCircleError(f"plane offset {c!r} misses the unit sphere")
+            raise EmptyCircleError(f"plane offset {float(c)} misses the unit sphere")
         c = float(np.clip(c, -1.0, 1.0))
         if abs(c) <= CANON_EPS:
             for comp in n:
@@ -214,7 +209,7 @@ def circle_from_mask_params(alpha: float, theta: float, cval: float) -> Spherica
     if not (np.isfinite(alpha) and np.isfinite(theta) and np.isfinite(cval)):
         raise InvalidInputError("mask parameters must be finite")
     if abs(cval) > 1.0 + 1e-12:
-        raise EmptyCircleError(f"level value {cval!r} outside [-1, 1]: empty circle")
+        raise EmptyCircleError(f"level value {float(cval)} outside [-1, 1]: empty circle")
     n = np.array(
         [-np.sin(alpha) * np.cos(theta), -np.sin(alpha) * np.sin(theta), np.cos(alpha)]
     )
@@ -270,19 +265,19 @@ def circle_through_three(p1, p2, p3) -> SphericalCircle:
 
 
 @dataclass(frozen=True, eq=False)
-class Coincident:
+class Circle:
     circle: SphericalCircle
 
 
 @dataclass(frozen=True, eq=False)
-class TwoPoints:
+class PointPair:
     p1: np.ndarray
     p2: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
-class OnePoint:
-    p: np.ndarray
+class SinglePoint:
+    point: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -290,7 +285,7 @@ class Empty:
     pass
 
 
-CircleIntersection = Coincident | TwoPoints | OnePoint | Empty
+MaskableClass = SinglePoint | PointPair | Circle
 
 
 def _polish(start: np.ndarray, normals: np.ndarray, offsets: np.ndarray, tol: float) -> np.ndarray:
@@ -312,19 +307,20 @@ def _polish(start: np.ndarray, normals: np.ndarray, offsets: np.ndarray, tol: fl
     return q / np.linalg.norm(q)
 
 
-def cut_sphere(normals, offsets, tol: float) -> CircleIntersection:
+def cut_sphere(normals, offsets, tol: float) -> MaskableClass | Empty:
     """The unit sphere cut by the planes ``normals[i] . p = offsets[i]``.
 
     ``normals`` is a (k, 3) stack of unit rows, sorted first so the
     result is bit-identical for every row order.  One SVD ranks it: if
     the second singular value is at most ``tol``, the cut is the
-    least-squares plane's Coincident circle (Empty if some plane lies
-    further than ``tol`` from it).  Otherwise the two strongest
-    directions fix a line; its sphere crossings (its foot point alone
-    when the discriminant is within TANGENT_EPS) survive when within
-    ``tol`` of every plane.  Only if none does are they polished, checked
-    again and merged within 1e-6.  Two points are ordered by (X, Y, Z),
-    coordinates within 1e-9 counting as equal.
+    least-squares plane n . p = c (Empty if some plane lies further than
+    ``tol`` from it).  Otherwise the two strongest directions fix a line
+    with foot point q, and its sphere crossings survive when within
+    ``tol`` of every plane; only if none does are they polished, checked
+    again and merged within 1e-6.  A cut whose squared radius, 1 - c^2 or
+    1 - |q|^2, is at most 2 * tol is its foot point alone: offsets off by
+    tol move either by at most 2 |q| tol <= 2 tol.  Two points are
+    ordered by (X, Y, Z), coordinates within 1e-9 counting as equal.
     """
     normals = np.asarray(normals, dtype=float).reshape(-1, 3)
     offsets = np.asarray(offsets, dtype=float).reshape(-1)
@@ -337,10 +333,12 @@ def cut_sphere(normals, offsets, tol: float) -> CircleIntersection:
         c = float(proj[0] / s[0])
         if abs(c) > 1.0 + tol or np.abs(offsets - (normals @ vt[0]) * c).max() > tol:
             return Empty()
-        return Coincident(SphericalCircle(vt[0], min(max(c, -1.0), 1.0)))
+        if 1.0 - c * c <= 2.0 * tol:
+            return SinglePoint(np.copysign(1.0, c) * vt[0])
+        return Circle(SphericalCircle(vt[0], min(max(c, -1.0), 1.0)))
     q = vt[:2].T @ (proj[:2] / s[:2])
     disc = 1.0 - q @ q
-    if disc <= TANGENT_EPS:
+    if disc <= 2.0 * tol:
         candidates = [q / np.sqrt(q @ q)]
     else:
         t = np.sqrt(disc) * vt[2]
@@ -358,23 +356,23 @@ def cut_sphere(normals, offsets, tol: float) -> CircleIntersection:
     if not points:
         return Empty()
     if len(points) == 1:
-        return OnePoint(points[0])
+        return SinglePoint(points[0])
     # order by the first coordinate that tells them apart, so rounding cannot flip a mirror pair
     pa, pb = points
     i = int(np.argmax(np.abs(pa - pb) > 1e-9))
-    return TwoPoints(pa, pb) if pa[i] < pb[i] else TwoPoints(pb, pa)
+    return PointPair(pa, pb) if pa[i] < pb[i] else PointPair(pb, pa)
 
 
 def sample_circle(circle: SphericalCircle, k: int) -> list[AngleState]:
     """k points uniformly spaced by central angle around the circle.
 
     Every sample satisfies the plane equation to within 1e-10.  Point
-    circles (radius < 1e-9) return k copies of their single point.
+    circles (radius 0) return k copies of their single point.
     """
     if k < 1:
         raise InvalidInputError("need at least one sample")
     n = circle.normal
-    r = circle.radius if circle.radius >= POINT_CIRCLE_RADIUS else 0.0
+    r = circle.radius
     # orthonormal frame in the circle's plane, seeded off the smallest normal component
     axis = np.zeros(3)
     axis[int(np.argmin(np.abs(n)))] = 1.0

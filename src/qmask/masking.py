@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import (
+    TWO_PI,
     AngleState,
     SphericalCircle,
     angles_to_bloch,
@@ -47,8 +48,6 @@ from .bloch import (
 from .analysis import GeneralLinearOp
 from .errors import InvalidInputError, InvariantViolationError
 from .linalg import TOL_EQUALITY, reduced_pair
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,9 @@ import numpy as np
 
 from .bloch import (
     AngleState,
-    Coincident,
+    Circle,
     Empty,
-    OnePoint,
+    SinglePoint,
     SphericalCircle,
     bloch_to_angles,
     circle_from_mask_params,
@@ -142,9 +142,10 @@ def decode(shares: list[Share], tol: float = DECODE_TOL) -> DecodeResult:
 
     One :func:`~qmask.bloch.cut_sphere` call makes the result independent
     of the share order; a candidate survives within ``tol`` of every
-    share plane, so noise within ``tol`` still decodes.  Inconsistent is
-    a result, not an error: only corrupt shares (or noise beyond ``tol``)
-    give it.
+    share plane, so noise within ``tol`` still decodes; a cut within
+    sqrt(2 * tol) of one point, such as noisy tangent share circles,
+    decodes Unique.  Inconsistent is a result, not an error: only corrupt
+    shares (or noise beyond ``tol``) give it.
     """
     if not shares:
         raise InvalidInputError("decode needs at least one share")
@@ -152,10 +153,10 @@ def decode(shares: list[Share], tol: float = DECODE_TOL) -> DecodeResult:
     hit = cut_sphere(
         np.vstack([c.normal for c in circles]), np.array([c.offset for c in circles]), tol
     )
-    if isinstance(hit, Coincident):
+    if isinstance(hit, Circle):
         return AmbiguousCircle(hit.circle)
-    if isinstance(hit, OnePoint):
-        return Unique(bloch_to_angles(hit.p))
+    if isinstance(hit, SinglePoint):
+        return Unique(bloch_to_angles(hit.point))
     if isinstance(hit, Empty):
         return Inconsistent()
     first, second = sorted((bloch_to_angles(hit.p1), bloch_to_angles(hit.p2)), key=lambda s: (s.x, s.y))

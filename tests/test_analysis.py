@@ -259,6 +259,24 @@ def test_product_form_degenerate_single_coefficient():
     assert abs(report.norm_residual - 1.0) < 1e-15
 
 
+def test_product_form_verdict_scale_invariant():
+    # k * op factors exactly when op does, with the same lam, for every nonzero complex k
+    rng = np.random.default_rng(12)
+    ops = [planted_product_op(rng)[0], identity_embedding(), random_op(rng)]
+    for op in ops:
+        ref = product_form_diagnosis(op)
+        for k in (1e-160, 1e-150, 1e150, 1e-100j):
+            got = product_form_diagnosis(GeneralLinearOp.from_columns(k * op.col0, k * op.col1))
+            assert got.is_product_form == ref.is_product_form
+            assert (got.lam is None) == (ref.lam is None)
+            if ref.lam is not None:
+                assert abs(got.lam - ref.lam) <= 1e-12 * max(1.0, abs(ref.lam))
+
+
+def test_operator_scale_rejects_overflow():
+    with pytest.raises(InvalidInputError, match="overflows"):
+        operator_scale(GeneralLinearOp(1e160, 0, 0, 0, 0, 0, 0, 0))
+
 def test_operator_scale():
     assert operator_scale(GeneralLinearOp(1, 0, 0, 1, 0, 0, 0, 0)) == 2.0
     iso_op = GeneralLinearOp.from_isometry(build_masker(MaskerParams(0.9, 4.0)))

@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 from qmask import (
     AngleState,
-    Coincident,
+    Circle,
     DegenerateInputError,
     Empty,
     EmptyCircleError,
     InvalidInputError,
     MaskerParams,
-    OnePoint,
+    PointPair,
+    SinglePoint,
     SphericalCircle,
-    TwoPoints,
     angles_to_bloch,
     angles_to_state,
     bloch_angles,
@@ -29,7 +29,7 @@ from qmask import (
     maskable_circle,
     sample_circle,
 )
-from qmask.bloch import POINT_CIRCLE_RADIUS, TANGENT_EPS, TWO_PI
+from qmask.bloch import TWO_PI
 
 angles_x = st.floats(min_value=0.0, max_value=np.pi)
 angles_y = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True)
@@ -241,6 +241,12 @@ def test_circle_through_three_recovers_planted():
         assert circles_equal(circle, rebuilt, tol=1e-9)
 
 
+def test_empty_circle_messages_print_plain_floats():
+    with pytest.raises(EmptyCircleError, match=r"plane offset 1\.5 misses"):
+        SphericalCircle(np.array([0.0, 0.0, 2.0]), 3.0)
+    with pytest.raises(EmptyCircleError, match=r"level value 1\.5 outside"):
+        circle_from_mask_params(0.1, 0.2, np.float64(1.5))
+
 def test_circle_through_three_degenerate():
     p = np.array([0.0, 0.0, 1.0])
     with pytest.raises(DegenerateInputError):
@@ -252,15 +258,15 @@ def test_circle_through_three_degenerate():
 
 def cut_pair(c1, c2):
     """The sphere cut by the planes of two circles."""
-    return cut_sphere(np.vstack([c1.normal, c2.normal]), [c1.offset, c2.offset], TANGENT_EPS)
+    return cut_sphere(np.vstack([c1.normal, c2.normal]), [c1.offset, c2.offset], 1e-9)
 
 
 def test_intersect_tangent_at_pole():
     c1 = circle_from_mask_params(np.pi / 8, 0.0, np.cos(np.pi / 8))
     c2 = circle_from_mask_params(np.pi / 4, 0.0, np.cos(np.pi / 4))
     hit = cut_pair(c1, c2)
-    assert isinstance(hit, OnePoint)
-    assert np.linalg.norm(hit.p - np.array([0, 0, 1])) < 1e-9
+    assert isinstance(hit, SinglePoint)
+    assert np.linalg.norm(hit.point - np.array([0, 0, 1])) < 1e-9
 
 
 def test_intersect_vertical_pair():
@@ -269,7 +275,7 @@ def test_intersect_vertical_pair():
     c1 = circle_from_mask_params(np.pi / 2, 0.3, float(-np.sin(np.pi / 6) * np.cos(np.pi / 4 - 0.3)))
     c2 = circle_from_mask_params(np.pi / 2, 1.9, float(-np.sin(np.pi / 6) * np.cos(np.pi / 4 - 1.9)))
     hit = cut_pair(c1, c2)
-    assert isinstance(hit, TwoPoints)
+    assert isinstance(hit, PointPair)
     expected = {tuple(np.round(p0, 9)), tuple(np.round(angles_to_bloch(AngleState(5 * np.pi / 6, np.pi / 4)), 9))}
     got = {tuple(np.round(hit.p1, 9)), tuple(np.round(hit.p2, 9))}
     assert got == expected
@@ -277,7 +283,7 @@ def test_intersect_vertical_pair():
 
 def test_intersect_coincident_and_empty():
     c = circle_from_mask_params(0.4, 1.0, 0.2)
-    assert isinstance(cut_pair(c, c), Coincident)
+    assert isinstance(cut_pair(c, c), Circle)
     other = circle_from_mask_params(0.4, 1.0, 0.7)
     assert isinstance(cut_pair(c, other), Empty)
 
@@ -304,8 +310,8 @@ def test_intersect_tiny_plane_angles_stay_accurate(angle):
     c1 = SphericalCircle(n1, float(n1 @ p0))
     c2 = SphericalCircle(n2, float(n2 @ p0))
     hit = cut_pair(c1, c2)
-    assert isinstance(hit, (TwoPoints, OnePoint))
-    pts = [hit.p] if isinstance(hit, OnePoint) else [hit.p1, hit.p2]
+    assert isinstance(hit, (PointPair, SinglePoint))
+    pts = [hit.point] if isinstance(hit, SinglePoint) else [hit.p1, hit.p2]
     best = min(np.linalg.norm(p - p0) for p in pts)
     assert best < 1e-16 / angle + 1e-9
     # the achievable residual degrades with conditioning: circle data at
@@ -314,6 +320,37 @@ def test_intersect_tiny_plane_angles_stay_accurate(angle):
     for p in pts:
         assert abs(np.linalg.norm(p) - 1.0) < allowance
         assert c1.plane_residual(p) < allowance and c2.plane_residual(p) < allowance
+
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-9])
+@pytest.mark.parametrize("k, kind", [(1.5, SinglePoint), (3.0, PointPair)])
+def test_cut_line_collapses_within_twice_tol(tol, k, kind):
+    # two planes whose common line has squared radius 1 - |q|^2 = k * tol:
+    # at most 2 * tol the cut is the line's foot point, above it two crossings
+    r = np.sqrt(1.0 - k * tol)
+    rot, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+    normals = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]) @ rot.T
+    hit = cut_sphere(normals, [r, 0.0], tol)
+    assert isinstance(hit, kind)
+    if kind is SinglePoint:
+        assert np.abs(hit.point - rot[:, 0]).max() < 1e-12
+    else:
+        assert np.linalg.norm(hit.p1 - hit.p2) == pytest.approx(2 * np.sqrt(k * tol), rel=1e-6)
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-9])
+@pytest.mark.parametrize("k, kind", [(1.5, SinglePoint), (3.0, Circle)])
+def test_cut_plane_collapses_within_twice_tol(tol, k, kind):
+    # one plane with squared radius 1 - c^2 = k * tol, on either side of 2 * tol
+    n = np.array([0.3, -0.5, 0.81]) / np.linalg.norm([0.3, -0.5, 0.81])
+    for sign in (1.0, -1.0):
+        hit = cut_sphere(sign * n[None, :], [sign * np.sqrt(1.0 - k * tol)], tol)
+        assert isinstance(hit, kind)
+        if kind is SinglePoint:
+            assert np.abs(hit.point - n).max() < 1e-12
+        else:
+            assert circles_equal(hit.circle, SphericalCircle(n, np.sqrt(1.0 - k * tol)), tol=1e-12)
 
 
 @given(
@@ -328,7 +365,7 @@ def test_intersect_symmetric_and_on_both(n1, n2, c1, c2):
     ab = cut_pair(a, b)
     ba = cut_pair(b, a)
     assert type(ab) is type(ba)
-    if isinstance(ab, TwoPoints):
+    if isinstance(ab, PointPair):
         for p in (ab.p1, ab.p2, ba.p1, ba.p2):
             assert abs(np.linalg.norm(p) - 1.0) < 1e-9
             assert a.plane_residual(p) < 1e-9
@@ -356,7 +393,7 @@ def _sample_circle_reference(circle, k):
     """The per-point loop that sample_circle replaced, kept as its reference."""
     n = circle.normal
     r = circle.radius
-    if r < POINT_CIRCLE_RADIUS:
+    if r < 1e-9:
         pole = circle.offset * n
         pole /= np.linalg.norm(pole)
         return [bloch_to_angles(pole)] * k

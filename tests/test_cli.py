@@ -124,6 +124,19 @@ def test_analyze_rejects_zero_operator(tmp_path, capsys):
     assert code == 1 and "zero operator" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["analyze", "--scan", "40"], ["scan", "--fractions", "10,20,40"]],
+)
+def test_overflowing_operator_is_invalid_input(tmp_path, capsys, argv):
+    # the squared norm of a 1e160-scale operator overflows; no NaN or Infinity may reach stdout
+    rng = np.random.default_rng(3)
+    op = GeneralLinearOp(*(1e160 * (rng.normal(size=8) + 1j * rng.normal(size=8))))
+    path = write_operator(tmp_path / "op.json", op)
+    code, out, err = run(capsys, argv[0], "--operator", path, "--x", "1.2", "--y", "2.5", *argv[1:])
+    assert code == 1 and out == ""
+    assert "overflows" in err
+
 def test_scan_command(tmp_path, capsys):
     op = GeneralLinearOp.from_isometry(build_masker(MaskerParams(0.0, 0.0)))
     op_path = write_operator(tmp_path / "op.json", op)
@@ -229,6 +242,15 @@ def test_decode_single_share_ambiguous(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["result"] == "ambiguous_circle"
 
+
+@pytest.mark.parametrize("x", ["0", "3.141592653589793"])
+def test_decode_single_share_of_pole_unique(tmp_path, capsys, x):
+    # the fig1_axes masker (0, 0) pins cos x; at a pole its level circle is the pole itself
+    out_dir = tmp_path / "shares"
+    _, out, _ = run(capsys, "share", "--scheme", "fig1_axes", "--x", x, "--y", "0", "--out", str(out_dir))
+    code, out, _ = run(capsys, "decode", json.loads(out)["shares"][0])
+    assert code == 0
+    assert json.loads(out) == {"result": "unique", "state": {"x": float(x), "y": 0.0}}
 
 def test_decode_corrupt_share_names_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"

@@ -232,6 +232,21 @@ def test_decode_admits_noise_within_tol():
         assert states_close(result.state, message, tol=1e-3)
 
 
+def test_decode_noisy_tangent_pole_shares_unique():
+    # any two fig3_pole:8 share circles touch only at the message (0, 0);
+    # noise of 1e-5 can split the touch into a crossing ~2 sqrt(1e-5) wide,
+    # which lies within sqrt(2 * tol) of the foot point and decodes Unique
+    rng = np.random.default_rng(10)
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    message = AngleState(0.0, 0.0)
+    shares = encode(message, fig3_pole(8))
+    for _ in range(50):
+        pair = rng.choice(len(shares), size=2, replace=False)
+        noisy = [Share(shares[j].masker, shares[j].rho_b + rng.normal(scale=1e-5) * flip) for j in pair]
+        result = decode(noisy, tol=1e-4)
+        assert isinstance(result, Unique)
+        assert states_close(result.state, message, tol=1e-3)
+
 def test_decode_monotone_in_shares():
     rng = np.random.default_rng(4)
     for _ in range(20):
