@@ -35,7 +35,7 @@ from .bloch import (
     angles_to_bloch, cut_sphere, distance_to_circle,
 )
 from .errors import InvalidInputError, InvariantViolationError
-from .linalg import reduced_pair
+from .linalg import ENTRY_LABELS, reduced_entries
 
 # Rank decisions on the stacked constraint normals use this absolute
 # singular-value threshold after row normalization.
@@ -44,11 +44,6 @@ RANK_TOL = 1e-9
 # Fitted-vs-exact residual allowance per unit of squared operator norm
 # (entry functions are quadratic in the coefficients).
 FIT_RESIDUAL_TOL = 1e-10
-
-ENTRY_LABELS = (
-    "rhoA.re00", "rhoA.re11", "rhoA.re01", "rhoA.im01",
-    "rhoB.re00", "rhoB.re11", "rhoB.re01", "rhoB.im01",
-)
 
 # Fit states (x, y) sitting at the Bloch points +Z, -Z, +X, +Y, with -Y
 # as the consistency probe; the first four are affinely independent.
@@ -183,19 +178,6 @@ class AffineConstraint:
 # --- maskable-set classification -------------------------------------------
 
 
-def _entry_values(op: GeneralLinearOp, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """The 8 real entry functions at each (x, y) pair; shape (len(xs), 8)."""
-    rho_a, rho_b = reduced_pair(op.apply(xs, ys))
-    return np.column_stack(
-        [
-            rho_a[:, 0, 0].real, rho_a[:, 1, 1].real,
-            rho_a[:, 0, 1].real, rho_a[:, 0, 1].imag,
-            rho_b[:, 0, 0].real, rho_b[:, 1, 1].real,
-            rho_b[:, 0, 1].real, rho_b[:, 0, 1].imag,
-        ]
-    )
-
-
 def _affine_fit(op: GeneralLinearOp) -> tuple[np.ndarray, np.ndarray]:
     """The (8, 3) normals and 8 offsets of the entry functions, rows as ENTRY_LABELS.
 
@@ -205,7 +187,7 @@ def _affine_fit(op: GeneralLinearOp) -> tuple[np.ndarray, np.ndarray]:
     both reduced matrices (the rho_B family has no special-case handling).
     """
     scale = operator_scale(op)  # first, so an overflowing operator raises before the fit
-    v_zp, v_zm, v_xp, v_yp, v_ym = _entry_values(op, _FIT_X, _FIT_Y)
+    v_zp, v_zm, v_xp, v_yp, v_ym = reduced_entries(op.apply(_FIT_X, _FIT_Y))
     r = (v_zp + v_zm) / 2.0
     nz = (v_zp - v_zm) / 2.0
     nx = v_xp - r

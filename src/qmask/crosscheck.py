@@ -23,12 +23,17 @@ from .analysis import (
     constraint_matrix,
     maskable_set,
 )
-from .bloch import AngleState, bloch_points
+from .bloch import AngleState
+from .linalg import ENTRY_WEIGHTS
 from .oracle import GridSpec, default_kappa, grid_deviations
 
-# rho_A and rho_B each contribute their off-diagonal entry twice to the
-# Frobenius deviation, hence the sqrt(2) weights on the 01 rows
-ENTRY_WEIGHTS = np.array([1.0, 1.0, np.sqrt(2), np.sqrt(2), 1.0, 1.0, np.sqrt(2), np.sqrt(2)])
+
+def _grid_points(grid: GridSpec) -> np.ndarray:
+    """``bloch_points(*grid.points())``, bit for bit, built from the two axes."""
+    xs, ys = grid.axes()
+    sin_x = np.sin(xs)[:, None]
+    cos_x = np.broadcast_to(np.cos(xs)[:, None], (grid.nx, grid.ny))
+    return np.array([sin_x * np.cos(ys), sin_x * np.sin(ys), cos_x]).reshape(3, -1).T
 
 
 def agreement_report(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec) -> dict:
@@ -36,9 +41,8 @@ def agreement_report(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec) ->
     mask_class = maskable_set(op, anchor)
     tol = default_kappa(op) * grid.spacing
 
-    xs, ys, dev = grid_deviations(op, anchor, grid)
-    flagged = dev <= tol
-    dist = np.atleast_1d(class_distance(mask_class, bloch_points(xs, ys)))
+    flagged = grid_deviations(op, anchor, grid)[2] <= tol
+    dist = np.atleast_1d(class_distance(mask_class, _grid_points(grid)))
 
     complete = bool(np.all(flagged[dist <= grid.spacing * (1 - 1e-9)]))
 

@@ -5,9 +5,16 @@ through the operator, take both raw reduced matrices directly, and
 compare against the anchor's pair in Frobenius norm.  Nothing in this
 module calls the constraint extraction or the classifier -- that
 independence is the point, so the two paths cross-validate each other.
-Both paths do share the one reduced-pair kernel,
-:func:`qmask.linalg.reduced_pair`, which the oracle therefore does not
-check.
+Both paths do share the one reduced-state kernel,
+:func:`qmask.linalg.reduced_entries`, which the oracle therefore does
+not check.
+
+:func:`grid_deviations` builds ``op.apply``'s amplitudes, bit for bit,
+from the two axes, in blocks of whole x-rows of about ``_BLOCK_NODES``
+nodes, so it needs little memory beyond its outputs.  Both matrices are
+exactly Hermitian with real diagonals, so the Frobenius norm of their
+difference is sqrt(sum (w * d)^2) over the entry differences d, with w
+from ``linalg.ENTRY_WEIGHTS``.
 
 The grid tolerance is tied to the spacing (tol = kappa * h) so the
 discrete masked set converges onto the continuum set as the grid is
@@ -32,9 +39,13 @@ import numpy as np
 from .analysis import GeneralLinearOp, operator_scale, unit_scaled
 from .bloch import AngleState
 from .errors import InvalidInputError
-from .linalg import reduced_pair
+from .linalg import ENTRY_WEIGHTS, reduced_entries
 
 DEFAULT_REGION = ((0.0, float(np.pi)), (0.0, float(2.0 * np.pi)))
+
+_BLOCK_NODES = 8192  # ~1 kB of temporaries per node, so ~8 MB a block
+# Row k sums the squared weighted entry differences of rho_A (k = 0) or rho_B (k = 1)
+_SQUARED_WEIGHTS = np.kron(np.eye(2), ENTRY_WEIGHTS[:4] ** 2)
 
 
 @dataclass(frozen=True)
@@ -63,12 +74,14 @@ class GridSpec:
         (x0, x1), (y0, y1) = self.region
         return max((x1 - x0) / (self.nx - 1), (y1 - y0) / self.ny)
 
-    def points(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened x and y coordinates of all nx*ny grid nodes."""
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nx x coordinates and the ny y coordinates of the grid."""
         (x0, x1), (y0, y1) = self.region
-        xs = np.linspace(x0, x1, self.nx)
-        ys = np.linspace(y0, y1, self.ny, endpoint=False)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        return np.linspace(x0, x1, self.nx), np.linspace(y0, y1, self.ny, endpoint=False)
+
+    def points(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flattened x and y coordinates of all nx*ny grid nodes, x-major."""
+        gx, gy = np.meshgrid(*self.axes(), indexing="ij")
         return gx.ravel(), gy.ravel()
 
 
@@ -82,12 +95,19 @@ def grid_deviations(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec):
     float range over- or underflow.
     """
     op, e = unit_scaled(op)
-    ra0, rb0 = reduced_pair(op.apply(anchor.x, anchor.y))
-    xs, ys = grid.points()
-    rho_a, rho_b = reduced_pair(op.apply(xs, ys))
-    dev_a = np.sqrt(np.sum(np.abs(rho_a - ra0) ** 2, axis=(1, 2)))
-    dev_b = np.sqrt(np.sum(np.abs(rho_b - rb0) ** 2, axis=(1, 2)))
-    return xs, ys, np.ldexp(np.maximum(dev_a, dev_b), 2 * e)
+    anchor_entries = reduced_entries(op.apply(anchor.x, anchor.y))[:, None]
+    xs, ys = grid.axes()
+    # op.apply's weights: cos(x/2) per x-row, e^{iy} sin(x/2) per node
+    w0 = np.cos(xs / 2.0)[:, None, None]
+    sin_half = np.sin(xs / 2.0)[:, None]
+    phase = np.exp(1j * ys)
+    dev = np.empty((grid.nx, grid.ny))
+    rows = max(1, _BLOCK_NODES // grid.ny)
+    for i in range(0, grid.nx, rows):
+        psi = w0[i : i + rows] * op.col0 + (phase * sin_half[i : i + rows])[..., None] * op.col1
+        d = reduced_entries(psi.reshape(-1, 4)).T - anchor_entries
+        np.sqrt((_SQUARED_WEIGHTS @ (d * d)).max(axis=0), out=dev[i : i + rows].reshape(-1))
+    return (*grid.points(), np.ldexp(dev, 2 * e, out=dev).ravel())
 
 
 def grid_scan(

@@ -13,6 +13,7 @@ from qmask import (
     sample_circle,
     maskable_circle,
 )
+from qmask.linalg import reduced_entries
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -126,3 +127,58 @@ def test_reduced_pair_batch_rejects_non_finite(bad):
 def test_reduced_pair_batch_rejects_bad_shape(shape):
     with pytest.raises(InvalidInputError):
         reduced_pair(np.zeros(shape, dtype=complex))
+
+
+def einsum_pair(psi):
+    """The einsum formulation the kernel replaced: the bitwise reference."""
+    psi = np.asarray(psi, dtype=complex)
+    m = psi.reshape(-1, 2, 2)
+    mc = m.conj()
+    shape = psi.shape[:-1] + (2, 2)
+    return np.einsum("nab,ncb->nac", m, mc).reshape(shape), np.einsum("nab,nac->nbc", m, mc).reshape(shape)
+
+
+def einsum_entries(psi):
+    """The ENTRY_LABELS entries read off the einsum reference."""
+    parts = []
+    for rho in einsum_pair(psi):
+        parts += [rho[..., 0, 0].real, rho[..., 1, 1].real, rho[..., 0, 1].real, rho[..., 0, 1].imag]
+    return np.stack(parts, axis=-1)
+
+
+def bitwise_equal(a, b):
+    a, b = np.asarray(a).view(float), np.asarray(b).view(float)
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# zeros of both signs, subnormals, and magnitudes whose squares stay finite
+component = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]),
+    st.floats(min_value=-1e150, max_value=1e150, allow_nan=False),
+)
+vectors = st.tuples(*[component] * 8).map(lambda c: np.array(c[:4]) + 1j * np.array(c[4:]))
+
+
+@given(st.one_of(vectors, st.lists(vectors, min_size=1, max_size=12).map(np.array)))
+def test_kernel_matches_einsum_bitwise(psi):
+    ref_a, ref_b = einsum_pair(psi)
+    rho_a, rho_b = reduced_pair(psi)
+    assert bitwise_equal(rho_a, ref_a) and bitwise_equal(rho_b, ref_b)
+    assert bitwise_equal(reduced_entries(psi), einsum_entries(psi))
+    for rho in (rho_a, rho_b):
+        assert np.all(rho[..., 1, 0] == rho[..., 0, 1].conj())
+        diagonal = np.stack([rho[..., 0, 0].imag, rho[..., 1, 1].imag])
+        assert np.all(diagonal == 0.0) and not np.signbit(diagonal).any()
+
+
+def negative_zeros(a):
+    a = np.asarray(a).view(float)
+    return np.count_nonzero((a == 0) & np.signbit(a))
+
+
+def test_kernel_emits_no_negative_zero():
+    # every product in Re rho_A[0, 1] is -0.0, from a signed zero or an underflow
+    psi = np.array([[-0.0 - 0.0j, 5e-324 - 5e-324j, 1.0 + 1.0j, -5e-324 + 5e-324j]])
+    assert negative_zeros(einsum_pair(psi)) == 0
+    assert negative_zeros(reduced_entries(psi)) == 0
+    assert negative_zeros(reduced_pair(psi)) == 0

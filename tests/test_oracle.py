@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,18 @@ from qmask import (
     InvalidInputError,
     MaskerParams,
     agreement_report,
+    bloch_points,
     build_masker,
     default_kappa,
     grid_deviations,
     grid_scan,
     maskable_circle,
     masked_fraction_scaling,
+    operator_scale,
+    reduced_pair,
 )
+from qmask import oracle
+from qmask.crosscheck import _grid_points
 from _helpers import identity_embedding, planted_product_op, random_op, random_state
 
 
@@ -35,6 +42,59 @@ def test_grid_spec_points_layout():
     assert xs.size == 12
     assert xs.max() == 1.0  # x includes both endpoints
     assert ys.max() == 1.5  # y excludes the upper endpoint
+
+
+def test_grid_spec_axes_build_the_points():
+    grid = GridSpec(5, 7, region=((0.2, 1.0), (0.5, 3.0)))
+    xs, ys = grid.axes()
+    gx, gy = grid.points()
+    assert np.array_equal(gx, np.repeat(xs, 7)) and np.array_equal(gy, np.tile(ys, 5))
+    assert np.array_equal(_grid_points(grid), bloch_points(gx, gy))
+
+
+def reference_deviations(op, anchor, grid):
+    """Per-node deviations by definition: a meshgrid, op.apply and |.|^2 Frobenius norms."""
+    ra0, rb0 = reduced_pair(op.apply(anchor.x, anchor.y))
+    xs, ys = grid.points()
+    rho_a, rho_b = reduced_pair(op.apply(xs, ys))
+    dev_a = np.sqrt(np.sum(np.abs(rho_a - ra0) ** 2, axis=(1, 2)))
+    dev_b = np.sqrt(np.sum(np.abs(rho_b - rb0) ** 2, axis=(1, 2)))
+    return xs, ys, np.maximum(dev_a, dev_b)
+
+
+BLOCK_EDGE_GRIDS = [
+    GridSpec(3, 4),  # smaller than one block
+    GridSpec(4 * oracle._BLOCK_NODES // 256, 256),  # exactly four blocks
+    GridSpec(97, 203),
+    GridSpec(3, 9000),  # rows longer than a block
+    GridSpec(60, 90, region=((0.3, 0.9), (1.0, 2.5))),
+]
+
+
+@pytest.mark.parametrize("grid", BLOCK_EDGE_GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
+def test_blocked_deviations_match_the_per_node_reference(grid):
+    rng = np.random.default_rng(grid.nx * grid.ny)
+    for op in (random_op(rng), masker_op(1.1, 0.7), random_op(rng, scale=30.0)):
+        anchor = random_state(rng)
+        xs, ys, dev = grid_deviations(op, anchor, grid)
+        ref_xs, ref_ys, ref = reference_deviations(op, anchor, grid)
+        assert np.array_equal(xs, ref_xs) and np.array_equal(ys, ref_ys)
+        assert np.abs(dev - ref).max() <= 4 * np.finfo(float).eps * operator_scale(op)
+        tol = default_kappa(op) * grid.spacing
+        assert np.array_equal(dev <= tol, ref <= tol)
+
+
+def test_grid_memory_per_node_is_bounded():
+    op = random_op(np.random.default_rng(5))
+    anchor = AngleState(1.0, 2.0)
+    masked_fraction_scaling(op, anchor, [8])  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        masked_fraction_scaling(op, anchor, [400])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 400 * 800, peak / (400 * 800)
 
 
 def test_grid_scan_hugs_the_circle():
