@@ -114,8 +114,8 @@ class GeneralLinearOp:
     def apply(self, x, y) -> np.ndarray:
         """Image cos(x/2) col0 + e^{iy} sin(x/2) col1 of the state |(x, y)>.
 
-        ``x`` and ``y`` are floats or equal-shape arrays of angles; the
-        result has their shape plus a trailing axis of 4 amplitudes.
+        ``x`` and ``y`` are floats or broadcastable arrays of angles; the
+        result has their broadcast shape plus a trailing axis of 4 amplitudes.
         """
         w0 = np.cos(x / 2.0)
         w1 = np.exp(1j * y) * np.sin(x / 2.0)

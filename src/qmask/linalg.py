@@ -9,14 +9,10 @@ qubit B.  Every other module inherits this convention; a 4-vector
     rho_A = M @ M^dagger        (trace over B)
     rho_B = M^T @ conj(M)       (trace over A)
 
-:func:`_kernel` is the one place these traces are computed, for one
-vector or a stack, in real arithmetic: each float is a sum over the traced
-index of ``ur*vr + ui*vi`` or ``ui*vr - ur*vi`` (the real or imaginary part
-of u conj(v)), unfused, in the order of the ``einsum`` it replaced, then
-``+ 0.0`` as ``einsum`` sums from +0, so the results are bit-identical to
-it; numpy's complex multiply fuses on some hosts and would move last
-digits.  Vectors are complex (2,) or (4,) arrays, reduced matrices (2, 2);
-norm 1 is not required, so unnormalized images are traced as they are.
+:func:`_kernel` is the one place these traces are computed, for one vector
+or a stack, in real arithmetic in ``einsum``'s unfused order (see
+:func:`_columns`).  Norm 1 is not required: unnormalized images are traced
+as they are.
 """
 
 from __future__ import annotations
@@ -44,10 +40,10 @@ ENTRY_WEIGHTS = np.array([1.0, 1.0, np.sqrt(2), np.sqrt(2), 1.0, 1.0, np.sqrt(2)
 def _columns(slots) -> np.ndarray:
     """Gather columns for :func:`_kernel` of slots (matrix, i, j, imag): parts of rho_A[i, j] or rho_B[i, j].
 
-    A slot is the sum over the traced index t = 0, 1 of x + y (real part) or x - y
-    (imaginary part) of u conj(v), u = psi[l] and v = psi[r]: x = ur*vr, y = ui*vi or
-    x = ui*vr, y = ur*vi.  The columns index the real view (re psi_0, im psi_0, ...,
-    im psi_3) in four blocks: left x, left y, right x, right y.
+    A slot sums over the traced index t = 0, 1 the real part x + y or the imaginary part
+    x - y of u conj(v), u = psi[l], v = psi[r]: x = ur*vr, y = ui*vi or x = ui*vr, y = ur*vi.
+    That is ``einsum``'s order, unfused (numpy's complex multiply fuses on some hosts).
+    Columns index the real view (re psi_0, im psi_0, ...) as left x, left y, right x, right y.
     """
     blocks = ([], [], [], [])
     for t in (0, 1):
@@ -65,7 +61,7 @@ _ENTRIES = _columns([_SLOTS[k] for k in (0, 6, 2, 3, 8, 14, 10, 11)]), slice(3, 
 
 
 def _kernel(psi, columns: np.ndarray, imag: slice) -> np.ndarray:
-    """The slots of a :func:`_columns` table for every vector, as a (slots, N) array."""
+    """The slots of a :func:`_columns` table for every vector, (slots, N); + 0.0 as ``einsum`` sums from +0."""
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim not in (1, 2) or psi.shape[-1] != 4:
         raise InvalidInputError(f"expected 4-component state vectors, got shape {psi.shape}")

@@ -9,12 +9,9 @@ Both paths do share the one reduced-state kernel,
 :func:`qmask.linalg.reduced_entries`, which the oracle therefore does
 not check.
 
-:func:`grid_deviations` builds ``op.apply``'s amplitudes, bit for bit,
-from the two axes, in blocks of whole x-rows of about ``_BLOCK_NODES``
-nodes, so it needs little memory beyond its outputs.  Both matrices are
-exactly Hermitian with real diagonals, so the Frobenius norm of their
-difference is sqrt(sum (w * d)^2) over the entry differences d, with w
-from ``linalg.ENTRY_WEIGHTS``.
+:func:`grid_deviations` works through blocks of whole x-rows of about
+``_BLOCK_NODES`` nodes, so it needs little memory beyond its outputs, and
+takes each Frobenius norm from the entries (see ``linalg.ENTRY_WEIGHTS``).
 
 The grid tolerance is tied to the spacing (tol = kappa * h) so the
 discrete masked set converges onto the continuum set as the grid is
@@ -97,14 +94,10 @@ def grid_deviations(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec):
     op, e = unit_scaled(op)
     anchor_entries = reduced_entries(op.apply(anchor.x, anchor.y))[:, None]
     xs, ys = grid.axes()
-    # op.apply's weights: cos(x/2) per x-row, e^{iy} sin(x/2) per node
-    w0 = np.cos(xs / 2.0)[:, None, None]
-    sin_half = np.sin(xs / 2.0)[:, None]
-    phase = np.exp(1j * ys)
     dev = np.empty((grid.nx, grid.ny))
     rows = max(1, _BLOCK_NODES // grid.ny)
     for i in range(0, grid.nx, rows):
-        psi = w0[i : i + rows] * op.col0 + (phase * sin_half[i : i + rows])[..., None] * op.col1
+        psi = op.apply(xs[i : i + rows, None], ys)
         d = reduced_entries(psi.reshape(-1, 4)).T - anchor_entries
         np.sqrt((_SQUARED_WEIGHTS @ (d * d)).max(axis=0), out=dev[i : i + rows].reshape(-1))
     return (*grid.points(), np.ldexp(dev, 2 * e, out=dev).ravel())
