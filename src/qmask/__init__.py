@@ -18,7 +18,7 @@ from .analysis import (
     ProductFormReport,
     SinglePoint,
     class_distance,
-    constraint_matrix,
+    constraint_planes,
     extract_constraints,
     f01_symbolic,
     maskable_set,
@@ -30,7 +30,6 @@ from .bloch import (
     Empty,
     SphericalCircle,
     angles_to_bloch,
-    angles_to_state,
     bloch_angles,
     bloch_points,
     bloch_to_angles,

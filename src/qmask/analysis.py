@@ -10,7 +10,10 @@ attached to the image of |0>, and nu0 = (b0, b1), nu1 = (d0, d1) for |1>.
 
 Each real entry function of the two raw reduced matrices (diagonals,
 real and imaginary parts of the upper off-diagonal, for rho_A and
-rho_B) is an affine function of the Bloch coordinates (X, Y, Z).  The
+rho_B) is an affine function of the Bloch point p = (X, Y, Z): with M the
+4x2 matrix and s the input state, an entry sum_t psi[l_t] conj(psi[r_t])
+is s^dagger G s with G = sum_t outer(conj(M[r_t]), M[l_t]), and since
+s s^dagger = (I + p . sigma)/2 it equals (tr G + p . tr(G sigma))/2.  The
 largest set of input states sharing both reduced matrices with an
 anchor state is therefore the sphere cut by up to eight anchored
 planes: a spherical circle, a pair of points, or a single point --
@@ -35,20 +38,18 @@ from .bloch import (
     angles_to_bloch, cut_sphere, distance_to_circle,
 )
 from .errors import InvalidInputError, InvariantViolationError
-from .linalg import ENTRY_LABELS, reduced_entries
+from .linalg import ENTRY_LABELS
 
 # Rank decisions on the stacked constraint normals use this absolute
 # singular-value threshold after row normalization.
 RANK_TOL = 1e-9
 
-# Fitted-vs-exact residual allowance per unit of squared operator norm
-# (entry functions are quadratic in the coefficients).
-FIT_RESIDUAL_TOL = 1e-10
-
-# Fit states (x, y) sitting at the Bloch points +Z, -Z, +X, +Y, with -Y
-# as the consistency probe; the first four are affinely independent.
-_FIT_X = np.array([0.0, np.pi, np.pi / 2, np.pi / 2, np.pi / 2])
-_FIT_Y = np.array([0.0, 0.0, 0.0, np.pi / 2, 3 * np.pi / 2])
+# Rows l_t and r_t, t = 0, 1, of the amplitudes summed in each entry of ENTRY_LABELS
+_L = np.array([[0, 1], [2, 3], [0, 1], [0, 1], [0, 2], [1, 3], [0, 2], [0, 2]])
+_R = np.array([[0, 1], [2, 3], [2, 3], [2, 3], [0, 2], [1, 3], [1, 3], [1, 3]])
+_IMAG = (np.arange(8) % 4 == 3)[:, None]  # the im01 rows
+# I, X, Y, Z transposed, so that tr(G sigma) = sum(G * sigma^T)
+_PAULI_T = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 1j], [-1j, 0]], [[1, 0], [0, -1]]])
 
 # Gram-matrix allowance for :attr:`GeneralLinearOp.is_isometry`.
 ISOMETRY_TOL = 1e-12
@@ -141,12 +142,14 @@ def operator_scale(op: GeneralLinearOp) -> float:
     Entry functions are quadratic forms in the coefficients, so this is
     the natural magnitude unit for constraint rows and tolerance scaling
     (2-norm of the stacked constraint matrix stays below ~0.7x this).
-    Raises InvalidInputError when the sum overflows.
+    Raises InvalidInputError when the sum overflows or underflows.
     """
     with np.errstate(over="ignore"):
         scale = float(np.sum(np.abs(op.coefficients) ** 2))
     if not math.isfinite(scale):
         raise InvalidInputError("operator too large: its squared norm overflows")
+    if scale < np.finfo(float).tiny:
+        raise InvalidInputError("operator too small: its squared norm underflows")
     return scale
 
 
@@ -178,37 +181,23 @@ class AffineConstraint:
 # --- maskable-set classification -------------------------------------------
 
 
-def _affine_fit(op: GeneralLinearOp) -> tuple[np.ndarray, np.ndarray]:
+def constraint_planes(op: GeneralLinearOp) -> tuple[np.ndarray, np.ndarray]:
     """The (8, 3) normals and 8 offsets of the entry functions, rows as ENTRY_LABELS.
 
-    Each affine function is recovered from its values at the Bloch points
-    +Z, -Z, +X and +Y; the value at -Y then has to agree, which guards the
-    affineness of the whole pipeline.  One uniform numeric path covers
-    both reduced matrices (the rho_B family has no special-case handling).
+    Row k is (tr G + p . tr(G sigma))/2 (see the module docstring), real part, or
+    imaginary part for the im01 rows; exact when the products and sums are.
     """
-    scale = operator_scale(op)  # first, so an overflowing operator raises before the fit
-    v_zp, v_zm, v_xp, v_yp, v_ym = reduced_entries(op.apply(_FIT_X, _FIT_Y))
-    r = (v_zp + v_zm) / 2.0
-    nz = (v_zp - v_zm) / 2.0
-    nx = v_xp - r
-    ny = v_yp - r
-    residual = np.abs((r - ny) - v_ym).max()
-    if residual > FIT_RESIDUAL_TOL * max(1.0, scale):
-        raise InvariantViolationError(
-            f"entry functions failed the affine consistency probe (residual {residual:.3e})"
-        )
-    return np.column_stack([nx, ny, nz]), r
+    operator_scale(op)  # first, so an operator whose squared norm over- or underflows raises
+    m = op.matrix
+    traces = np.einsum("kti,ktj,aij->ka", m[_R].conj(), m[_L], _PAULI_T) / 2.0
+    planes = np.where(_IMAG, traces.imag, traces.real)
+    return planes[:, 1:], planes[:, 0]
 
 
 def extract_constraints(op: GeneralLinearOp) -> list[AffineConstraint]:
-    """The 8 affine entry functions of :func:`_affine_fit` as labelled constraints."""
-    normals, r = _affine_fit(op)
+    """The 8 affine entry functions of :func:`constraint_planes` as labelled constraints."""
+    normals, r = constraint_planes(op)
     return [AffineConstraint(n, float(ri), label) for n, ri, label in zip(normals, r, ENTRY_LABELS)]
-
-
-def constraint_matrix(op: GeneralLinearOp) -> np.ndarray:
-    """The 8x3 stack of constraint normals, rows ordered as ENTRY_LABELS."""
-    return _affine_fit(op)[0]
 
 
 def maskable_set(op: GeneralLinearOp, anchor: AngleState) -> MaskableClass:
@@ -221,7 +210,7 @@ def maskable_set(op: GeneralLinearOp, anchor: AngleState) -> MaskableClass:
     sqrt(2 * RANK_TOL) of a single point included, is the anchor alone.
     """
     op, _ = unit_scaled(op)
-    normals = constraint_matrix(op)
+    normals = constraint_planes(op)[0]
     p0 = angles_to_bloch(anchor)
     row_norms = np.linalg.norm(normals, axis=1)
     floor = 1e-12 * operator_scale(op)
@@ -308,8 +297,8 @@ def f01_symbolic(op: GeneralLinearOp) -> tuple[complex, complex, complex, comple
         h = i (<mu1|nu0> - <nu1|mu0>)/2
         r = (<mu1|mu0> + <nu1|nu0>)/2
 
-    The numeric affine fit in :func:`extract_constraints` must agree
-    with these; they serve as an independent derivation for testing.
+    A hand derivation of rows re01 and im01 of :func:`constraint_planes`,
+    kept as an independent reference for testing.
     """
     mu0, nu0, mu1, nu1 = op.coefficients.reshape(4, 2)
     p = (np.vdot(mu1, mu0) - np.vdot(nu1, nu0)) / 2.0

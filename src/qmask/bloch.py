@@ -111,15 +111,6 @@ def bloch_to_angles(p) -> AngleState:
     return AngleState(*bloch_angles(p))
 
 
-def angles_to_state(s: AngleState) -> np.ndarray:
-    """Unit state vector (cos(x/2), e^{iy} sin(x/2)).
-
-    The global phase is fixed by keeping the |0> amplitude real and
-    non-negative, so vector-level comparisons are deterministic.
-    """
-    return np.array([np.cos(s.x / 2), np.exp(1j * s.y) * np.sin(s.x / 2)], dtype=complex)
-
-
 @dataclass(frozen=True, eq=False)
 class SphericalCircle:
     """Plane-sphere intersection: unit normal ``n`` and offset ``c`` with |c| <= 1.

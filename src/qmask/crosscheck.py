@@ -20,7 +20,7 @@ from .analysis import (
     GeneralLinearOp,
     PointPair,
     class_distance,
-    constraint_matrix,
+    constraint_planes,
     maskable_set,
 )
 from .bloch import AngleState
@@ -41,12 +41,12 @@ def agreement_report(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec) ->
     mask_class = maskable_set(op, anchor)
     tol = default_kappa(op) * grid.spacing
 
-    flagged = grid_deviations(op, anchor, grid)[2] <= tol
+    flagged = grid_deviations(op, anchor, grid) <= tol
     dist = np.atleast_1d(class_distance(mask_class, _grid_points(grid)))
 
     complete = bool(np.all(flagged[dist <= grid.spacing * (1 - 1e-9)]))
 
-    weighted = constraint_matrix(op) * ENTRY_WEIGHTS[:, None]
+    weighted = constraint_planes(op)[0] * ENTRY_WEIGHTS[:, None]
     svals = np.linalg.svd(weighted, compute_uv=False)
     if isinstance(mask_class, Circle):
         rank = 1

@@ -5,12 +5,12 @@ through the operator, take both raw reduced matrices directly, and
 compare against the anchor's pair in Frobenius norm.  Nothing in this
 module calls the constraint extraction or the classifier -- that
 independence is the point, so the two paths cross-validate each other.
-Both paths do share the one reduced-state kernel,
-:func:`qmask.linalg.reduced_entries`, which the oracle therefore does
-not check.
+The analysis builds its planes in closed form, without the oracle's
+reduced-state kernel :func:`qmask.linalg.reduced_entries`, so the
+cross-check covers that kernel too.
 
 :func:`grid_deviations` works through blocks of whole x-rows of about
-``_BLOCK_NODES`` nodes, so it needs little memory beyond its outputs, and
+``_BLOCK_NODES`` nodes, so it needs little memory beyond its output, and
 takes each Frobenius norm from the entries (see ``linalg.ENTRY_WEIGHTS``).
 
 The grid tolerance is tied to the spacing (tol = kappa * h) so the
@@ -85,8 +85,8 @@ class GridSpec:
 def grid_deviations(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec):
     """Per-node deviation of the raw reduced pair from the anchor's.
 
-    Returns (xs, ys, dev) flattened over the grid, where dev is the
-    larger of the two Frobenius distances.  The anchor itself is
+    Returns dev flattened over the grid in :meth:`GridSpec.points` order,
+    the larger of the two Frobenius distances.  The anchor itself is
     evaluated exactly, not snapped to the grid.  The distances are computed
     at unit scale and scaled back exactly, so only distances outside the
     float range over- or underflow.
@@ -100,16 +100,16 @@ def grid_deviations(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec):
         psi = op.apply(xs[i : i + rows, None], ys)
         d = reduced_entries(psi.reshape(-1, 4)).T - anchor_entries
         np.sqrt((_SQUARED_WEIGHTS @ (d * d)).max(axis=0), out=dev[i : i + rows].reshape(-1))
-    return (*grid.points(), np.ldexp(dev, 2 * e, out=dev).ravel())
+    return np.ldexp(dev, 2 * e, out=dev).ravel()
 
 
 def grid_scan(
     op: GeneralLinearOp, anchor: AngleState, grid: GridSpec, tol: float
 ) -> list[AngleState]:
     """All grid states whose raw reduced pair matches the anchor's within tol."""
-    xs, ys, dev = grid_deviations(op, anchor, grid)
-    hit = dev <= tol
-    return [AngleState(float(x), float(y)) for x, y in zip(xs[hit], ys[hit])]
+    i, j = np.nonzero(grid_deviations(op, anchor, grid).reshape(grid.nx, grid.ny) <= tol)
+    xs, ys = grid.axes()
+    return [AngleState(float(x), float(y)) for x, y in zip(xs[i], ys[j])]
 
 
 def default_kappa(op: GeneralLinearOp) -> float:
@@ -146,7 +146,7 @@ def masked_fraction_scaling(
     out = []
     for n in resolutions:
         grid = GridSpec(nx=n, ny=2 * n, region=region)
-        _, _, dev = grid_deviations(op, anchor, grid)
+        dev = grid_deviations(op, anchor, grid)
         fraction = float(np.count_nonzero(dev <= kappa * grid.spacing)) / dev.size
         out.append((n, fraction))
     return out

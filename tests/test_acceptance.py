@@ -116,7 +116,7 @@ def test_criterion_4_offdiagonal_plane_coefficients():
             abs(constraints[3].r - r.imag),
         )
     assert worst < 1e-12
-    report(4, f"numeric affine fit vs symbolic off-diagonal coefficients, 1000 ops, worst {worst:.2e}")
+    report(4, f"closed-form planes vs symbolic off-diagonal coefficients, 1000 ops, worst {worst:.2e}")
 
 
 def _predicted_deviation(constraints, points, p0):
@@ -151,7 +151,8 @@ def test_criterion_5_oracle_vs_classification():
         scale = operator_scale(op)
         tol = default_kappa(op) * h
 
-        xs, ys, dev = grid_deviations(op, anchor, grid)
+        xs, ys = grid.points()
+        dev = grid_deviations(op, anchor, grid)
         points = np.column_stack([np.sin(xs) * np.cos(ys), np.sin(xs) * np.sin(ys), np.cos(xs)])
         flagged = dev <= tol
 

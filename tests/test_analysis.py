@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,10 @@ from qmask import (
     PointPair,
     SinglePoint,
     angles_to_bloch,
-    angles_to_state,
     build_masker,
     circles_equal,
     class_distance,
-    constraint_matrix,
+    constraint_planes,
     extract_constraints,
     f01_symbolic,
     maskable_circle,
@@ -57,7 +58,7 @@ def test_reduced_pair_raw_identity_embedding():
     s = AngleState(1.1, 0.7)
     rho_a, rho_b = reduced_pair(op.apply(s.x, s.y))
     assert np.allclose(rho_a, np.diag([1.0, 0.0]))
-    vec = angles_to_state(s)
+    vec = np.array([np.cos(s.x / 2), np.exp(1j * s.y) * np.sin(s.x / 2)])
     assert np.allclose(rho_b, np.outer(vec, vec.conj()))
 
 
@@ -70,7 +71,7 @@ def test_reduced_pair_raw_unnormalized_convention():
 
 def test_constraints_single_direction_for_masker():
     op = GeneralLinearOp.from_isometry(build_masker(MaskerParams(0.0, 0.0)))
-    normals = constraint_matrix(op)
+    normals = constraint_planes(op)[0]
     for n in normals:
         if np.linalg.norm(n) > 1e-10:
             unit = n / np.linalg.norm(n)
@@ -88,6 +89,46 @@ def test_constraints_f01_symbolic_cross_check():
         assert abs(re_row.r - r.real) < 1e-12
         assert np.abs(im_row.n - [q.imag, h.imag, p.imag]).max() < 1e-12
         assert abs(im_row.r - r.imag) < 1e-12
+
+
+def _fraction_planes(m):
+    """Exact (normals, offsets) of the entry functions of the 4x2 matrix m, in Fractions.
+
+    With psi = m s, an entry of rho_A sums psi[2i+t] conj(psi[2j+t]) over t, one of rho_B
+    psi[2t+i] conj(psi[2t+j]), and psi[l] conj(psi[r]) = sum_ab m[l, a] conj(m[r, b]) s_a conj(s_b).
+    """
+    re = [[Fraction(z.real) for z in row] for row in m]
+    im = [[Fraction(z.imag) for z in row] for row in m]
+
+    def term(l, r, a, b):  # m[l, a] conj(m[r, b]) as (real, imaginary)
+        return re[l][a] * re[r][b] + im[l][a] * im[r][b], im[l][a] * re[r][b] - re[l][a] * im[r][b]
+
+    rows = []
+    for index in (lambda i, t: 2 * i + t, lambda i, t: 2 * t + i):  # rho_A, rho_B
+        for i, j, part in ((0, 0, 0), (1, 1, 0), (0, 1, 0), (0, 1, 1)):
+            k = {
+                (a, b): [sum(v) for v in zip(*(term(index(i, t), index(j, t), a, b) for t in (0, 1)))]
+                for a in (0, 1) for b in (0, 1)
+            }
+            # s_0 conj(s_0) = (1 + Z)/2, s_1 conj(s_1) = (1 - Z)/2, s_1 conj(s_0) = (X + iY)/2
+            x = [k[1, 0][c] + k[0, 1][c] for c in (0, 1)]
+            y = [k[0, 1][1] - k[1, 0][1], k[1, 0][0] - k[0, 1][0]]  # i (k10 - k01)
+            z = [k[0, 0][c] - k[1, 1][c] for c in (0, 1)]
+            r = [k[0, 0][c] + k[1, 1][c] for c in (0, 1)]
+            rows.append([v[part] / 2 for v in (x, y, z, r)])
+    rows = np.array(rows, dtype=object)
+    return rows[:, :3], rows[:, 3]
+
+
+def test_constraint_planes_are_exact_on_dyadic_operators():
+    # components k/64 keep every product and sum of the closed form exact in floating point
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        c = rng.integers(-64, 65, size=(2, 8)) / 64
+        op = GeneralLinearOp(*(c[0] + 1j * c[1]))
+        normals, offsets = constraint_planes(op)
+        ref_normals, ref_offsets = _fraction_planes(op.matrix)
+        assert np.array_equal(normals, ref_normals) and np.array_equal(offsets, ref_offsets)
 
 
 def test_constraints_reproduce_entry_functions():

@@ -17,7 +17,6 @@ from qmask import (
     SinglePoint,
     SphericalCircle,
     angles_to_bloch,
-    angles_to_state,
     bloch_angles,
     bloch_to_angles,
     canonical_mask_params,
@@ -123,13 +122,6 @@ def test_bloch_angles_rejects_one_non_unit_row():
     p[3] = [np.nan, 0.0, 1.0]
     with pytest.raises(InvalidInputError):
         bloch_angles(p)
-
-
-def test_angles_to_state_examples():
-    assert np.allclose(angles_to_state(AngleState(0.0, 0.0)), [1, 0])
-    assert np.allclose(angles_to_state(AngleState(np.pi, 0.0)), [0, 1])
-    v = angles_to_state(AngleState(np.pi / 2, np.pi / 2))
-    assert np.allclose(v, [np.sqrt(2) / 2, 1j * np.sqrt(2) / 2])
 
 
 @given(angles_x, angles_y)

@@ -126,16 +126,18 @@ def test_analyze_rejects_zero_operator(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["analyze"], ["analyze", "--scan", "40"], ["scan", "--fractions", "10,20,40"]],
+    [["analyze"], ["analyze", "--scan", "40"], ["scan", "--fractions", "10,20,40"], ["scan"]],
 )
 def test_overflowing_operator_is_invalid_input(tmp_path, capsys, argv):
-    # the squared norm of a 1e160-scale operator overflows; no NaN or Infinity may reach stdout
-    rng = np.random.default_rng(3)
-    op = GeneralLinearOp(*(1e160 * (rng.normal(size=8) + 1j * rng.normal(size=8))))
-    path = write_operator(tmp_path / "op.json", op)
-    code, out, err = run(capsys, argv[0], "--operator", path, "--x", "1.2", "--y", "2.5", *argv[1:])
-    assert code == 1 and out == ""
-    assert "overflows" in err
+    # the squared norm of a 1e160-scale operator overflows and that of a 1e-165-scale one
+    # underflows; neither may reach stdout as NaN, Infinity or a verdict at tolerance 0
+    for scale, word in ((1e160, "overflows"), (1e-165, "underflows")):
+        rng = np.random.default_rng(3)
+        op = GeneralLinearOp(*(scale * (rng.normal(size=8) + 1j * rng.normal(size=8))))
+        path = write_operator(tmp_path / "op.json", op)
+        code, out, err = run(capsys, argv[0], "--operator", path, "--x", "1.2", "--y", "2.5", *argv[1:])
+        assert code == 1 and out == ""
+        assert word in err
 
 def test_scan_command(tmp_path, capsys):
     op = GeneralLinearOp.from_isometry(build_masker(MaskerParams(0.0, 0.0)))

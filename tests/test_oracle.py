@@ -76,7 +76,8 @@ def test_blocked_deviations_match_the_per_node_reference(grid):
     rng = np.random.default_rng(grid.nx * grid.ny)
     for op in (random_op(rng), masker_op(1.1, 0.7), random_op(rng, scale=30.0)):
         anchor = random_state(rng)
-        xs, ys, dev = grid_deviations(op, anchor, grid)
+        xs, ys = grid.points()
+        dev = grid_deviations(op, anchor, grid)
         ref_xs, ref_ys, ref = reference_deviations(op, anchor, grid)
         assert np.array_equal(xs, ref_xs) and np.array_equal(ys, ref_ys)
         assert np.abs(dev - ref).max() <= 4 * np.finfo(float).eps * operator_scale(op)
@@ -144,7 +145,8 @@ def test_grid_scan_contains_node_nearest_anchor():
         op = random_op(rng)
         anchor = random_state(rng)
         grid = GridSpec(60, 120)
-        xs, ys, dev = grid_deviations(op, anchor, grid)
+        xs, ys = grid.points()
+        dev = grid_deviations(op, anchor, grid)
         nearest = np.argmin((xs - anchor.x) ** 2 + (ys - anchor.y) ** 2)
         assert dev[nearest] <= default_kappa(op) * grid.spacing
 
