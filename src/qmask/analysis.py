@@ -55,6 +55,21 @@ _PAULI_T = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 1j], [-1j, 0]], [[
 ISOMETRY_TOL = 1e-12
 
 
+def isometric(columns: np.ndarray) -> np.ndarray:
+    """Whether the Gram matrix of each pair of columns, the rows of a (..., 2, 4) stack, is the identity
+    within ISOMETRY_TOL."""
+    gram = columns.conj() @ columns.swapaxes(-1, -2)
+    return np.abs(gram - np.eye(2)).max(axis=(-2, -1)) <= ISOMETRY_TOL
+
+
+def apply_columns(col0: np.ndarray, col1: np.ndarray, x, y) -> np.ndarray:
+    """Image cos(x/2) col0 + e^{iy} sin(x/2) col1 of the state |(x, y)>: the angles' broadcast shape
+    (floats or arrays) plus a trailing axis of 4 amplitudes; (..., 4) column stacks broadcast against it."""
+    w0 = np.cos(x / 2.0)
+    w1 = np.exp(1j * y) * np.sin(x / 2.0)
+    return w0[..., None] * col0 + w1[..., None] * col1
+
+
 @dataclass(frozen=True)
 class GeneralLinearOp:
     """An arbitrary nonzero linear map from one qubit into two.
@@ -105,22 +120,11 @@ class GeneralLinearOp:
     @property
     def is_isometry(self) -> bool:
         """Whether the columns are orthonormal within ISOMETRY_TOL."""
-        c0, c1 = self.col0, self.col1
-        return bool(
-            abs(np.vdot(c0, c0) - 1.0) <= ISOMETRY_TOL
-            and abs(np.vdot(c1, c1) - 1.0) <= ISOMETRY_TOL
-            and abs(np.vdot(c0, c1)) <= ISOMETRY_TOL
-        )
+        return bool(isometric(np.array([self.col0, self.col1])))
 
     def apply(self, x, y) -> np.ndarray:
-        """Image cos(x/2) col0 + e^{iy} sin(x/2) col1 of the state |(x, y)>.
-
-        ``x`` and ``y`` are floats or broadcastable arrays of angles; the
-        result has their broadcast shape plus a trailing axis of 4 amplitudes.
-        """
-        w0 = np.cos(x / 2.0)
-        w1 = np.exp(1j * y) * np.sin(x / 2.0)
-        return w0[..., None] * self.col0 + w1[..., None] * self.col1
+        """Image of the state |(x, y)>; see :func:`apply_columns`."""
+        return apply_columns(self.col0, self.col1, x, y)
 
     @classmethod
     def from_columns(cls, col0, col1) -> "GeneralLinearOp":

@@ -111,6 +111,26 @@ def bloch_to_angles(p) -> AngleState:
     return AngleState(*bloch_angles(p))
 
 
+def canonical_planes(normals: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Planes ``n . p = c`` ((k, 3) normals) as unit normals and offsets in [-1, 1], in the canonical
+    orientation of the module docstring; for |c| <= CANON_EPS only the normal is flipped."""
+    norms = _norms(normals)
+    if np.count_nonzero(norms < 1e-12):
+        raise InvalidInputError("circle normal must be nonzero")
+    n = normals / norms[:, None]
+    c = offsets / norms
+    off = np.abs(c) > 1.0 + 1e-12
+    if np.count_nonzero(off):
+        raise EmptyCircleError(f"plane offset {float(np.extract(off, c)[0])} misses the unit sphere")
+    c = np.minimum(np.maximum(c, -1.0), 1.0)
+    size = np.abs(c)
+    tie = size <= CANON_EPS
+    # 4 s0 + 2 s1 + s2 has the sign of the first nonzero s_i in {-1, 0, 1}
+    first = (np.sign(n) * (np.abs(n) > CANON_EPS)) @ [4.0, 2.0, 1.0]
+    flip = np.where(tie, first, c) < 0.0
+    return np.where(flip[:, None], -n, n) + 0.0, np.where(tie, c, size)  # + 0.0 clears -0.0
+
+
 @dataclass(frozen=True, eq=False)
 class SphericalCircle:
     """Plane-sphere intersection: unit normal ``n`` and offset ``c`` with |c| <= 1.
@@ -125,30 +145,14 @@ class SphericalCircle:
     offset: float
 
     def __post_init__(self):
-        n = np.asarray(self.normal, dtype=float).copy()
+        n = np.asarray(self.normal, dtype=float)
         c = float(self.offset)
-        if n.shape != (3,) or not np.all(np.isfinite(n)) or not np.isfinite(c):
+        if n.shape != (3,) or not np.isfinite(n).all() or not np.isfinite(c):
             raise InvalidInputError("circle requires a finite 3-vector normal and finite offset")
-        norm = np.linalg.norm(n)
-        if norm < 1e-12:
-            raise InvalidInputError("circle normal must be nonzero")
-        n /= norm
-        c /= norm
-        if abs(c) > 1.0 + 1e-12:
-            raise EmptyCircleError(f"plane offset {float(c)} misses the unit sphere")
-        c = float(np.clip(c, -1.0, 1.0))
-        if abs(c) <= CANON_EPS:
-            for comp in n:
-                if abs(comp) > CANON_EPS:
-                    if comp < 0.0:
-                        n = -n
-                    break
-        elif c < 0.0:
-            n, c = -n, -c
-        n = n + 0.0  # clears negative zeros
+        (n,), (c,) = canonical_planes(n[None], np.array([c]))
         n.setflags(write=False)
         object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", c)
+        object.__setattr__(self, "offset", float(c))
 
     @property
     def radius(self) -> float:
@@ -201,10 +205,13 @@ def circle_from_mask_params(alpha: float, theta: float, cval: float) -> Spherica
         raise InvalidInputError("mask parameters must be finite")
     if abs(cval) > 1.0 + 1e-12:
         raise EmptyCircleError(f"level value {float(cval)} outside [-1, 1]: empty circle")
-    n = np.array(
-        [-np.sin(alpha) * np.cos(theta), -np.sin(alpha) * np.sin(theta), np.cos(alpha)]
-    )
-    return SphericalCircle(n, float(np.clip(cval, -1.0, 1.0)))
+    return SphericalCircle(mask_normals(alpha, theta), float(np.clip(cval, -1.0, 1.0)))
+
+
+def mask_normals(alpha, theta) -> np.ndarray:
+    """Level-set normals (-sin a cos t, -sin a sin t, cos a): shape (3,) for floats, (k, 3) for arrays."""
+    sa = np.sin(alpha)
+    return np.array([-sa * np.cos(theta), -sa * np.sin(theta), np.cos(alpha)]).T
 
 
 def canonical_mask_params(circle: SphericalCircle) -> tuple[float, float, float]:

@@ -20,6 +20,7 @@ from .masking import MaskerParams
 from .protocol import Share
 
 OPERATOR_KEYS = ("a0", "a1", "b0", "b1", "c0", "c1", "d0", "d1")
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
 
 
 def _field(doc: dict, key: str, where: str) -> Any:
@@ -110,8 +111,8 @@ def circle_from_doc(doc: dict, where: str = "circle") -> SphericalCircle:
 
 
 def dump(doc: Any) -> str:
-    """Deterministic JSON text: two-space indent, LF newline at the end."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Deterministic JSON text: two-space indent, LF newline at the end, from one shared encoder."""
+    return _ENCODER.encode(doc) + "\n"
 
 
 def load_text(text: str, where: str = "document") -> Any:

@@ -27,7 +27,8 @@ The masker is represented by its two isometry columns (the images of
 |0> and |1>), not by a unitary dilation on the full two-qubit space:
 with the ancilla input fixed, the 4x2 isometry is the faithful object.
 It is a :class:`~qmask.analysis.GeneralLinearOp` whose ``is_isometry``
-holds, so maskers and arbitrary operators share one type.
+holds, so maskers and arbitrary operators share one type; a scheme of
+maskers is built as one column stack by :func:`masker_columns`.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .bloch import (
     circle_from_mask_params,
     circle_through_three,
 )
-from .analysis import GeneralLinearOp
+from .analysis import GeneralLinearOp, isometric
 from .errors import InvalidInputError, InvariantViolationError
 from .linalg import TOL_EQUALITY, reduced_pair
 
@@ -95,24 +96,28 @@ def hbar(params: MaskerParams, s: AngleState) -> float:
     )
 
 
-def build_masker(params: MaskerParams) -> GeneralLinearOp:
-    """Construct the 4x2 isometry of the (alpha, theta) masker.
+def masker_columns(alpha, theta) -> tuple[np.ndarray, np.ndarray]:
+    """The isometry columns col0, col1 of the maskers for length-k ``alpha``, ``theta``, as (k, 4) stacks;
+    InvariantViolationError if some masker fails the ``is_isometry`` test."""
+    a, t = np.asarray([alpha, theta], dtype=float)[:, :, None]
+    half = a / 2.0
+    ca, sa = np.cos(half), np.sin(half)
+    # u0, u1, v0, v1 of the module docstring before their (|0> + |1>) or (|0> - |1>), which signs applies
+    phase = t * [1.0, 1.0, 0.0, 0.0] + [np.pi / 4, -np.pi / 4, np.pi / 4, -np.pi / 4]
+    amplitudes = np.sqrt(2.0) / 2.0 * np.concatenate([ca, sa, -sa, ca], axis=1) * np.exp(1j * phase)
+    signs = np.array([1.0, 1.0, 1.0, -1.0] * 2, dtype=complex)
+    columns = (amplitudes.repeat(2, axis=1) * signs).reshape(-1, 2, 4)
+    ok = isometric(columns)
+    if not ok.all():
+        bad = MaskerParams(a[~ok][0, 0], t[~ok][0, 0])
+        raise InvariantViolationError(f"masker columns for {bad} are not orthonormal")
+    return columns[:, 0], columns[:, 1]
 
-    Raises InvariantViolationError if the result fails ``is_isometry``.
-    """
-    a, t = params.alpha, params.theta
-    s2 = np.sqrt(2.0) / 2.0
-    ca, sa = np.cos(a / 2.0), np.sin(a / 2.0)
-    plus = np.array([1.0, 1.0], dtype=complex)
-    minus = np.array([1.0, -1.0], dtype=complex)
-    u0 = s2 * ca * np.exp(1j * (t + np.pi / 4)) * plus
-    u1 = s2 * sa * np.exp(1j * (t - np.pi / 4)) * minus
-    v0 = -s2 * sa * np.exp(1j * np.pi / 4) * plus
-    v1 = s2 * ca * np.exp(-1j * np.pi / 4) * minus
-    op = GeneralLinearOp.from_columns(np.concatenate([u0, u1]), np.concatenate([v0, v1]))
-    if not op.is_isometry:
-        raise InvariantViolationError(f"masker columns for {params} are not orthonormal")
-    return op
+
+def build_masker(params: MaskerParams) -> GeneralLinearOp:
+    """The 4x2 isometry of one (alpha, theta) masker; see :func:`masker_columns`."""
+    col0, col1 = masker_columns([params.alpha], [params.theta])
+    return GeneralLinearOp.from_columns(col0[0], col1[0])
 
 
 def predicted_reduced(params: MaskerParams, s: AngleState) -> tuple[np.ndarray, np.ndarray]:

@@ -8,11 +8,11 @@ reveals nothing beyond a spherical circle the message must lie on: its
 reduced state is I/2 + (c_k/2)(|0><1| + |1><0|) with c_k the masker's
 invariant at the message, so the circle is the invariant's level set.
 
-Cooperating receivers cut the sphere by all their share planes at once.
-Depending on the scheme geometry the survivors are a unique point (the
-message), a point pair that no number of further shares can split
-(all-vertical schemes), or the whole circle when every share repeats
-the same constraint.
+A scheme is encoded as one masker stack; receivers check their shares as
+one array and cut the sphere by all share planes at once.  Depending on
+the scheme geometry the survivors are a unique point (the message), a
+point pair that no number of further shares can split (all-vertical
+schemes), or the whole circle when every share repeats one constraint.
 
 Honest shares whose entries carry noise within the decode tolerance
 still decode: it bounds both the share-structure check and every
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import apply_columns
 from .bloch import (
     AngleState,
     Circle,
@@ -32,12 +33,13 @@ from .bloch import (
     SinglePoint,
     SphericalCircle,
     bloch_to_angles,
-    circle_from_mask_params,
+    canonical_planes,
     cut_sphere,
+    mask_normals,
 )
 from .errors import CorruptShareError, InvalidInputError, InvalidSchemeError
 from .linalg import reduced_pair
-from .masking import MaskerParams, build_masker
+from .masking import MaskerParams, masker_columns
 
 DECODE_TOL = 1e-8
 
@@ -74,40 +76,48 @@ class Share:
 
 
 def encode(message: AngleState, scheme: Scheme) -> list[Share]:
-    """Mask the message once per scheme masker and collect the B-side shares."""
-    images = np.stack([build_masker(p).apply(message.x, message.y) for p in scheme.maskers])
-    _, rho_b = reduced_pair(images)
+    """Mask the message with the scheme's maskers, built as one stack, and collect the B-side shares."""
+    col0, col1 = masker_columns(*np.array([(p.alpha, p.theta) for p in scheme.maskers]).T)
+    _, rho_b = reduced_pair(apply_columns(col0, col1, message.x, message.y))
     return [Share(masker=p, rho_b=r) for p, r in zip(scheme.maskers, rho_b)]
 
 
-def share_constraint(share: Share, tol: float = DECODE_TOL) -> SphericalCircle:
-    """The spherical circle a single share pins the message to.
-
-    Validates the share structure within tol and raises
-    CorruptShareError on violation.  The circle is the masker's
-    invariant level set at c = 2 Re(rho_b[0,1]); the true message always
-    lies on it.
-    """
-    rho = np.asarray(share.rho_b, dtype=complex)
-    if rho.shape != (2, 2) or not np.all(np.isfinite(rho.view(float))):
-        raise CorruptShareError("share reduced state must be a finite 2x2 matrix")
+def _share_planes(shares: list[Share], tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Check all shares as one array; normals (k, 3) and levels c = 2 Re(rho_b[0,1]) of their level sets.
+    The first share that is not a finite 2x2 matrix, is off the masking structure by more than tol,
+    or has |c| > 1 + tol raises CorruptShareError; c is then clipped to [-1, 1]."""
+    rhos = [np.asarray(s.rho_b, dtype=complex) for s in shares]
+    # a wrong shape is reported as a non-finite matrix, with the same message
+    rho = np.array([r if r.shape == (2, 2) else np.full((2, 2), np.nan) for r in rhos])
+    malformed = ~np.isfinite(rho.view(float)).all(axis=(1, 2))
+    rho[malformed] = 0.5  # keeps inf - inf out of the structure checks
     problems = [
-        abs(rho[0, 0] - 0.5),
-        abs(rho[1, 1] - 0.5),
-        abs(rho[0, 1] - rho[1, 0].conjugate()),
-        abs(rho[0, 1].imag),
+        np.abs(rho[:, 0, 0] - 0.5),
+        np.abs(rho[:, 1, 1] - 0.5),
+        np.abs(rho[:, 0, 1] - rho[:, 1, 0].conj()),
+        np.abs(rho[:, 0, 1].imag),
     ]
-    if max(problems) > tol:
-        raise CorruptShareError(
-            "share reduced state violates the masking structure "
-            f"(worst deviation {max(problems):.3e})"
-        )
-    c = float(2.0 * rho[0, 1].real)
-    if abs(c) > 1.0 + tol:
-        raise CorruptShareError(f"share off-diagonal implies impossible level {c!r}")
-    return circle_from_mask_params(
-        share.masker.alpha, share.masker.theta, float(np.clip(c, -1.0, 1.0))
-    )
+    worst = np.max(problems, axis=0)
+    c = 2.0 * rho[:, 0, 1].real
+    bad = malformed | (worst > tol) | (np.abs(c) > 1.0 + tol)
+    if np.count_nonzero(bad):
+        i = int(np.argmax(bad))
+        if malformed[i]:
+            raise CorruptShareError("share reduced state must be a finite 2x2 matrix")
+        if worst[i] > tol:
+            raise CorruptShareError(
+                "share reduced state violates the masking structure "
+                f"(worst deviation {worst[i]:.3e})"
+            )
+        raise CorruptShareError(f"share off-diagonal implies impossible level {float(c[i])!r}")
+    alpha, theta = np.array([(s.masker.alpha, s.masker.theta) for s in shares]).T
+    return mask_normals(alpha, theta), np.clip(c, -1.0, 1.0)
+
+
+def share_constraint(share: Share, tol: float = DECODE_TOL) -> SphericalCircle:
+    """The spherical circle one share pins the message to; the one-share case of :func:`_share_planes`."""
+    normals, levels = _share_planes([share], tol)
+    return SphericalCircle(normals[0], float(levels[0]))
 
 
 # --- decoding ----------------------------------------------------------------
@@ -138,7 +148,7 @@ DecodeResult = Unique | TwoCandidates | AmbiguousCircle | Inconsistent
 
 
 def decode(shares: list[Share], tol: float = DECODE_TOL) -> DecodeResult:
-    """Cut the sphere by all share planes at once and classify what survives.
+    """Check the shares as one array, cut the sphere by all their planes at once, classify what survives.
 
     One :func:`~qmask.bloch.cut_sphere` call makes the result independent
     of the share order; a candidate survives within ``tol`` of every
@@ -149,10 +159,7 @@ def decode(shares: list[Share], tol: float = DECODE_TOL) -> DecodeResult:
     """
     if not shares:
         raise InvalidInputError("decode needs at least one share")
-    circles = [share_constraint(s, tol=tol) for s in shares]
-    hit = cut_sphere(
-        np.vstack([c.normal for c in circles]), np.array([c.offset for c in circles]), tol
-    )
+    hit = cut_sphere(*canonical_planes(*_share_planes(shares, tol)), tol)
     if isinstance(hit, Circle):
         return AmbiguousCircle(hit.circle)
     if isinstance(hit, SinglePoint):

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations, permutations
 
 import numpy as np
@@ -9,6 +10,7 @@ from qmask import (
     AmbiguousCircle,
     AngleState,
     CorruptShareError,
+    Empty,
     Inconsistent,
     InvalidInputError,
     InvalidSchemeError,
@@ -18,6 +20,7 @@ from qmask import (
     TwoCandidates,
     Unique,
     angles_to_bloch,
+    build_masker,
     circles_equal,
     decode,
     encode,
@@ -28,8 +31,11 @@ from qmask import (
     predicted_reduced,
     preset_scheme,
     preset_schemes,
+    reduced_pair,
     share_constraint,
 )
+from qmask import protocol
+from qmask.bloch import CANON_EPS
 from _helpers import random_params, random_state
 
 maskers = st.builds(
@@ -109,6 +115,74 @@ def test_share_constraint_rejects_bad_trace():
     share = Share(MaskerParams(0.3, 0.7), np.array([[0.9, 0.1], [0.1, 0.1]], dtype=complex))
     with pytest.raises(CorruptShareError):
         share_constraint(share)
+
+
+angles = st.floats(0.0, 2 * np.pi, exclude_max=True)
+edge_maskers = st.builds(
+    MaskerParams,
+    st.one_of(st.just(0.0), st.just(np.pi / 2), st.floats(0.0, np.pi, exclude_max=True)),
+    st.one_of(st.just(float(np.nextafter(2 * np.pi, 0.0))), angles),
+)
+
+
+@given(
+    st.one_of(st.just(0.0), st.just(np.pi), st.floats(0.0, np.pi)),
+    angles,
+    st.lists(edge_maskers, min_size=1, max_size=8),
+    st.booleans(),
+)
+def test_stacked_encode_and_decode_equal_the_single_share_path(x, y, params, tie):
+    if tie:
+        # a vertical masker (pi/2, t) at y = t + pi/2 puts the level within CANON_EPS of 0
+        params[0] = MaskerParams(np.pi / 2, params[0].theta)
+        y = (params[0].theta + np.pi / 2) % (2 * np.pi)
+    message = AngleState(x, y)
+    shares = encode(message, Scheme(tuple(params)))
+    for p, share in zip(params, shares):
+        assert np.array_equal(share.rho_b, reduced_pair(build_masker(p).apply(message.x, message.y))[1])
+    circles = [share_constraint(s) for s in shares]
+    if tie:
+        assert abs(circles[0].offset) <= CANON_EPS
+    planes = []
+
+    def record(normals, offsets, tol):
+        planes.append((normals, offsets))
+        return Empty()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "cut_sphere", record)
+        decode(shares)
+    normals, offsets = planes[0]
+    assert normals.tobytes() == np.array([c.normal for c in circles]).tobytes()
+    assert offsets.tobytes() == np.array([c.offset for c in circles]).tobytes()
+
+
+def _tampered(share, delta):
+    return Share(share.masker, share.rho_b + delta)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        ({2: lambda s: Share(s.masker, np.eye(3) / 3)}, "share reduced state must be a finite 2x2 matrix"),
+        ({6: lambda s: _tampered(s, np.array([[0.0, np.nan], [0.0, 0.0]]))},
+         "share reduced state must be a finite 2x2 matrix"),
+        ({4: lambda s: _tampered(s, np.array([[3e-3, 0.0], [0.0, 0.0]]))},
+         "share reduced state violates the masking structure (worst deviation 3.000e-03)"),
+        ({3: lambda s: _tampered(s, np.array([[0.0, 2e-3j], [0.0, 0.0]])),
+          6: lambda s: _tampered(s, np.array([[0.0, 0.0], [0.0, 7e-3]]))},
+         "share reduced state violates the masking structure (worst deviation 2.000e-03)"),
+        ({5: lambda s: Share(s.masker, np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex))},
+         "share off-diagonal implies impossible level 1.2"),
+    ],
+    ids=["3x3", "nan", "tampered", "two_tampered", "level"],
+)
+def test_decode_names_the_first_corrupt_share_among_valid_ones(corrupt, message):
+    shares = encode(AngleState(1.1, 2.3), general(9))
+    assert len(shares) == 8
+    shares = [corrupt[k](s) if k in corrupt else s for k, s in enumerate(shares)]
+    with pytest.raises(CorruptShareError, match=f"^{re.escape(message)}$"):
+        decode(shares)
 
 
 # --- decode ---------------------------------------------------------------------
