@@ -54,6 +54,9 @@ _PAULI_T = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 1j], [-1j, 0]], [[
 # Gram-matrix allowance for :attr:`GeneralLinearOp.is_isometry`.
 ISOMETRY_TOL = 1e-12
 
+# Both product-form residuals, at unit scale, must stay below this.
+PRODUCT_FORM_TOL = 1e-10
+
 
 def isometric(columns: np.ndarray) -> np.ndarray:
     """Whether the Gram matrix of each pair of columns, the rows of a (..., 2, 4) stack, is the identity
@@ -265,7 +268,7 @@ class ProductFormReport:
     lam: complex | None = None
 
 
-def product_form_diagnosis(op: GeneralLinearOp, tol: float = 1e-10) -> ProductFormReport:
+def product_form_diagnosis(op: GeneralLinearOp) -> ProductFormReport:
     """Decided at unit scale (:func:`unit_scaled`); the residuals are scaled back exactly."""
     c, e = _unit_coefficients(op)
     mu0, nu0, mu1, nu1 = c.reshape(4, 2)
@@ -282,11 +285,11 @@ def product_form_diagnosis(op: GeneralLinearOp, tol: float = 1e-10) -> ProductFo
     ]
     orth = float(max(abs(z) for z in cross))
     norm = float(max(abs(z) for z in gram))
-    is_product = orth < tol and norm < tol
+    is_product = orth < PRODUCT_FORM_TOL and norm < PRODUCT_FORM_TOL
     lam = None
     if is_product:
         denom = float(np.vdot(mu0, mu0).real + np.vdot(nu0, nu0).real)
-        if denom > tol:
+        if denom > PRODUCT_FORM_TOL:
             lam = complex((np.vdot(mu0, mu1) + np.vdot(nu0, nu1)) / denom)
     return ProductFormReport(float(np.ldexp(orth, 2 * e)), float(np.ldexp(norm, 2 * e)), is_product, lam)
 

@@ -8,6 +8,11 @@ outputs.
 Exit codes: 0 success, 1 invalid input, 2 I/O error, 3 internal
 invariant violation.  QMASK_TOL overrides the default verification
 tolerance used when checking shares and filtering decode candidates.
+Every tolerance, QMASK_TOL and the --tol and --kappa options alike, must
+be a positive finite number.
+
+decode reads every share file first, then checks all shares at once and
+names the file of the first corrupt one.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import numpy as np
 from . import documents as docs
 from .analysis import (
     Circle,
-    PointPair,
     SinglePoint,
     extract_constraints,
     maskable_set,
@@ -30,14 +34,13 @@ from .analysis import (
 )
 from .bloch import AngleState, bloch_points, bloch_to_angles, canonical_mask_params, sample_circle
 from .crosscheck import agreement_report
-from .errors import InvalidInputError, InvariantViolationError, MaskingError
+from .errors import CorruptShareError, InvalidInputError, InvariantViolationError, check_positive_finite
 from .linalg import reduced_pair
 from .masking import MaskerParams, build_masker, hbar, maskable_circle
 from .oracle import GridSpec, default_kappa, grid_scan, masked_fraction_scaling
 from .protocol import (
     AmbiguousCircle,
     DECODE_TOL,
-    Inconsistent,
     Scheme,
     TwoCandidates,
     Unique,
@@ -45,7 +48,6 @@ from .protocol import (
     encode,
     preset_scheme,
     preset_schemes,
-    share_constraint,
 )
 
 
@@ -64,8 +66,7 @@ def _verification_tol() -> float:
         tol = float(raw)
     except ValueError as exc:
         raise InvalidInputError(f"QMASK_TOL={raw!r} is not a number") from exc
-    if not (tol > 0 and np.isfinite(tol)):
-        raise InvalidInputError(f"QMASK_TOL={raw!r} must be a positive finite number")
+    check_positive_finite(tol, f"QMASK_TOL={raw!r}")
     return tol
 
 
@@ -109,6 +110,7 @@ def _csv_rows(states) -> str:
 
 
 def _class_doc(mask_class) -> dict:
+    """JSON for a :func:`maskable_set` result: a Circle, a SinglePoint or else a PointPair."""
     if isinstance(mask_class, Circle):
         alpha, theta, cval = canonical_mask_params(mask_class.circle)
         return {
@@ -123,13 +125,11 @@ def _class_doc(mask_class) -> dict:
             "point": [float(v) for v in mask_class.point],
             "state": docs.state_to_doc(s),
         }
-    if isinstance(mask_class, PointPair):
-        return {
-            "class": "point_pair",
-            "points": [[float(v) for v in mask_class.p1], [float(v) for v in mask_class.p2]],
-            "states": [docs.state_to_doc(bloch_to_angles(p)) for p in (mask_class.p1, mask_class.p2)],
-        }
-    raise InvalidInputError(f"unknown classification {mask_class!r}")
+    return {
+        "class": "point_pair",
+        "points": [[float(v) for v in mask_class.p1], [float(v) for v in mask_class.p2]],
+        "states": [docs.state_to_doc(bloch_to_angles(p)) for p in (mask_class.p1, mask_class.p2)],
+    }
 
 
 # --- commands -----------------------------------------------------------------
@@ -263,12 +263,13 @@ def _cmd_decode(args) -> int:
     shares = []
     for path in args.shares:
         try:
-            share = docs.share_from_doc(_read_json(path, "share"), where="share")
-            share_constraint(share, tol=tol)
+            shares.append(docs.share_from_doc(_read_json(path, "share"), where="share"))
         except InvalidInputError as exc:
             raise type(exc)(f"{path}: {exc}") from exc
-        shares.append(share)
-    result = decode(shares, tol=tol)
+    try:
+        result = decode(shares, tol=tol)
+    except CorruptShareError as exc:
+        raise CorruptShareError(f"{args.shares[exc.index]}: {exc}") from exc
     if isinstance(result, Unique):
         doc = {"result": "unique", "state": docs.state_to_doc(result.state)}
     elif isinstance(result, TwoCandidates):
@@ -278,10 +279,8 @@ def _cmd_decode(args) -> int:
         }
     elif isinstance(result, AmbiguousCircle):
         doc = {"result": "ambiguous_circle", "circle": docs.circle_to_doc(result.circle)}
-    elif isinstance(result, Inconsistent):
+    else:
         doc = {"result": "inconsistent"}
-    else:  # pragma: no cover
-        raise InvariantViolationError(f"unexpected decode result {result!r}")
     _emit(args, docs.dump(doc))
     return 0
 
@@ -357,9 +356,6 @@ def main(argv=None) -> int:
         print(f"qmask: invariant violation: {exc}", file=sys.stderr)
         return 3
     except InvalidInputError as exc:
-        print(f"qmask: error: {exc}", file=sys.stderr)
-        return 1
-    except MaskingError as exc:
         print(f"qmask: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -8,7 +8,9 @@ comparison between the two lives here.  Agreement holds when
     through the Lipschitz bound), and
   * every flagged node lies inside the tolerance band around the set,
     whose width follows from the constraint stack's singular values and
-    the class's transversality to the sphere.
+    the class's transversality to the sphere.  A single point whose stack
+    has rank below three is a tangent cut, so there the band is the square
+    root of twice the plane tolerance.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import (
+    RANK_TOL,
     Circle,
     GeneralLinearOp,
     PointPair,
+    SinglePoint,
     class_distance,
     constraint_planes,
     maskable_set,
@@ -57,9 +61,13 @@ def agreement_report(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec) ->
         half_chord = float(np.linalg.norm(mask_class.p1 - mask_class.p2)) / 2.0
         trans = 1.0 + 1.0 / max(half_chord, 1e-3)
     else:
-        rank = 3
+        rank = np.count_nonzero(svals > RANK_TOL * svals[0])
         trans = 1.0
-    outer = grid.spacing + np.sqrt(2.0) * tol / svals[rank - 1] * trans
+    band = np.sqrt(2.0) * tol / svals[rank - 1] * trans
+    if isinstance(mask_class, SinglePoint) and rank < 3:
+        # the anchored cut is tangent at p0, so a flagged p has |p - p0|^2 / 2 = 1 - p . p0 <= band
+        band = np.sqrt(2.0 * band)
+    outer = grid.spacing + band
     max_dist = float(dist[flagged].max()) if flagged.any() else 0.0
     sound = max_dist <= outer
 

@@ -2,8 +2,9 @@
 
 Structured data travels as JSON; plot point streams travel as CSV (see
 the cli module).  Floats are emitted with Python's shortest round-trip
-representation, so every document reloads bit-identically, and writers
-are deterministic: fixed key order, no timestamps, LF newlines.
+representation, so every document reloads bit-identically; NaN and
+infinity, which JSON lacks, are never written.  Writers are
+deterministic: fixed key order, no timestamps, LF newlines.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ import numpy as np
 
 from .analysis import GeneralLinearOp
 from .bloch import AngleState, SphericalCircle
-from .errors import InvalidInputError
+from .errors import InvalidInputError, InvariantViolationError
 from .masking import MaskerParams
 from .protocol import Share
 
 OPERATOR_KEYS = ("a0", "a1", "b0", "b1", "c0", "c1", "d0", "d1")
-_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
 
 
 def _field(doc: dict, key: str, where: str) -> Any:
@@ -111,8 +112,14 @@ def circle_from_doc(doc: dict, where: str = "circle") -> SphericalCircle:
 
 
 def dump(doc: Any) -> str:
-    """Deterministic JSON text: two-space indent, LF newline at the end, from one shared encoder."""
-    return _ENCODER.encode(doc) + "\n"
+    """Deterministic JSON text: two-space indent, LF newline at the end, from one shared encoder.
+
+    A NaN or infinity would make the text invalid JSON; it raises InvariantViolationError instead.
+    """
+    try:
+        return _ENCODER.encode(doc) + "\n"
+    except ValueError as exc:
+        raise InvariantViolationError(f"document is not valid JSON: {exc}") from exc
 
 
 def load_text(text: str, where: str = "document") -> Any:

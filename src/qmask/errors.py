@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the check that a tolerance is usable.
 
 The CLI maps these onto its exit-code contract: invalid input -> 1,
 I/O failures (plain OSError) -> 2, internal invariant violations -> 3.
 """
+
+import math
 
 
 class MaskingError(Exception):
@@ -22,7 +24,11 @@ class EmptyCircleError(InvalidInputError):
 
 
 class CorruptShareError(InvalidInputError):
-    """A secret-sharing share whose reduced state violates the masking structure."""
+    """A share whose reduced state violates the masking structure; ``index`` is its position in the checked list."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class InvalidSchemeError(InvalidInputError):
@@ -31,3 +37,9 @@ class InvalidSchemeError(InvalidInputError):
 
 class InvariantViolationError(MaskingError):
     """An internal consistency check failed (e.g. a nonzero operator classifying as full-sphere)."""
+
+
+def check_positive_finite(value: float, name: str) -> None:
+    """The one rule for a tolerance given from outside: InvalidInputError unless it is positive and finite."""
+    if not (value > 0 and math.isfinite(value)):
+        raise InvalidInputError(f"{name} must be a positive finite number")

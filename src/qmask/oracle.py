@@ -35,7 +35,7 @@ import numpy as np
 
 from .analysis import GeneralLinearOp, operator_scale, unit_scaled
 from .bloch import AngleState
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_positive_finite
 from .linalg import ENTRY_WEIGHTS, reduced_entries
 
 DEFAULT_REGION = ((0.0, float(np.pi)), (0.0, float(2.0 * np.pi)))
@@ -106,7 +106,8 @@ def grid_deviations(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec):
 def grid_scan(
     op: GeneralLinearOp, anchor: AngleState, grid: GridSpec, tol: float
 ) -> list[AngleState]:
-    """All grid states whose raw reduced pair matches the anchor's within tol."""
+    """All grid states whose raw reduced pair matches the anchor's within tol, a positive finite number."""
+    check_positive_finite(tol, f"tol={tol}")
     i, j = np.nonzero(grid_deviations(op, anchor, grid).reshape(grid.nx, grid.ny) <= tol)
     xs, ys = grid.axes()
     return [AngleState(float(x), float(y)) for x, y in zip(xs[i], ys[j])]
@@ -139,8 +140,7 @@ def masked_fraction_scaling(
     """
     if kappa is None:
         kappa = default_kappa(op)
-    if kappa <= 0:
-        raise InvalidInputError("kappa must be positive")
+    check_positive_finite(kappa, f"kappa={kappa}")
     if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
         raise InvalidInputError("resolutions must be strictly increasing")
     out = []

@@ -37,7 +37,7 @@ from .bloch import (
     cut_sphere,
     mask_normals,
 )
-from .errors import CorruptShareError, InvalidInputError, InvalidSchemeError
+from .errors import CorruptShareError, InvalidInputError, InvalidSchemeError, check_positive_finite
 from .linalg import reduced_pair
 from .masking import MaskerParams, masker_columns
 
@@ -84,8 +84,9 @@ def encode(message: AngleState, scheme: Scheme) -> list[Share]:
 
 def _share_planes(shares: list[Share], tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Check all shares as one array; normals (k, 3) and levels c = 2 Re(rho_b[0,1]) of their level sets.
-    The first share that is not a finite 2x2 matrix, is off the masking structure by more than tol,
-    or has |c| > 1 + tol raises CorruptShareError; c is then clipped to [-1, 1]."""
+    tol must be positive and finite.  The first share that is not a finite 2x2 matrix, is off the masking structure by more than tol,
+    or has |c| > 1 + tol raises CorruptShareError with its index; c is then clipped to [-1, 1]."""
+    check_positive_finite(tol, f"tol={tol}")
     rhos = [np.asarray(s.rho_b, dtype=complex) for s in shares]
     # a wrong shape is reported as a non-finite matrix, with the same message
     rho = np.array([r if r.shape == (2, 2) else np.full((2, 2), np.nan) for r in rhos])
@@ -103,13 +104,14 @@ def _share_planes(shares: list[Share], tol: float) -> tuple[np.ndarray, np.ndarr
     if np.count_nonzero(bad):
         i = int(np.argmax(bad))
         if malformed[i]:
-            raise CorruptShareError("share reduced state must be a finite 2x2 matrix")
+            raise CorruptShareError("share reduced state must be a finite 2x2 matrix", i)
         if worst[i] > tol:
             raise CorruptShareError(
                 "share reduced state violates the masking structure "
-                f"(worst deviation {worst[i]:.3e})"
+                f"(worst deviation {worst[i]:.3e})",
+                i,
             )
-        raise CorruptShareError(f"share off-diagonal implies impossible level {float(c[i])!r}")
+        raise CorruptShareError(f"share off-diagonal implies impossible level {float(c[i])!r}", i)
     alpha, theta = np.array([(s.masker.alpha, s.masker.theta) for s in shares]).T
     return mask_normals(alpha, theta), np.clip(c, -1.0, 1.0)
 

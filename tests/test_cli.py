@@ -1,12 +1,15 @@
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qmask import GeneralLinearOp, MaskerParams, build_masker
 from qmask import documents as docs
+from qmask import protocol
 from qmask.cli import main
-from _helpers import identity_embedding
+from _helpers import identity_embedding, random_op, rank_two_op
 
 
 def run(capsys, *argv):
@@ -114,6 +117,43 @@ def test_analyze_with_oracle_scan(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["oracle"]["agreement"] == "OK"
     assert doc["oracle"]["flagged"] >= 1
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _rank_two_found_op():
+    rng = np.random.default_rng(11)
+    random_op(rng), random_op(rng)
+    return rank_two_op(rng)
+
+
+@pytest.mark.parametrize(
+    "op, x, scan",
+    [
+        (build_masker(MaskerParams(0.0, 0.0)), "0", "50"),  # masker (0, 0) at the pole: sigma_3 = 0
+        (_rank_two_found_op(), "1.5707963267948966", "37"),  # rank two: sigma_3 is rounding noise
+    ],
+    ids=["pole_masker", "rank_two"],
+)
+def test_analyze_scan_tangent_single_point_band(tmp_path, capsys, op, x, scan):
+    # a single point whose constraint stack has rank below three is a tangent cut; its band
+    # must stay finite and cover every flagged node, without a division by zero
+    op_path = write_operator(tmp_path / "op.json", op)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run(capsys, "analyze", "--operator", op_path, "--x", x, "--y", "0", "--scan", scan)
+    assert code == 0
+    doc = _strict_json(out)
+    assert doc["maskable_set"]["class"] == "single_point"
+    oracle = doc["oracle"]
+    assert np.isfinite(oracle["band_bound"])
+    assert oracle["band_bound"] >= oracle["max_distance_to_class"]
+    assert oracle["agreement"] == "OK"
 
 
 def test_analyze_rejects_zero_operator(tmp_path, capsys):
@@ -265,6 +305,54 @@ def test_decode_corrupt_share_names_file(tmp_path, capsys):
     assert "bad.json" in err
 
 
+def _share_files(tmp_path, capsys, scheme):
+    _, out, _ = run(capsys, "share", "--scheme", scheme, "--x", "1.1", "--y", "2.3", "--out", str(tmp_path / "shares"))
+    return json.loads(out)["shares"]
+
+
+def _tamper(path, delta):
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc["rho_b"][0][0][0] += delta
+    Path(path).write_text(docs.dump(doc), encoding="utf-8")
+
+
+def test_decode_names_the_file_of_the_first_corrupt_share(tmp_path, capsys):
+    paths = _share_files(tmp_path, capsys, "general:9")
+    assert len(paths) == 8
+    _tamper(paths[4], 3e-3)
+    message = "share reduced state violates the masking structure (worst deviation {})"
+    code, out, err = run(capsys, "decode", *paths)
+    assert (code, out) == (1, "")
+    assert err == f"qmask: error: {paths[4]}: {message.format('3.000e-03')}\n"
+    _tamper(paths[2], 7e-3)
+    code, out, err = run(capsys, "decode", *paths)
+    assert (code, out) == (1, "")
+    assert err == f"qmask: error: {paths[2]}: {message.format('7.000e-03')}\n"
+
+
+def test_decode_checks_each_share_once(tmp_path, capsys, monkeypatch):
+    from qmask import cli as cli_module
+
+    paths = _share_files(tmp_path, capsys, "general:9")
+    one_share_checks, array_checks = [], []
+    share_constraint, share_planes = protocol.share_constraint, protocol._share_planes
+
+    def counting_share_constraint(share, tol=protocol.DECODE_TOL):
+        one_share_checks.append(share)
+        return share_constraint(share, tol)
+
+    def counting_share_planes(shares, tol):
+        array_checks.append(len(shares))
+        return share_planes(shares, tol)
+
+    monkeypatch.setattr(protocol, "share_constraint", counting_share_constraint)
+    monkeypatch.setattr(cli_module, "share_constraint", counting_share_constraint, raising=False)
+    monkeypatch.setattr(protocol, "_share_planes", counting_share_planes)
+    code, out, _ = run(capsys, "decode", *paths)
+    assert code == 0 and json.loads(out)["result"] == "unique"
+    assert one_share_checks == [] and array_checks == [len(paths)]
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "decode", "does-not-exist.json")
     assert code == 2
@@ -307,6 +395,37 @@ def test_qmask_tol_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QMASK_TOL", "banana")
     code, _, err = run(capsys, "decode", str(slightly_off))
     assert code == 1 and "QMASK_TOL" in err
+
+
+# no comparison with NaN holds, every one with inf does, and no honest share is within 0 or less
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["decode", "--tol", "nan"], "tol=nan"),
+        (["decode", "--tol", "inf"], "tol=inf"),
+        (["decode", "--tol", "-1"], "tol=-1.0"),
+        (["decode", "--tol", "0"], "tol=0.0"),
+        (["scan", "--tol", "nan"], "tol=nan"),
+        (["scan", "--fractions", "10,20", "--kappa", "nan"], "kappa=nan"),
+    ],
+    ids=["decode_nan", "decode_inf", "decode_negative", "decode_zero", "scan_nan", "fractions_kappa_nan"],
+)
+def test_tolerance_options_must_be_positive_and_finite(tmp_path, capsys, argv, shown):
+    if argv[0] == "decode":
+        argv = argv + _share_files(tmp_path, capsys, "fig1_axes")
+    else:
+        op_path = write_operator(tmp_path / "op.json", identity_embedding())
+        argv = argv + ["--operator", op_path, "--x", "1.2", "--y", "2.5", "--nx", "10", "--ny", "20"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"qmask: error: {shown} must be a positive finite number\n")
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-1", "0"])
+def test_qmask_tol_must_be_positive_and_finite(tmp_path, capsys, monkeypatch, raw):
+    paths = _share_files(tmp_path, capsys, "fig1_axes")
+    monkeypatch.setenv("QMASK_TOL", raw)
+    code, out, err = run(capsys, "decode", *paths)
+    assert (code, out, err) == (1, "", f"qmask: error: QMASK_TOL={raw!r} must be a positive finite number\n")
 
 
 def test_presets_command(capsys):

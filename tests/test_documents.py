@@ -4,6 +4,7 @@ import pytest
 from qmask import (
     AngleState,
     InvalidInputError,
+    InvariantViolationError,
     Scheme,
     SphericalCircle,
     encode,
@@ -58,6 +59,15 @@ def test_dump_is_deterministic():
     doc = {"b": 1.0 / 3.0, "a": {"im": -0.1, "re": 2.0}}
     assert docs.dump(doc) == docs.dump({"a": {"re": 2.0, "im": -0.1}, "b": 1.0 / 3.0})
     assert docs.dump(doc).endswith("\n")
+
+
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")])
+def test_dump_never_writes_nan_or_infinity(value):
+    # JSON has no such numbers; emitting them would make the document unreadable to strict parsers
+    with pytest.raises(InvariantViolationError):
+        docs.dump(value)
+    with pytest.raises(InvariantViolationError):
+        docs.dump({"oracle": {"band_bound": value}})
 
 
 def test_missing_field_diagnostics():

@@ -125,8 +125,18 @@ def test_grid_scan_identity_embedding_isolated():
 
 def test_grid_scan_vacuous_tolerance():
     grid = GridSpec(10, 20)
-    hits = grid_scan(masker_op(1.0, 1.0), AngleState(0.4, 0.4), grid, tol=np.inf)
+    # the largest finite tolerance; an infinite one is rejected (test_tolerances_must_be_positive_and_finite)
+    hits = grid_scan(masker_op(1.0, 1.0), AngleState(0.4, 0.4), grid, tol=np.finfo(float).max)
     assert len(hits) == grid.nx * grid.ny
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
+def test_tolerances_must_be_positive_and_finite(tol):
+    op, anchor = identity_embedding(), AngleState(1.0, 1.0)
+    with pytest.raises(InvalidInputError, match=f"^tol={tol} must be a positive finite number$"):
+        grid_scan(op, anchor, GridSpec(10, 20), tol)
+    with pytest.raises(InvalidInputError, match=f"^kappa={tol} must be a positive finite number$"):
+        masked_fraction_scaling(op, anchor, [10, 20], kappa=tol)
 
 
 def test_grid_scan_monotone_in_tolerance():

@@ -107,8 +107,9 @@ def test_share_constraint_rejects_tampering():
         MaskerParams(0.3, 0.7),
         np.array([[0.5, 0.7j], [-0.7j, 0.5]], dtype=complex),
     )
-    with pytest.raises(CorruptShareError):
+    with pytest.raises(CorruptShareError) as excinfo:
         share_constraint(share)
+    assert excinfo.value.index == 0
 
 
 def test_share_constraint_rejects_bad_trace():
@@ -181,8 +182,18 @@ def test_decode_names_the_first_corrupt_share_among_valid_ones(corrupt, message)
     shares = encode(AngleState(1.1, 2.3), general(9))
     assert len(shares) == 8
     shares = [corrupt[k](s) if k in corrupt else s for k, s in enumerate(shares)]
-    with pytest.raises(CorruptShareError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(CorruptShareError, match=f"^{re.escape(message)}$") as excinfo:
         decode(shares)
+    assert excinfo.value.index == min(corrupt)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
+def test_share_checks_reject_a_tolerance_that_is_not_positive_and_finite(tol):
+    shares = encode(AngleState(1.1, 2.3), fig1_axes())
+    for check in (lambda: decode(shares, tol=tol), lambda: share_constraint(shares[0], tol=tol)):
+        with pytest.raises(InvalidInputError, match=f"^tol={tol} must be a positive finite number$") as excinfo:
+            check()
+        assert not isinstance(excinfo.value, CorruptShareError)
 
 
 # --- decode ---------------------------------------------------------------------
