@@ -231,20 +231,15 @@ def maskable_set(op: GeneralLinearOp, anchor: AngleState) -> MaskableClass:
 
 
 def class_distance(mask_class: MaskableClass, points) -> np.ndarray:
-    """Euclidean distance from Bloch point(s) to a classified maskable set."""
-    p = np.atleast_2d(np.asarray(points, dtype=float))
+    """Euclidean distance from Bloch points (..., 3) to a classified maskable set, shape (...)."""
+    p = np.asarray(points, dtype=float)
     if isinstance(mask_class, SinglePoint):
-        d = np.linalg.norm(p - mask_class.point, axis=1)
-    elif isinstance(mask_class, PointPair):
-        d = np.minimum(
-            np.linalg.norm(p - mask_class.p1, axis=1),
-            np.linalg.norm(p - mask_class.p2, axis=1),
-        )
-    elif isinstance(mask_class, Circle):
-        d = np.atleast_1d(distance_to_circle(mask_class.circle, p))
-    else:
-        raise InvalidInputError(f"not a maskable-set class: {mask_class!r}")
-    return d if d.size > 1 else d[0]
+        return np.linalg.norm(p - mask_class.point, axis=-1)
+    if isinstance(mask_class, PointPair):
+        return np.minimum(np.linalg.norm(p - mask_class.p1, axis=-1), np.linalg.norm(p - mask_class.p2, axis=-1))
+    if isinstance(mask_class, Circle):
+        return distance_to_circle(mask_class.circle, p)
+    raise InvalidInputError(f"not a maskable-set class: {mask_class!r}")
 
 
 # --- product-form diagnosis -------------------------------------------------

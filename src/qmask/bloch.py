@@ -72,9 +72,12 @@ def _norms(p: np.ndarray) -> np.ndarray:
 
 
 def bloch_points(xs, ys) -> np.ndarray:
-    """Unit sphere points (sin x cos y, sin x sin y, cos x): shape (3,) for floats, (N, 3) for arrays."""
+    """Points (sin x cos y, sin x sin y, cos x) of broadcast angles, shape + (3,), one coordinate a block."""
     sx = np.sin(xs)
-    return np.array([sx * np.cos(ys), sx * np.sin(ys), np.cos(xs)]).T
+    px = sx * np.cos(ys)
+    points = np.empty((3,) + px.shape)
+    points[0], points[1], points[2] = px, sx * np.sin(ys), np.cos(xs)
+    return points.transpose((*range(1, points.ndim), 0))
 
 
 def bloch_angles(points) -> tuple[np.ndarray, np.ndarray]:
@@ -182,17 +185,14 @@ def circles_equal(a: SphericalCircle, b: SphericalCircle, tol: float = 1e-9) -> 
 
 
 def distance_to_circle(circle: SphericalCircle, p) -> np.ndarray:
-    """Euclidean 3-space distance from point(s) to the circle's point set.
+    """Euclidean 3-space distance from points (..., 3) to the circle's point set, shape (...).
 
-    Accepts a single 3-vector or an (N, 3) array.  A degenerate point
-    circle reduces to plain point distance.
+    A degenerate point circle reduces to plain point distance.
     """
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-    axial = p @ circle.normal - circle.offset
-    in_plane = p - np.outer(p @ circle.normal, circle.normal)
-    rho = np.linalg.norm(in_plane, axis=1)
-    d = np.sqrt(axial**2 + (rho - circle.radius) ** 2)
-    return d if d.size > 1 else d[0]
+    p = np.asarray(p, dtype=float)
+    height = p @ circle.normal
+    rho = np.linalg.norm(p - height[..., None] * circle.normal, axis=-1)
+    return np.sqrt((height - circle.offset) ** 2 + (rho - circle.radius) ** 2)
 
 
 def circle_from_mask_params(alpha: float, theta: float, cval: float) -> SphericalCircle:

@@ -204,7 +204,7 @@ def _cmd_scan(args) -> int:
         try:
             resolutions = [int(v) for v in args.fractions.split(",")]
         except ValueError as exc:
-            raise InvalidInputError(f"--fractions must be comma-separated integers") from exc
+            raise InvalidInputError("--fractions must be comma-separated integers") from exc
         rows = masked_fraction_scaling(op, anchor, resolutions, kappa=args.kappa)
         doc = {
             "anchor": docs.state_to_doc(anchor),

@@ -11,6 +11,8 @@ comparison between the two lives here.  Agreement holds when
     the class's transversality to the sphere.  A single point whose stack
     has rank below three is a tangent cut, so there the band is the square
     root of twice the plane tolerance.
+
+The grid's Bloch points are one broadcast ``bloch_points`` call on the grid axes.
 """
 
 from __future__ import annotations
@@ -27,17 +29,9 @@ from .analysis import (
     constraint_planes,
     maskable_set,
 )
-from .bloch import AngleState
+from .bloch import AngleState, bloch_points
 from .linalg import ENTRY_WEIGHTS
 from .oracle import GridSpec, default_kappa, grid_deviations
-
-
-def _grid_points(grid: GridSpec) -> np.ndarray:
-    """``bloch_points(*grid.points())``, bit for bit, built from the two axes."""
-    xs, ys = grid.axes()
-    sin_x = np.sin(xs)[:, None]
-    cos_x = np.broadcast_to(np.cos(xs)[:, None], (grid.nx, grid.ny))
-    return np.array([sin_x * np.cos(ys), sin_x * np.sin(ys), cos_x]).reshape(3, -1).T
 
 
 def agreement_report(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec) -> dict:
@@ -46,7 +40,8 @@ def agreement_report(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec) ->
     tol = default_kappa(op) * grid.spacing
 
     flagged = grid_deviations(op, anchor, grid) <= tol
-    dist = np.atleast_1d(class_distance(mask_class, _grid_points(grid)))
+    xs, ys = grid.axes()
+    dist = class_distance(mask_class, bloch_points(xs[:, None], ys).reshape(-1, 3))
 
     complete = bool(np.all(flagged[dist <= grid.spacing * (1 - 1e-9)]))
 

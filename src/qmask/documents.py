@@ -32,9 +32,13 @@ def _field(doc: dict, key: str, where: str) -> Any:
     return doc[key]
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _real(doc: dict, key: str, where: str) -> float:
     value = _field(doc, key, where)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _number(value):
         raise InvalidInputError(f"{where}: field {key!r} must be a number, got {value!r}")
     return float(value)
 
@@ -76,28 +80,24 @@ def matrix_to_doc(m: np.ndarray) -> list:
 
 
 def matrix_from_doc(doc, where: str = "matrix") -> np.ndarray:
+    """Exactly two rows of two [re, im] pairs of numbers, as a 2x2 complex matrix."""
     try:
-        rows = [
-            [complex(float(doc[i][j][0]), float(doc[i][j][1])) for j in range(2)]
-            for i in range(2)
-        ]
-    except (TypeError, ValueError, IndexError, KeyError) as exc:
-        raise InvalidInputError(f"{where}: expected a 2x2 array of [re, im] pairs") from exc
-    return np.array(rows, dtype=complex)
+        ((a, b), (c, d)), ((e, f), (g, h)) = doc
+        parts = (a, b, c, d, e, f, g, h)
+    except (TypeError, ValueError):
+        parts = ()
+    if not (parts and all(map(_number, parts))):
+        raise InvalidInputError(f"{where}: expected a 2x2 array of [re, im] pairs")
+    return np.array([[complex(a, b), complex(c, d)], [complex(e, f), complex(g, h)]])
 
 
 def share_to_doc(share: Share) -> dict:
-    return {
-        "alpha": share.masker.alpha,
-        "theta": share.masker.theta,
-        "rho_b": matrix_to_doc(share.rho_b),
-    }
+    return {**masker_to_doc(share.masker), "rho_b": matrix_to_doc(share.rho_b)}
 
 
 def share_from_doc(doc: dict, where: str = "share") -> Share:
-    masker = MaskerParams(_real(doc, "alpha", where), _real(doc, "theta", where))
-    rho_b = matrix_from_doc(_field(doc, "rho_b", where), f"{where}.rho_b")
-    return Share(masker=masker, rho_b=rho_b)
+    masker = masker_from_doc(doc, where)
+    return Share(masker=masker, rho_b=matrix_from_doc(_field(doc, "rho_b", where), f"{where}.rho_b"))
 
 
 def circle_to_doc(circle: SphericalCircle) -> dict:

@@ -12,7 +12,9 @@ qubit B.  Every other module inherits this convention; a 4-vector
 :func:`_kernel` is the one place these traces are computed, for one vector
 or a stack, in real arithmetic in ``einsum``'s unfused order (see
 :func:`_columns`).  Norm 1 is not required: unnormalized images are traced
-as they are.
+as they are.  Two reduced pairs are compared through their entries:
+:func:`frobenius_distances` is the one rule that turns entry differences
+into the Frobenius distances of rho_A and rho_B.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ ENTRY_LABELS = (
     "rhoB.re00", "rhoB.re11", "rhoB.re01", "rhoB.im01",
 )
 ENTRY_WEIGHTS = np.array([1.0, 1.0, np.sqrt(2), np.sqrt(2), 1.0, 1.0, np.sqrt(2), np.sqrt(2)])
+# Row k sums the squared weighted entry differences of rho_A (k = 0) or rho_B (k = 1)
+_SQUARED_WEIGHTS = np.kron(np.eye(2), ENTRY_WEIGHTS[:4] ** 2)
 
 
 def _columns(slots) -> np.ndarray:
@@ -83,6 +87,11 @@ def reduced_entries(psi) -> np.ndarray:
     """The entries ENTRY_LABELS of :func:`reduced_pair`, bit for bit: shape (8,) or (N, 8)."""
     psi = np.asarray(psi)
     return _kernel(psi, *_ENTRIES).T.reshape(psi.shape[:-1] + (8,))
+
+
+def frobenius_distances(diff) -> np.ndarray:
+    """The rho_A and rho_B Frobenius norms, (2,) or (2, N), of ENTRY_LABELS differences (8,) or (8, N)."""
+    return np.sqrt(_SQUARED_WEIGHTS @ (diff * diff))
 
 
 def reduced_pair(psi) -> tuple[np.ndarray, np.ndarray]:

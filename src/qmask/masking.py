@@ -48,7 +48,7 @@ from .bloch import (
 )
 from .analysis import GeneralLinearOp, isometric
 from .errors import InvalidInputError, InvariantViolationError
-from .linalg import TOL_EQUALITY, reduced_pair
+from .linalg import TOL_EQUALITY, frobenius_distances, reduced_entries
 
 
 @dataclass(frozen=True)
@@ -148,9 +148,8 @@ def verify_mask(op: GeneralLinearOp, states: list[AngleState], tol: float = TOL_
         raise InvalidInputError("verify_mask needs at least one state")
     xs = np.array([s.x for s in states])
     ys = np.array([s.y for s in states])
-    rho_a, rho_b = reduced_pair(op.apply(xs, ys))
-    dev_a = np.linalg.norm(rho_a - rho_a[0], axis=(1, 2))
-    dev_b = np.linalg.norm(rho_b - rho_b[0], axis=(1, 2))
+    entries = reduced_entries(op.apply(xs, ys))
+    dev_a, dev_b = frobenius_distances((entries - entries[0]).T)
     max_a, max_b = float(dev_a.max()), float(dev_b.max())
     ok = max_a <= tol and max_b <= tol
     offenders = np.flatnonzero((dev_a[1:] > tol) | (dev_b[1:] > tol))

@@ -1,8 +1,8 @@
 """Brute-force grid verification of masked sets, independent of the analysis path.
 
 Membership here is decided by definition alone: map each grid state
-through the operator, take both raw reduced matrices directly, and
-compare against the anchor's pair in Frobenius norm.  Nothing in this
+through the operator, trace out each qubit, and compare the raw reduced
+pair against the anchor's in Frobenius norm.  Nothing in this
 module calls the constraint extraction or the classifier -- that
 independence is the point, so the two paths cross-validate each other.
 The analysis builds its planes in closed form, without the oracle's
@@ -11,7 +11,8 @@ cross-check covers that kernel too.
 
 :func:`grid_deviations` works through blocks of whole x-rows of about
 ``_BLOCK_NODES`` nodes, so it needs little memory beyond its output, and
-takes each Frobenius norm from the entries (see ``linalg.ENTRY_WEIGHTS``).
+takes the Frobenius distances from the entries with
+:func:`qmask.linalg.frobenius_distances`, as ``masking.verify_mask`` does.
 
 The grid tolerance is tied to the spacing (tol = kappa * h) so the
 discrete masked set converges onto the continuum set as the grid is
@@ -36,13 +37,11 @@ import numpy as np
 from .analysis import GeneralLinearOp, operator_scale, unit_scaled
 from .bloch import AngleState
 from .errors import InvalidInputError, check_positive_finite
-from .linalg import ENTRY_WEIGHTS, reduced_entries
+from .linalg import frobenius_distances, reduced_entries
 
 DEFAULT_REGION = ((0.0, float(np.pi)), (0.0, float(2.0 * np.pi)))
 
 _BLOCK_NODES = 8192  # ~1 kB of temporaries per node, so ~8 MB a block
-# Row k sums the squared weighted entry differences of rho_A (k = 0) or rho_B (k = 1)
-_SQUARED_WEIGHTS = np.kron(np.eye(2), ENTRY_WEIGHTS[:4] ** 2)
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ def grid_deviations(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec):
     for i in range(0, grid.nx, rows):
         psi = op.apply(xs[i : i + rows, None], ys)
         d = reduced_entries(psi.reshape(-1, 4)).T - anchor_entries
-        np.sqrt((_SQUARED_WEIGHTS @ (d * d)).max(axis=0), out=dev[i : i + rows].reshape(-1))
+        frobenius_distances(d).max(axis=0, out=dev[i : i + rows].reshape(-1))
     return np.ldexp(dev, 2 * e, out=dev).ravel()
 
 

@@ -10,6 +10,11 @@ def random_state(rng, margin=0.0):
     return AngleState(rng.uniform(margin, np.pi - margin), rng.uniform(0.0, 2 * np.pi))
 
 
+def sphere_state(rng):
+    """A state uniform on the Bloch sphere."""
+    return AngleState(float(np.arccos(rng.uniform(-1.0, 1.0))), rng.uniform(0.0, 2 * np.pi))
+
+
 def random_params(rng):
     return MaskerParams(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2 * np.pi))
 

@@ -11,7 +11,9 @@ from qmask import (
     MaskerParams,
     PointPair,
     SinglePoint,
+    SphericalCircle,
     angles_to_bloch,
+    bloch_points,
     build_masker,
     circles_equal,
     class_distance,
@@ -215,6 +217,29 @@ def test_maskable_set_anchor_always_member():
         anchor = random_state(rng)
         got = maskable_set(op, anchor)
         assert class_distance(got, angles_to_bloch(anchor)) < 1e-9
+
+
+def test_class_distance_to_a_point_pair_is_the_nearer_point():
+    pair = PointPair(np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]))
+    points = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [-0.6, 0.8, 0.0]])
+    assert np.allclose(class_distance(pair, points), [0.0, 0.0, np.sqrt(2.0), np.sqrt(0.8)], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (5,), (2, 3)])
+def test_class_distance_keeps_the_points_leading_shape(shape):
+    rng = np.random.default_rng(12)
+    points = bloch_points(rng.uniform(0.0, np.pi, shape), rng.uniform(0.0, 2 * np.pi, shape))
+    rows = points.reshape(-1, 3)
+    classes = [
+        SinglePoint(bloch_points(1.0, 2.0)),
+        PointPair(bloch_points(0.3, 1.0), bloch_points(2.0, 4.0)),
+        Circle(SphericalCircle(np.array([0.0, 0.6, 0.8]), 0.5)),
+    ]
+    for mask_class in classes:
+        d = class_distance(mask_class, points)
+        assert np.shape(d) == shape  # a (1, 3) stack gives (1,), one 3-vector a scalar
+        by_row = [class_distance(mask_class, p) for p in rows]
+        assert np.allclose(np.reshape(d, -1), by_row, rtol=0, atol=1e-15)
 
 
 def test_maskable_set_scale_invariant_class():

@@ -18,6 +18,7 @@ from qmask import (
     SphericalCircle,
     angles_to_bloch,
     bloch_angles,
+    bloch_points,
     bloch_to_angles,
     canonical_mask_params,
     circle_from_mask_params,
@@ -430,3 +431,32 @@ def test_distance_to_circle():
     equator = SphericalCircle(np.array([0.0, 0.0, 1.0]), 0.0)
     assert distance_to_circle(equator, np.array([1.0, 0.0, 0.0])) < 1e-15
     assert abs(distance_to_circle(equator, np.array([0.0, 0.0, 1.0])) - np.sqrt(2)) < 1e-12
+
+
+def test_distance_to_circle_keeps_the_points_leading_shape():
+    equator = SphericalCircle(np.array([0.0, 0.0, 1.0]), 0.0)
+    assert distance_to_circle(equator, np.array([[0.0, 0.0, 1.0]])).shape == (1,)
+    d = distance_to_circle(equator, bloch_points(np.array([[0.0], [np.pi / 2]]), np.array([0.0, 1.0, 2.0])))
+    assert d.shape == (2, 3)
+    assert np.allclose(d, [[np.sqrt(2)] * 3, [0.0] * 3], rtol=0, atol=1e-15)
+
+
+def test_bloch_points_broadcast_the_angles():
+    xs, ys = np.linspace(0.1, 3.0, 4), np.linspace(0.0, 6.0, 5)
+    assert bloch_points(1.0, 2.0).shape == (3,)
+    assert bloch_points(xs, 2.0).shape == (4, 3)
+    grid = bloch_points(xs[:, None], ys)
+    assert grid.shape == (4, 5, 3)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    assert np.array_equal(grid, bloch_points(gx, gy))
+    assert np.array_equal(grid[:, 2], bloch_points(xs, ys[2]))
+    assert np.allclose(grid[3, 4], [np.sin(3.0) * np.cos(6.0), np.sin(3.0) * np.sin(6.0), np.cos(3.0)], rtol=0, atol=1e-15)
+
+
+def test_circles_equal_across_the_orientation_tie_break():
+    # a component above CANON_EPS decides a's orientation; in b it sits below it, so the next one decides
+    a = SphericalCircle(np.array([2e-12, -0.6, 0.8]), 1e-13)
+    b = SphericalCircle(np.array([-5e-13, 0.6, -0.8]), -1e-13)
+    assert np.linalg.norm(a.normal - b.normal) > 1.0
+    assert circles_equal(a, b) and circles_equal(b, a)
+    assert not circles_equal(a, b, tol=1e-13)

@@ -305,6 +305,15 @@ def test_decode_corrupt_share_names_file(tmp_path, capsys):
     assert "bad.json" in err
 
 
+def test_decode_rejects_a_3x3_share_naming_its_file(tmp_path, capsys):
+    bad = tmp_path / "share_3x3.json"
+    row = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    bad.write_text(docs.dump({"alpha": 0.0, "theta": 0.0, "rho_b": [row, row, row]}), encoding="utf-8")
+    code, out, err = run(capsys, "decode", str(bad))
+    assert (code, out) == (1, "")
+    assert err == f"qmask: error: {bad}: share.rho_b: expected a 2x2 array of [re, im] pairs\n"
+
+
 def _share_files(tmp_path, capsys, scheme):
     _, out, _ = run(capsys, "share", "--scheme", scheme, "--x", "1.1", "--y", "2.3", "--out", str(tmp_path / "shares"))
     return json.loads(out)["shares"]

@@ -91,3 +91,40 @@ def test_operator_rejects_non_dict_complex():
     doc["a0"] = 3.0
     with pytest.raises(InvalidInputError, match="a0"):
         docs.operator_from_doc(doc)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[[0.5, 0, 9], [0.1, 0], [7, 7]], [[0.1, 0], [0.5, 0]], [[1, 1]]],  # a third row, entry and component
+        [[[0.5, 0], [0.1, 0], [0, 0]], [[0.1, 0], [0.5, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]],  # 3x3
+        [[[0.5, 0, 0], [0.1, 0]], [[0.1, 0], [0.5, 0]]],  # an [re, im, junk] triple
+        [[[0.5, 0], [0.1, 0]]],  # one row
+        [[[0.5, 0], [0.1, 0]], [[0.1, 0]]],  # a short row
+        [[[0.5], [0.1, 0]], [[0.1, 0], [0.5, 0]]],  # a lone real part
+        [[[0.5, "0"], [0.1, 0]], [[0.1, 0], [0.5, 0]]],  # a string
+        [[[0.5, True], [0.1, 0]], [[0.1, 0], [0.5, 0]]],  # a boolean
+        {"0": [[0.5, 0], [0.1, 0]], "1": [[0.1, 0], [0.5, 0]]},
+        "ab",
+        None,
+    ],
+)
+def test_matrix_from_doc_accepts_only_two_rows_of_two_pairs(matrix):
+    with pytest.raises(InvalidInputError, match=r"^share\.rho_b: expected a 2x2 array of \[re, im\] pairs$"):
+        docs.matrix_from_doc(matrix, "share.rho_b")
+    with pytest.raises(InvalidInputError, match="rho_b: expected a 2x2 array"):
+        docs.share_from_doc({"alpha": 0.1, "theta": 0.2, "rho_b": matrix})
+
+
+def test_matrix_from_doc_reads_integers_and_floats():
+    m = docs.matrix_from_doc([[[1, 0], [0.25, -0.5]], [[0.25, 0.5], [0, 0]]])
+    assert m.dtype == complex and np.array_equal(m, [[1, 0.25 - 0.5j], [0.25 + 0.5j, 0]])
+    assert np.array_equal(docs.matrix_from_doc(docs.matrix_to_doc(m)), m)
+
+
+def test_share_doc_is_the_masker_doc_plus_rho_b():
+    share, = encode(AngleState(1.1, 2.3), Scheme((random_params(np.random.default_rng(4)),)))
+    doc = docs.share_to_doc(share)
+    assert doc == {**docs.masker_to_doc(share.masker), "rho_b": docs.matrix_to_doc(share.rho_b)}
+    with pytest.raises(InvalidInputError, match="^share: field 'theta' must be a number, got None$"):
+        docs.share_from_doc({**doc, "theta": None})

@@ -13,7 +13,7 @@ from qmask import (
     sample_circle,
     maskable_circle,
 )
-from qmask.linalg import reduced_entries
+from qmask.linalg import frobenius_distances, reduced_entries
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -182,3 +182,15 @@ def test_kernel_emits_no_negative_zero():
     assert negative_zeros(einsum_pair(psi)) == 0
     assert negative_zeros(reduced_entries(psi)) == 0
     assert negative_zeros(reduced_pair(psi)) == 0
+
+
+def test_frobenius_distances_are_the_matrix_norms():
+    rng = np.random.default_rng(21)
+    psi = rng.normal(size=(50, 4)) + 1j * rng.normal(size=(50, 4))
+    entries = reduced_entries(psi)
+    d = frobenius_distances((entries - entries[0]).T)
+    assert d.shape == (2, 50)
+    for k, rho in enumerate(reduced_pair(psi)):
+        reference = np.linalg.norm(rho - rho[0], axis=(1, 2))
+        assert np.allclose(d[k], reference, rtol=1e-15, atol=0)
+    assert np.allclose(frobenius_distances(entries[7] - entries[0]), d[:, 7], rtol=1e-15, atol=0)

@@ -9,6 +9,7 @@ from qmask import (
     GridSpec,
     InvalidInputError,
     MaskerParams,
+    PointPair,
     agreement_report,
     bloch_points,
     build_masker,
@@ -16,13 +17,21 @@ from qmask import (
     grid_deviations,
     grid_scan,
     maskable_circle,
+    maskable_set,
     masked_fraction_scaling,
     operator_scale,
     reduced_pair,
 )
 from qmask import oracle
-from qmask.crosscheck import _grid_points
-from _helpers import identity_embedding, planted_product_op, random_op, random_state
+from _helpers import (
+    identity_embedding,
+    planted_product_op,
+    random_op,
+    random_params,
+    random_state,
+    rank_two_op,
+    sphere_state,
+)
 
 
 def masker_op(alpha, theta):
@@ -49,7 +58,9 @@ def test_grid_spec_axes_build_the_points():
     xs, ys = grid.axes()
     gx, gy = grid.points()
     assert np.array_equal(gx, np.repeat(xs, 7)) and np.array_equal(gy, np.tile(ys, 5))
-    assert np.array_equal(_grid_points(grid), bloch_points(gx, gy))
+    points = bloch_points(xs[:, None], ys).reshape(-1, 3)
+    flat = bloch_points(gx, gy)
+    assert np.array_equal(points, flat) and points.strides == flat.strides
 
 
 def reference_deviations(op, anchor, grid):
@@ -207,6 +218,18 @@ def test_agreement_report_ok_across_operator_kinds():
         rep = agreement_report(op, AngleState(np.pi / 2, 1.3), GridSpec(100, 200))
         assert rep["agreement"] == "OK", rep
         assert rep["flagged"] >= 1
+
+
+def test_agreement_report_point_pair_band_below_the_diameter():
+    # the rank-two case of the seed-0 operator pool, after its general and masker cases;
+    # at 200 x 400 its band is ~2.96, past the sphere's diameter, so soundness cannot fail there
+    rng = np.random.default_rng(0)
+    random_op(rng), sphere_state(rng), random_params(rng), sphere_state(rng)
+    op, anchor = rank_two_op(rng), sphere_state(rng)
+    assert isinstance(maskable_set(op, anchor), PointPair)
+    rep = agreement_report(op, anchor, GridSpec(400, 800))
+    assert rep["agreement"] == "OK", rep
+    assert rep["max_distance_to_class"] <= rep["band_bound"] < 2.0, rep
 
 
 def test_no_neighborhood_is_masked():
