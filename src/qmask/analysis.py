@@ -7,6 +7,9 @@ An operator is given by eight complex coefficients,
 
 or equivalently by the B-side sub-vectors mu0 = (a0, a1), mu1 = (c0, c1)
 attached to the image of |0>, and nu0 = (b0, b1), nu1 = (d0, d1) for |1>.
+Every array path takes one layout: the 4x2 matrix M = [[a0, b0], [a1, b1],
+[c0, d0], [c1, d1]], whose columns are the images of |0> and |1> in the
+2a+b amplitude order, or a (..., 4, 2) stack of such matrices.
 
 Each real entry function of the two raw reduced matrices (diagonals,
 real and imaginary parts of the upper off-diagonal, for rho_A and
@@ -29,7 +32,7 @@ on isometries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,28 +61,33 @@ ISOMETRY_TOL = 1e-12
 PRODUCT_FORM_TOL = 1e-10
 
 
-def isometric(columns: np.ndarray) -> np.ndarray:
-    """Whether the Gram matrix of each pair of columns, the rows of a (..., 2, 4) stack, is the identity
+def isometric(m: np.ndarray) -> np.ndarray:
+    """Whether the Gram matrix m^dagger m of each 4x2 matrix of a (..., 4, 2) stack is the identity
     within ISOMETRY_TOL."""
-    gram = columns.conj() @ columns.swapaxes(-1, -2)
+    gram = m.conj().swapaxes(-1, -2) @ m
     return np.abs(gram - np.eye(2)).max(axis=(-2, -1)) <= ISOMETRY_TOL
 
 
-def apply_columns(col0: np.ndarray, col1: np.ndarray, x, y) -> np.ndarray:
-    """Image cos(x/2) col0 + e^{iy} sin(x/2) col1 of the state |(x, y)>: the angles' broadcast shape
-    (floats or arrays) plus a trailing axis of 4 amplitudes; (..., 4) column stacks broadcast against it."""
+def apply_matrix(m: np.ndarray, x, y) -> np.ndarray:
+    """Image cos(x/2) m[:, 0] + e^{iy} sin(x/2) m[:, 1] of the state |(x, y)>: the angles' broadcast shape
+    (floats or arrays) plus a trailing axis of 4 amplitudes; a (k, 4, 2) stack broadcasts against it."""
     w0 = np.cos(x / 2.0)
     w1 = np.exp(1j * y) * np.sin(x / 2.0)
-    return w0[..., None] * col0 + w1[..., None] * col1
+    return w0[..., None] * m[..., 0] + w1[..., None] * m[..., 1]
+
+
+def _blocks(m: np.ndarray) -> np.ndarray:
+    """The sub-vectors [[mu0, nu0], [mu1, nu1]] of a 4x2 operator matrix, as a new (2, 2, 2) array."""
+    return m.reshape(2, 2, 2).swapaxes(1, 2).copy()
 
 
 @dataclass(frozen=True)
 class GeneralLinearOp:
     """An arbitrary nonzero linear map from one qubit into two.
 
-    The 4x2 matrix has columns :attr:`col0` and :attr:`col1`, the images
-    of |0> and |1>; maskers are the operators whose :attr:`is_isometry`
-    holds.
+    The eight coefficient fields are stored once more, at construction, as the
+    read-only 4x2 :attr:`matrix` that every array path reads; maskers are the
+    operators whose :attr:`is_isometry` holds.
     """
 
     a0: complex
@@ -90,65 +98,53 @@ class GeneralLinearOp:
     c1: complex
     d0: complex
     d1: complex
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coeffs = self.coefficients
-        if not np.isfinite(coeffs).all():
+        m = np.array([self.a0, self.b0, self.a1, self.b1, self.c0, self.d0, self.c1, self.d1], complex).reshape(4, 2)
+        peak = np.abs(m.view(float)).max()  # of the real and imaginary parts, NaN if one is NaN
+        if not math.isfinite(peak):
             raise InvalidInputError("operator coefficients must be finite")
-        if not coeffs.any():
+        if peak == 0.0:
             raise InvalidInputError("the zero operator has no maskable-set analysis")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
     @property
     def coefficients(self) -> np.ndarray:
-        return np.array(
-            [self.a0, self.a1, self.b0, self.b1, self.c0, self.c1, self.d0, self.d1],
-            dtype=complex,
-        )
-
-    @property
-    def col0(self) -> np.ndarray:
-        """Image of |0> in the 2a+b amplitude ordering."""
-        return np.array([self.a0, self.a1, self.c0, self.c1], dtype=complex)
-
-    @property
-    def col1(self) -> np.ndarray:
-        """Image of |1>."""
-        return np.array([self.b0, self.b1, self.d0, self.d1], dtype=complex)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The 4x2 matrix with columns col0 and col1."""
-        return np.column_stack([self.col0, self.col1])
+        """a0, a1, b0, b1, c0, c1, d0, d1: the sub-vectors mu0, nu0, mu1, nu1 of the module docstring,
+        read from the matrix as (2, 2, 2) blocks [A-side half][column][B amplitude]."""
+        return _blocks(self.matrix).ravel()
 
     @property
     def is_isometry(self) -> bool:
         """Whether the columns are orthonormal within ISOMETRY_TOL."""
-        return bool(isometric(np.array([self.col0, self.col1])))
+        return bool(isometric(self.matrix))
 
     def apply(self, x, y) -> np.ndarray:
-        """Image of the state |(x, y)>; see :func:`apply_columns`."""
-        return apply_columns(self.col0, self.col1, x, y)
+        """Image of the state |(x, y)>; see :func:`apply_matrix`."""
+        return apply_matrix(self.matrix, x, y)
 
     @classmethod
-    def from_columns(cls, col0, col1) -> "GeneralLinearOp":
-        c0 = np.asarray(col0, dtype=complex)
-        c1 = np.asarray(col1, dtype=complex)
-        if c0.shape != (4,) or c1.shape != (4,):
-            raise InvalidInputError("operator columns must be 4-component vectors")
-        return cls(c0[0], c0[1], c1[0], c1[1], c0[2], c0[3], c1[2], c1[3])
+    def from_matrix(cls, m) -> "GeneralLinearOp":
+        """The operator of a 4x2 matrix, columns the images of |0> and |1>."""
+        m = np.asarray(m, dtype=complex)
+        if m.shape != (4, 2):
+            raise InvalidInputError(f"operator matrix must be 4x2, got shape {m.shape}")
+        return cls(*_blocks(m).ravel().tolist())
 
     @classmethod
     def from_isometry(cls, iso) -> "GeneralLinearOp":
-        """An operator with the columns of ``iso``; a masker already is one, so this copies it."""
-        return cls.from_columns(iso.col0, iso.col1)
+        """An operator with the matrix of ``iso``; a masker already is one, so this copies it."""
+        return cls.from_matrix(iso.matrix)
 
 
 def operator_scale(op: GeneralLinearOp) -> float:
     """Squared Frobenius norm of the 4x2 coefficient matrix.
 
-    Entry functions are quadratic forms in the coefficients, so this is
-    the natural magnitude unit for constraint rows and tolerance scaling
-    (2-norm of the stacked constraint matrix stays below ~0.7x this).
+    Entry functions are quadratic forms in the coefficients, so this is the natural magnitude unit
+    for constraint rows and tolerance scaling (2-norm of the stacked constraint matrix stays below
+    ~0.7x this).  Summed in :attr:`~GeneralLinearOp.coefficients` order, which fixes its rounding.
     Raises InvalidInputError when the sum overflows or underflows.
     """
     with np.errstate(over="ignore"):
@@ -160,11 +156,11 @@ def operator_scale(op: GeneralLinearOp) -> float:
     return scale
 
 
-def _unit_coefficients(op: GeneralLinearOp) -> tuple[np.ndarray, int]:
-    """The coefficients of :func:`unit_scaled` and its e, without building an operator."""
-    c = op.coefficients
-    e = math.frexp(np.abs(c).max())[1] - 1
-    return c / math.ldexp(1.0, e), e
+def _unit_matrix(op: GeneralLinearOp) -> tuple[np.ndarray, int]:
+    """The matrix of :func:`unit_scaled` and its e, without building an operator."""
+    m = op.matrix
+    e = math.frexp(np.abs(m).max())[1] - 1
+    return m / math.ldexp(1.0, e), e
 
 
 def unit_scaled(op: GeneralLinearOp) -> tuple[GeneralLinearOp, int]:
@@ -172,8 +168,8 @@ def unit_scaled(op: GeneralLinearOp) -> tuple[GeneralLinearOp, int]:
 
     Exact; it keeps the quadratic reduced-matrix entries clear of under- and overflow.
     """
-    c, e = _unit_coefficients(op)
-    return GeneralLinearOp(*c.tolist()), e
+    m, e = _unit_matrix(op)
+    return GeneralLinearOp.from_matrix(m), e
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,8 +261,8 @@ class ProductFormReport:
 
 def product_form_diagnosis(op: GeneralLinearOp) -> ProductFormReport:
     """Decided at unit scale (:func:`unit_scaled`); the residuals are scaled back exactly."""
-    c, e = _unit_coefficients(op)
-    mu0, nu0, mu1, nu1 = c.reshape(4, 2)
+    m, e = _unit_matrix(op)
+    (mu0, nu0), (mu1, nu1) = _blocks(m)
     cross = [
         np.vdot(nu0, mu0),
         np.vdot(nu1, mu1),
@@ -302,7 +298,7 @@ def f01_symbolic(op: GeneralLinearOp) -> tuple[complex, complex, complex, comple
     A hand derivation of rows re01 and im01 of :func:`constraint_planes`,
     kept as an independent reference for testing.
     """
-    mu0, nu0, mu1, nu1 = op.coefficients.reshape(4, 2)
+    (mu0, nu0), (mu1, nu1) = _blocks(op.matrix)
     p = (np.vdot(mu1, mu0) - np.vdot(nu1, nu0)) / 2.0
     q = (np.vdot(nu1, mu0) + np.vdot(mu1, nu0)) / 2.0
     h = 1j * (np.vdot(mu1, nu0) - np.vdot(nu1, mu0)) / 2.0

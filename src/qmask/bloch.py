@@ -239,8 +239,6 @@ def canonical_mask_params(circle: SphericalCircle) -> tuple[float, float, float]
         alpha = float(np.pi - alpha)
         theta = float(theta - np.pi)
         c = -c
-    if alpha >= np.pi:
-        alpha = 0.0  # only reachable through rounding at rho ~ 0
     return alpha, theta, float(c) + 0.0
 
 

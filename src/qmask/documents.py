@@ -33,7 +33,9 @@ def _field(doc: dict, key: str, where: str) -> Any:
 
 
 def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether float() converts a document value: a float (NaN and infinity too; the readers' callers
+    reject them) or an int, not a bool, below 2**1024 - 2**970, the least float() rounds past the largest float."""
+    return isinstance(value, float) or (type(value) is int and abs(value) < 2**1024 - 2**970)
 
 
 def _real(doc: dict, key: str, where: str) -> float:
@@ -106,8 +108,8 @@ def circle_to_doc(circle: SphericalCircle) -> dict:
 
 def circle_from_doc(doc: dict, where: str = "circle") -> SphericalCircle:
     n = _field(doc, "n", where)
-    if not isinstance(n, list) or len(n) != 3:
-        raise InvalidInputError(f"{where}: field 'n' must be a 3-element array")
+    if not (isinstance(n, list) and len(n) == 3 and all(map(_number, n))):
+        raise InvalidInputError(f"{where}: field 'n' must be a 3-element array of numbers")
     return SphericalCircle(np.array([float(v) for v in n]), _real(doc, "c", where))
 
 
@@ -127,3 +129,5 @@ def load_text(text: str, where: str = "document") -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{where}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer past the digit limit, or nesting too deep
+        raise InvalidInputError(f"{where}: {exc}") from exc

@@ -23,12 +23,13 @@ spherical circle, so every spherical circle on the Bloch sphere is
 masked by the member of the family sharing its plane normal; any three
 distinct states determine such a circle and hence a common masker.
 
-The masker is represented by its two isometry columns (the images of
-|0> and |1>), not by a unitary dilation on the full two-qubit space:
-with the ancilla input fixed, the 4x2 isometry is the faithful object.
-It is a :class:`~qmask.analysis.GeneralLinearOp` whose ``is_isometry``
-holds, so maskers and arbitrary operators share one type; a scheme of
-maskers is built as one column stack by :func:`masker_columns`.
+The masker is represented by its 4x2 isometry matrix, whose columns
+are the images of |0> and |1>, not by a unitary dilation on the full
+two-qubit space: with the ancilla input fixed, the 4x2 isometry is the
+faithful object.  It is a :class:`~qmask.analysis.GeneralLinearOp` whose
+``is_isometry`` holds, so maskers and arbitrary operators share one type
+and one layout; a scheme of k maskers is built as one (k, 4, 2) stack
+of those matrices by :func:`masker_matrices`.
 """
 
 from __future__ import annotations
@@ -96,28 +97,25 @@ def hbar(params: MaskerParams, s: AngleState) -> float:
     )
 
 
-def masker_columns(alpha, theta) -> tuple[np.ndarray, np.ndarray]:
-    """The isometry columns col0, col1 of the maskers for length-k ``alpha``, ``theta``, as (k, 4) stacks;
+def masker_matrices(alpha, theta) -> np.ndarray:
+    """The (k, 4, 2) stack of the masker matrices for length-k ``alpha``, ``theta``;
     InvariantViolationError if some masker fails the ``is_isometry`` test."""
     a, t = np.asarray([alpha, theta], dtype=float)[:, :, None]
-    half = a / 2.0
-    ca, sa = np.cos(half), np.sin(half)
-    # u0, u1, v0, v1 of the module docstring before their (|0> + |1>) or (|0> - |1>), which signs applies
-    phase = t * [1.0, 1.0, 0.0, 0.0] + [np.pi / 4, -np.pi / 4, np.pi / 4, -np.pi / 4]
-    amplitudes = np.sqrt(2.0) / 2.0 * np.concatenate([ca, sa, -sa, ca], axis=1) * np.exp(1j * phase)
-    signs = np.array([1.0, 1.0, 1.0, -1.0] * 2, dtype=complex)
-    columns = (amplitudes.repeat(2, axis=1) * signs).reshape(-1, 2, 4)
-    ok = isometric(columns)
+    ca, sa = np.cos(a / 2.0), np.sin(a / 2.0)
+    # [[u0, v0], [u1, v1]] of the module docstring before their (|0> + |1>) or (|0> - |1>), which the signs apply
+    phase = t * [1.0, 0.0, 1.0, 0.0] + [np.pi / 4, np.pi / 4, -np.pi / 4, -np.pi / 4]
+    amplitudes = np.sqrt(2.0) / 2.0 * np.concatenate([ca, -sa, sa, ca], axis=1) * np.exp(1j * phase)
+    m = amplitudes.reshape(-1, 2, 2).repeat(2, axis=1) * np.array([[1.0], [1.0], [1.0], [-1.0]], dtype=complex)
+    ok = isometric(m)
     if not ok.all():
         bad = MaskerParams(a[~ok][0, 0], t[~ok][0, 0])
-        raise InvariantViolationError(f"masker columns for {bad} are not orthonormal")
-    return columns[:, 0], columns[:, 1]
+        raise InvariantViolationError(f"masker matrix for {bad} is not isometric")
+    return m
 
 
 def build_masker(params: MaskerParams) -> GeneralLinearOp:
-    """The 4x2 isometry of one (alpha, theta) masker; see :func:`masker_columns`."""
-    col0, col1 = masker_columns([params.alpha], [params.theta])
-    return GeneralLinearOp.from_columns(col0[0], col1[0])
+    """The 4x2 isometry of one (alpha, theta) masker; see :func:`masker_matrices`."""
+    return GeneralLinearOp.from_matrix(masker_matrices([params.alpha], [params.theta])[0])
 
 
 def predicted_reduced(params: MaskerParams, s: AngleState) -> tuple[np.ndarray, np.ndarray]:

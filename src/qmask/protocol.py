@@ -8,11 +8,12 @@ reveals nothing beyond a spherical circle the message must lie on: its
 reduced state is I/2 + (c_k/2)(|0><1| + |1><0|) with c_k the masker's
 invariant at the message, so the circle is the invariant's level set.
 
-A scheme is encoded as one masker stack; receivers check their shares as
-one array and cut the sphere by all share planes at once.  Depending on
-the scheme geometry the survivors are a unique point (the message), a
-point pair that no number of further shares can split (all-vertical
-schemes), or the whole circle when every share repeats one constraint.
+A scheme is encoded as one (k, 4, 2) stack of masker matrices; receivers
+check their shares as one array and cut the sphere by all share planes
+at once.  Depending on the scheme geometry the survivors are a unique
+point (the message), a point pair that no number of further shares can
+split (all-vertical schemes), or the whole circle when every share
+repeats one constraint.
 
 Honest shares whose entries carry noise within the decode tolerance
 still decode: it bounds both the share-structure check and every
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import apply_columns
+from .analysis import apply_matrix
 from .bloch import (
     AngleState,
     Circle,
@@ -39,7 +40,7 @@ from .bloch import (
 )
 from .errors import CorruptShareError, InvalidInputError, InvalidSchemeError, check_positive_finite
 from .linalg import reduced_pair
-from .masking import MaskerParams, masker_columns
+from .masking import MaskerParams, masker_matrices
 
 DECODE_TOL = 1e-8
 
@@ -76,9 +77,9 @@ class Share:
 
 
 def encode(message: AngleState, scheme: Scheme) -> list[Share]:
-    """Mask the message with the scheme's maskers, built as one stack, and collect the B-side shares."""
-    col0, col1 = masker_columns(*np.array([(p.alpha, p.theta) for p in scheme.maskers]).T)
-    _, rho_b = reduced_pair(apply_columns(col0, col1, message.x, message.y))
+    """Mask the message with the scheme's maskers, built as one (k, 4, 2) stack, and collect the B-side shares."""
+    m = masker_matrices(*np.array([(p.alpha, p.theta) for p in scheme.maskers]).T)
+    _, rho_b = reduced_pair(apply_matrix(m, message.x, message.y))
     return [Share(masker=p, rho_b=r) for p, r in zip(scheme.maskers, rho_b)]
 
 

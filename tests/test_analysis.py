@@ -44,6 +44,38 @@ def test_zero_operator_rejected():
         GeneralLinearOp(np.nan, 0, 0, 0, 0, 0, 0, 1)
 
 
+def test_operator_matrix_is_built_once_and_read_only():
+    op = GeneralLinearOp(1, 2j, 3, 4, 5, 6, 7, 8)
+    assert op.matrix is op.matrix and not op.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        op.matrix[0, 0] = 0.0
+    # columns are the images of |0> and |1>; coefficients read the a0..d1 order back
+    assert np.array_equal(op.matrix, [[1, 3], [2j, 4], [5, 7], [6, 8]])
+    assert np.array_equal(op.coefficients, [1, 2j, 3, 4, 5, 6, 7, 8])
+    assert np.array_equal(op.apply(0.0, 0.0), op.matrix[:, 0]) and np.allclose(op.apply(np.pi, 0.0), op.matrix[:, 1])
+
+
+def test_operator_from_matrix_round_trip():
+    op = random_op(np.random.default_rng(21))
+    back = GeneralLinearOp.from_matrix(op.matrix)
+    assert back == op and hash(back) == hash(op)
+    assert GeneralLinearOp.from_isometry(op) == op
+    with pytest.raises(InvalidInputError, match="4x2"):
+        GeneralLinearOp.from_matrix(op.matrix.T)
+
+
+def test_operator_takes_parts_up_to_the_float_maximum():
+    # the finiteness test reads the real and imaginary parts, so |a0| overflowing is not "not finite"
+    big = np.finfo(float).max
+    op = GeneralLinearOp(complex(big, big), 0, 0, 0, 0, 0, 0, -big)
+    assert op.matrix[0, 0] == complex(big, big)
+    with pytest.raises(InvalidInputError, match="overflows"):
+        operator_scale(op)
+    for bad in (complex(np.nan, 1.0), complex(1.0, np.inf), -np.inf):
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            GeneralLinearOp(bad, 0, 0, 0, 0, 0, 0, 1)
+
+
 def test_reduced_pair_raw_matches_masker_closed_form():
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -261,8 +293,8 @@ def _class_parts(mask_class):
 
 def _b_rotated(op, u):
     """The operator followed by the unitary ``u`` on qubit B."""
-    return GeneralLinearOp.from_columns(
-        *((col.reshape(2, 2) @ u.T).ravel() for col in (op.col0, op.col1))
+    return GeneralLinearOp.from_matrix(
+        np.column_stack([(col.reshape(2, 2) @ u.T).ravel() for col in op.matrix.T])
     )
 
 
@@ -276,7 +308,7 @@ def test_maskable_set_metamorphic_scale_phase_and_b_unitary():
         anchor = random_state(rng, margin=0.3)
         ref = maskable_set(op, anchor)
         u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        variants = [GeneralLinearOp.from_columns(k * op.col0, k * op.col1) for k in factors]
+        variants = [GeneralLinearOp.from_matrix(k * op.matrix) for k in factors]
         for got in [maskable_set(v, anchor) for v in variants + [_b_rotated(op, u)]]:
             assert type(got) is type(ref)
             want, have = _class_parts(ref), _class_parts(got)
@@ -332,7 +364,7 @@ def test_product_form_verdict_scale_invariant():
     for op in ops:
         ref = product_form_diagnosis(op)
         for k in (1e-160, 1e-150, 1e150, 1e-100j):
-            got = product_form_diagnosis(GeneralLinearOp.from_columns(k * op.col0, k * op.col1))
+            got = product_form_diagnosis(GeneralLinearOp.from_matrix(k * op.matrix))
             assert got.is_product_form == ref.is_product_form
             assert (got.lam is None) == (ref.lam is None)
             if ref.lam is not None:

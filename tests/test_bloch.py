@@ -38,6 +38,38 @@ angles_y = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True)
 # --- angle state and conversions -------------------------------------------
 
 
+EDGE = 1e-12
+
+
+@pytest.mark.parametrize(
+    "x, y, want",
+    [
+        (-EDGE, 1.0, (0.0, 0.0)),  # x absorbed to the north pole, where y is 0
+        (np.pi + EDGE, 1.0, (np.pi, 0.0)),  # x absorbed to the south pole
+        (1.0, -EDGE, (1.0, 0.0)),
+        (1.0, TWO_PI + EDGE, (1.0, 0.0)),
+        (1.0, TWO_PI, (1.0, 0.0)),
+    ],
+)
+def test_angle_state_absorbs_excursions_up_to_1e_12(x, y, want):
+    s = AngleState(x, y)
+    assert (s.x, s.y) == want
+
+
+@pytest.mark.parametrize(
+    "x, y, message",
+    [
+        (np.nextafter(-EDGE, -1.0), 1.0, r"outside \[0, pi\]"),
+        (np.nextafter(np.pi + EDGE, 4.0), 1.0, r"outside \[0, pi\]"),
+        (1.0, np.nextafter(-EDGE, -1.0), r"outside \[0, 2\*pi\)"),
+        (1.0, np.nextafter(TWO_PI + EDGE, 7.0), r"outside \[0, 2\*pi\)"),
+    ],
+)
+def test_angle_state_rejects_excursions_just_beyond_1e_12(x, y, message):
+    with pytest.raises(InvalidInputError, match=message):
+        AngleState(x, y)
+
+
 def test_angle_state_validation():
     with pytest.raises(InvalidInputError):
         AngleState(-0.5, 0.0)
@@ -185,6 +217,28 @@ def test_canonical_mask_params_great_circle_picks_theta_below_pi():
     assert abs(alpha - np.pi / 2) < 1e-15
     assert abs(theta - np.pi / 2) < 1e-15
     assert cval == 0.0
+
+
+def test_canonical_mask_params_flips_a_minus_z_normal():
+    # the canonical orientation keeps c >= 0, so a circle below the equator has normal -Z
+    circle = SphericalCircle(np.array([0.0, 0.0, 1.0]), -0.5)
+    assert np.array_equal(circle.normal, [0.0, 0.0, -1.0]) and circle.offset == 0.5
+    assert canonical_mask_params(circle) == (0.0, 0.0, -0.5)
+    assert circles_equal(circle_from_mask_params(0.0, 0.0, -0.5), circle, tol=0.0)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.3])
+@pytest.mark.parametrize("pole", [1.0, -1.0])
+def test_canonical_mask_params_alpha_below_pi_near_the_poles(pole, c):
+    # normals within rho of a pole, azimuths on both sides of pi (which the great-circle flip
+    # mirrors): alpha stays in [0, pi) without any clamp, and the parameters give the circle back
+    for rho in np.logspace(-15, -12, 31):
+        for phi in (0.3, np.pi - 1e-9, np.pi + 1e-9, 4.0, 2 * np.pi - 0.3):
+            n = np.array([rho * np.cos(phi), rho * np.sin(phi), pole * np.sqrt(1.0 - rho * rho)])
+            circle = SphericalCircle(n, c)
+            alpha, theta, cval = canonical_mask_params(circle)
+            assert 0.0 <= alpha < np.pi and 0.0 <= theta < 2 * np.pi
+            assert circles_equal(circle_from_mask_params(alpha, theta, cval), circle, tol=1e-12)
 
 
 def test_canonical_mask_params_round_trip():

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -463,3 +464,65 @@ def test_out_flag_writes_file(tmp_path, capsys):
     code, out, _ = run(capsys, "mask", "--alpha", "0", "--theta", "0", "--x", "1", "--y", "1", "--out", str(out_file))
     assert code == 0 and out == ""
     assert json.loads(out_file.read_text())["hbar"] == pytest.approx(np.cos(1.0))
+
+
+def test_analyze_rank_two_operator_point_pair_document(tmp_path, capsys):
+    # a real operator cannot tell y from -y: the anchor shares its reduced pair with its mirror image
+    op_path = write_operator(tmp_path / "op.json", rank_two_op(np.random.default_rng(5)))
+    code, out, _ = run(capsys, "analyze", "--operator", op_path, "--x", "1.1", "--y", "2.3")
+    assert code == 0
+    mask_set = json.loads(out)["maskable_set"]
+    assert mask_set["class"] == "point_pair" and len(mask_set["points"]) == 2
+    states = sorted((s["x"], s["y"]) for s in mask_set["states"])
+    assert np.allclose(states, [(1.1, 2.3), (1.1, 2 * np.pi - 2.3)], atol=1e-9)
+    for point, s in zip(mask_set["points"], mask_set["states"]):
+        x, y = s["x"], s["y"]
+        assert np.allclose(point, [np.sin(x) * np.cos(y), np.sin(x) * np.sin(y), np.cos(x)], atol=1e-12)
+
+
+def test_decode_shares_of_two_messages_inconsistent(tmp_path, capsys):
+    first = _share_files(tmp_path / "first", capsys, "fig1_axes")
+    _, out, _ = run(capsys, "share", "--scheme", "fig1_axes", "--x", "0.4", "--y", "5.0", "--out", str(tmp_path / "second"))
+    second = json.loads(out)["shares"]
+    code, out, err = run(capsys, "decode", first[0], first[1], second[2])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"result": "inconsistent"}
+
+
+@pytest.mark.parametrize("argv", [["no-such-command"], ["mask", "--alpha", "0"], ["decode", "--tol", "abc", "x.json"]])
+def test_usage_errors_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert re.match(r"qmask( \w+)?: error: ", capsys.readouterr().err.splitlines()[-1])
+
+
+HUGE = 10**400  # json.dumps writes its 401 digits, and json.loads reads them back as an int no float holds
+
+
+def _assert_clean_error(code, out, err, field):
+    assert (code, out) == (1, "")
+    assert err.startswith("qmask: error: ") and field in err and "Traceback" not in err
+
+
+def test_decode_share_with_huge_integer_alpha(tmp_path, capsys):
+    path = _share_files(tmp_path, capsys, "fig1_axes")[0]
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    Path(path).write_text(json.dumps({**doc, "alpha": HUGE}), encoding="utf-8")
+    _assert_clean_error(*run(capsys, "decode", path), f"{path}: share: field 'alpha' must be a number")
+
+
+def test_mask_state_file_with_huge_integer(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"x": 1.0, "y": -HUGE}), encoding="utf-8")
+    code, out, err = run(capsys, "mask", "--alpha", "0", "--theta", "0", "--state", str(state))
+    _assert_clean_error(code, out, err, "state: field 'y' must be a number")
+
+
+def test_analyze_operator_file_with_huge_integer(tmp_path, capsys):
+    op_path = write_operator(tmp_path / "op.json", identity_embedding())
+    doc = json.loads(Path(op_path).read_text(encoding="utf-8"))
+    doc["b1"]["im"] = HUGE
+    Path(op_path).write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--operator", op_path, "--x", "1.0", "--y", "2.0")
+    _assert_clean_error(code, out, err, "operator.b1: field 'im' must be a number")

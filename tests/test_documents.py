@@ -128,3 +128,67 @@ def test_share_doc_is_the_masker_doc_plus_rho_b():
     assert doc == {**docs.masker_to_doc(share.masker), "rho_b": docs.matrix_to_doc(share.rho_b)}
     with pytest.raises(InvalidInputError, match="^share: field 'theta' must be a number, got None$"):
         docs.share_from_doc({**doc, "theta": None})
+
+
+HUGE = 10**400  # a JSON integer literal that json.loads keeps as an int no float can hold
+
+
+@pytest.mark.parametrize(
+    "read, doc, message",
+    [
+        (docs.state_from_doc, {"x": HUGE, "y": 0.0}, "^state: field 'x' must be a number"),
+        (docs.masker_from_doc, {"alpha": 0.1, "theta": -HUGE}, "^masker: field 'theta' must be a number"),
+        (
+            docs.operator_from_doc,
+            {**{k: {"re": 1.0, "im": 0.0} for k in docs.OPERATOR_KEYS}, "c1": {"re": 0.0, "im": HUGE}},
+            r"^operator\.c1: field 'im' must be a number",
+        ),
+        (docs.share_from_doc, {"alpha": HUGE, "theta": 0.2, "rho_b": []}, "^share: field 'alpha' must be a number"),
+        (docs.circle_from_doc, {"n": [0.0, 0.0, 1.0], "c": HUGE}, "^circle: field 'c' must be a number"),
+    ],
+)
+def test_readers_reject_integers_beyond_the_float_range(read, doc, message):
+    with pytest.raises(InvalidInputError, match=message):
+        read(doc)
+
+
+def test_matrix_from_doc_rejects_integers_beyond_the_float_range():
+    with pytest.raises(InvalidInputError, match=r"^share\.rho_b: expected a 2x2 array of \[re, im\] pairs$"):
+        docs.matrix_from_doc([[[0.5, 0], [HUGE, 0]], [[0.1, 0], [0.5, 0]]], "share.rho_b")
+
+
+@pytest.mark.parametrize("n", [["0", "0", "1"], [True, 0, 0], [0.0, HUGE, 1.0], [0.0, None, 1.0]])
+def test_circle_from_doc_rejects_normals_that_are_not_numbers(n):
+    with pytest.raises(InvalidInputError, match="^circle: field 'n' must be a 3-element array of numbers$"):
+        docs.circle_from_doc({"n": n, "c": 0.5})
+
+
+def test_circle_from_doc_reads_integer_normals():
+    circle = docs.circle_from_doc({"n": [0, 0, 1], "c": 0})
+    assert np.array_equal(circle.normal, [0.0, 0.0, 1.0]) and circle.offset == 0.0
+
+
+def test_readers_take_every_integer_a_float_holds():
+    # float() rounds integers from 2**1024 - 2**970 on past the largest float, and those below to it
+    edge, big = 2**1024 - 2**970, np.finfo(float).max
+    doc = {**{k: {"re": 0, "im": 0} for k in docs.OPERATOR_KEYS}, "d1": {"re": edge - 1, "im": 1 - edge}}
+    assert docs.operator_from_doc(doc).d1 == complex(big, -big)
+    doc["d1"]["im"] = -edge
+    with pytest.raises(InvalidInputError, match=r"^operator\.d1: field 'im' must be a number"):
+        docs.operator_from_doc(doc)
+
+
+@pytest.mark.parametrize("literal", ["1e400", "NaN", "-Infinity"])
+def test_readers_keep_the_downstream_message_for_nan_and_infinity(literal):
+    with pytest.raises(InvalidInputError, match="^angle coordinates must be finite$"):
+        docs.state_from_doc(docs.load_text(f'{{"x": {literal}, "y": 0}}'))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [('{"alpha": ' + "1" * 5000 + "}", "digits"), ("[" * 100_000, "recursion")],
+    ids=["integer_beyond_the_digit_limit", "deep_nesting"],
+)
+def test_load_text_rejects_what_json_loads_cannot_hold(text, message):
+    with pytest.raises(InvalidInputError, match=rf"^share \(s\.json\): .*{message}"):
+        docs.load_text(text, where="share (s.json)")

@@ -49,8 +49,8 @@ def test_hbar_matches_circle_normal():
 def test_build_masker_alpha_zero_product_images():
     iso = build_masker(MaskerParams(0.0, 0.0))
     # sin(0) kills u1 and v0: |0> image lives on A=|0>, |1> image on A=|1>
-    assert np.abs(iso.col0[2:]).max() == 0.0
-    assert np.abs(iso.col1[:2]).max() == 0.0
+    assert np.abs(iso.matrix[2:, 0]).max() == 0.0
+    assert np.abs(iso.matrix[:2, 1]).max() == 0.0
 
 
 def test_build_masker_half_magnitudes():
@@ -67,19 +67,19 @@ def test_isometry_condition_grid():
 
 
 def test_isometry42_rejects_non_isometry():
-    op = GeneralLinearOp.from_columns(np.array([1, 0, 0, 0], dtype=complex), np.array([1, 0, 0, 0], dtype=complex))
+    op = GeneralLinearOp.from_matrix(np.column_stack([np.array([1, 0, 0, 0], dtype=complex), np.array([1, 0, 0, 0], dtype=complex)]))
     assert op.is_isometry is False
-    op = GeneralLinearOp.from_columns(np.array([2, 0, 0, 0], dtype=complex), np.array([0, 1, 0, 0], dtype=complex))
+    op = GeneralLinearOp.from_matrix(np.column_stack([np.array([2, 0, 0, 0], dtype=complex), np.array([0, 1, 0, 0], dtype=complex)]))
     assert op.is_isometry is False
 
 
 def test_apply_masker_basis_and_superposition():
     iso = build_masker(MaskerParams(1.0, 2.0))
-    assert np.allclose(iso.apply(0.0, 0.0), iso.col0)
-    assert np.allclose(iso.apply(np.pi, 0.0), iso.col1)
+    assert np.allclose(iso.apply(0.0, 0.0), iso.matrix[:, 0])
+    assert np.allclose(iso.apply(np.pi, 0.0), iso.matrix[:, 1])
     psi = build_masker(MaskerParams(0.0, 0.0)).apply(np.pi / 2, 0.0)
     iso0 = build_masker(MaskerParams(0.0, 0.0))
-    assert np.allclose(psi, (iso0.col0 + iso0.col1) / np.sqrt(2))
+    assert np.allclose(psi, (iso0.matrix[:, 0] + iso0.matrix[:, 1]) / np.sqrt(2))
     assert abs(np.vdot(psi, psi) - 1.0) < 1e-14
 
 

@@ -263,7 +263,7 @@ def test_oracle_verdict_and_fractions_scale_invariant():
     ref_fractions = masked_fraction_scaling(op, anchor, [10, 20, 40])
     assert ref["agreement"] == "OK" and 0 < ref["flagged"] < grid.nx * grid.ny
     for k in (1e-150, 1e-100, 1e100, 1e150, 1e-100j):
-        scaled = GeneralLinearOp.from_columns(k * op.col0, k * op.col1)
+        scaled = GeneralLinearOp.from_matrix(k * op.matrix)
         rep = agreement_report(scaled, anchor, grid)
         assert (rep["agreement"], rep["flagged"]) == (ref["agreement"], ref["flagged"]), (k, rep)
         assert masked_fraction_scaling(scaled, anchor, [10, 20, 40]) == ref_fractions, k
