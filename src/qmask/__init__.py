@@ -20,7 +20,6 @@ from .analysis import (
     class_distance,
     constraint_planes,
     extract_constraints,
-    f01_symbolic,
     maskable_set,
     operator_scale,
     product_form_diagnosis,
@@ -50,7 +49,7 @@ from .errors import (
     InvariantViolationError,
     MaskingError,
 )
-from .linalg import TOL_EQUALITY, mat_distance, reduced_pair
+from .linalg import TOL_EQUALITY, reduced_pair
 from .masking import (
     MaskerParams,
     MaskReport,

@@ -139,16 +139,20 @@ class GeneralLinearOp:
         return cls.from_matrix(iso.matrix)
 
 
+def _squared_norm(m: np.ndarray) -> float:
+    """Squared Frobenius norm of a 4x2 matrix, summed in :attr:`~GeneralLinearOp.coefficients` order."""
+    return float(np.sum(np.abs(_blocks(m).ravel()) ** 2))
+
+
 def operator_scale(op: GeneralLinearOp) -> float:
     """Squared Frobenius norm of the 4x2 coefficient matrix.
 
     Entry functions are quadratic forms in the coefficients, so this is the natural magnitude unit
     for constraint rows and tolerance scaling (2-norm of the stacked constraint matrix stays below
-    ~0.7x this).  Summed in :attr:`~GeneralLinearOp.coefficients` order, which fixes its rounding.
-    Raises InvalidInputError when the sum overflows or underflows.
+    ~0.7x this).  Raises InvalidInputError when the sum overflows or underflows.
     """
     with np.errstate(over="ignore"):
-        scale = float(np.sum(np.abs(op.coefficients) ** 2))
+        scale = _squared_norm(op.matrix)
     if not math.isfinite(scale):
         raise InvalidInputError("operator too large: its squared norm overflows")
     if scale < np.finfo(float).tiny:
@@ -156,20 +160,14 @@ def operator_scale(op: GeneralLinearOp) -> float:
     return scale
 
 
-def _unit_matrix(op: GeneralLinearOp) -> tuple[np.ndarray, int]:
-    """The matrix of :func:`unit_scaled` and its e, without building an operator."""
-    m = op.matrix
-    e = math.frexp(np.abs(m).max())[1] - 1
-    return m / math.ldexp(1.0, e), e
-
-
-def unit_scaled(op: GeneralLinearOp) -> tuple[GeneralLinearOp, int]:
-    """``(op / 2**e, e)`` with 2**e the power of two nearest the largest coefficient magnitude.
+def unit_scaled(op: GeneralLinearOp) -> tuple[np.ndarray, int]:
+    """``(op.matrix / 2**e, e)`` with 2**e the largest power of two not above the largest coefficient magnitude.
 
     Exact; it keeps the quadratic reduced-matrix entries clear of under- and overflow.
     """
-    m, e = _unit_matrix(op)
-    return GeneralLinearOp.from_matrix(m), e
+    m = op.matrix
+    e = math.frexp(np.abs(m).max())[1] - 1
+    return m / math.ldexp(1.0, e), e
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,14 +182,12 @@ class AffineConstraint:
 # --- maskable-set classification -------------------------------------------
 
 
-def constraint_planes(op: GeneralLinearOp) -> tuple[np.ndarray, np.ndarray]:
-    """The (8, 3) normals and 8 offsets of the entry functions, rows as ENTRY_LABELS.
+def constraint_planes(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (8, 3) normals and 8 offsets of the entry functions of a 4x2 matrix, rows as ENTRY_LABELS.
 
     Row k is (tr G + p . tr(G sigma))/2 (see the module docstring), real part, or
     imaginary part for the im01 rows; exact when the products and sums are.
     """
-    operator_scale(op)  # first, so an operator whose squared norm over- or underflows raises
-    m = op.matrix
     traces = np.einsum("kti,ktj,aij->ka", m[_R].conj(), m[_L], _PAULI_T) / 2.0
     planes = np.where(_IMAG, traces.imag, traces.real)
     return planes[:, 1:], planes[:, 0]
@@ -199,24 +195,25 @@ def constraint_planes(op: GeneralLinearOp) -> tuple[np.ndarray, np.ndarray]:
 
 def extract_constraints(op: GeneralLinearOp) -> list[AffineConstraint]:
     """The 8 affine entry functions of :func:`constraint_planes` as labelled constraints."""
-    normals, r = constraint_planes(op)
+    operator_scale(op)  # first, so an operator whose squared norm over- or underflows raises
+    normals, r = constraint_planes(op.matrix)
     return [AffineConstraint(n, float(ri), label) for n, ri, label in zip(normals, r, ENTRY_LABELS)]
 
 
 def maskable_set(op: GeneralLinearOp, anchor: AngleState) -> MaskableClass:
     """Classify the largest state set sharing the anchor's raw reduced pair.
 
-    The set does not change under :func:`unit_scaled`, so it is computed
-    at unit scale.  The anchored planes n_i . p = n_i . p0 (rows normalized,
-    rows below the noise floor dropped) cut the sphere at RANK_TOL, and a
-    Circle or PointPair cut is the set.  Anything else, a cut within
-    sqrt(2 * RANK_TOL) of a single point included, is the anchor alone.
+    The set does not change when the operator is scaled, so it is computed
+    from the matrix of :func:`unit_scaled`.  The anchored planes n_i . p = n_i . p0
+    (rows normalized, rows below the noise floor dropped) cut the sphere at
+    RANK_TOL, and a Circle or PointPair cut is the set.  Anything else, a cut
+    within sqrt(2 * RANK_TOL) of a single point included, is the anchor alone.
     """
-    op, _ = unit_scaled(op)
-    normals = constraint_planes(op)[0]
+    m, _ = unit_scaled(op)
+    normals = constraint_planes(m)[0]
     p0 = angles_to_bloch(anchor)
     row_norms = np.linalg.norm(normals, axis=1)
-    floor = 1e-12 * operator_scale(op)
+    floor = 1e-12 * _squared_norm(m)
     keep = normals[row_norms > floor] / row_norms[row_norms > floor, None]
     if keep.size == 0:
         raise InvariantViolationError(
@@ -260,8 +257,8 @@ class ProductFormReport:
 
 
 def product_form_diagnosis(op: GeneralLinearOp) -> ProductFormReport:
-    """Decided at unit scale (:func:`unit_scaled`); the residuals are scaled back exactly."""
-    m, e = _unit_matrix(op)
+    """Decided on the matrix of :func:`unit_scaled`; the residuals are scaled back by 4**e exactly."""
+    m, e = unit_scaled(op)
     (mu0, nu0), (mu1, nu1) = _blocks(m)
     cross = [
         np.vdot(nu0, mu0),
@@ -284,23 +281,3 @@ def product_form_diagnosis(op: GeneralLinearOp) -> ProductFormReport:
             lam = complex((np.vdot(mu0, mu1) + np.vdot(nu0, nu1)) / denom)
     return ProductFormReport(float(np.ldexp(orth, 2 * e)), float(np.ldexp(norm, 2 * e)), is_product, lam)
 
-
-def f01_symbolic(op: GeneralLinearOp) -> tuple[complex, complex, complex, complex]:
-    """Closed-form plane coefficients of the upper off-diagonal of rho_A.
-
-    Writing that entry as p*Z + q*X + h*Y + r over the Bloch sphere,
-
-        p = (<mu1|mu0> - <nu1|nu0>)/2
-        q = (<nu1|mu0> + <mu1|nu0>)/2
-        h = i (<mu1|nu0> - <nu1|mu0>)/2
-        r = (<mu1|mu0> + <nu1|nu0>)/2
-
-    A hand derivation of rows re01 and im01 of :func:`constraint_planes`,
-    kept as an independent reference for testing.
-    """
-    (mu0, nu0), (mu1, nu1) = _blocks(op.matrix)
-    p = (np.vdot(mu1, mu0) - np.vdot(nu1, nu0)) / 2.0
-    q = (np.vdot(nu1, mu0) + np.vdot(mu1, nu0)) / 2.0
-    h = 1j * (np.vdot(mu1, nu0) - np.vdot(nu1, mu0)) / 2.0
-    r = (np.vdot(mu1, mu0) + np.vdot(nu1, nu0)) / 2.0
-    return complex(p), complex(q), complex(h), complex(r)

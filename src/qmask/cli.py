@@ -191,7 +191,7 @@ def _cmd_analyze(args) -> int:
             "lambda": None if diag.lam is None else {"re": diag.lam.real, "im": diag.lam.imag},
         },
     }
-    if args.scan:
+    if args.scan is not None:
         doc["oracle"] = agreement_report(op, anchor, GridSpec(nx=args.scan, ny=2 * args.scan))
     _emit(args, docs.dump(doc))
     return 0
@@ -200,7 +200,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_scan(args) -> int:
     op = docs.operator_from_doc(_read_json(args.operator, "operator"), where="operator")
     anchor = _state_from_args(args)
-    if args.fractions:
+    if args.fractions is not None:
         try:
             resolutions = [int(v) for v in args.fractions.split(",")]
         except ValueError as exc:

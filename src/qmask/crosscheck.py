@@ -45,7 +45,7 @@ def agreement_report(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec) ->
 
     complete = bool(np.all(flagged[dist <= grid.spacing * (1 - 1e-9)]))
 
-    weighted = constraint_planes(op)[0] * ENTRY_WEIGHTS[:, None]
+    weighted = constraint_planes(op.matrix)[0] * ENTRY_WEIGHTS[:, None]
     svals = np.linalg.svd(weighted, compute_uv=False)
     if isinstance(mask_class, Circle):
         rank = 1

@@ -41,7 +41,9 @@ def _number(value) -> bool:
 def _real(doc: dict, key: str, where: str) -> float:
     value = _field(doc, key, where)
     if not _number(value):
-        raise InvalidInputError(f"{where}: field {key!r} must be a number, got {value!r}")
+        got = repr(value)  # cut to 40 characters, so a huge value cannot flood the message
+        got = got if len(got) <= 40 else got[:37] + "..."
+        raise InvalidInputError(f"{where}: field {key!r} must be a number, got {got}")
     return float(value)
 
 

@@ -107,13 +107,3 @@ def reduced_pair(psi) -> tuple[np.ndarray, np.ndarray]:
     rho = np.ascontiguousarray(rows).view(complex).reshape((2,) + psi.shape[:-1] + (2, 2))
     return rho[0], rho[1]
 
-
-def mat_distance(a, b) -> float:
-    """Frobenius distance between two 2x2 matrices.
-
-    Symmetric, and zero exactly when the matrices are equal; used as the
-    equality metric for reduced-state comparisons.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    return float(np.linalg.norm(a - b))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import GeneralLinearOp, operator_scale, unit_scaled
+from .analysis import GeneralLinearOp, apply_matrix, operator_scale, unit_scaled
 from .bloch import AngleState
 from .errors import InvalidInputError, check_positive_finite
 from .linalg import frobenius_distances, reduced_entries
@@ -87,16 +87,16 @@ def grid_deviations(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec):
     Returns dev flattened over the grid in :meth:`GridSpec.points` order,
     the larger of the two Frobenius distances.  The anchor itself is
     evaluated exactly, not snapped to the grid.  The distances are computed
-    at unit scale and scaled back exactly, so only distances outside the
-    float range over- or underflow.
+    from the :func:`unit_scaled` matrix and scaled back exactly, so only
+    distances outside the float range over- or underflow.
     """
-    op, e = unit_scaled(op)
-    anchor_entries = reduced_entries(op.apply(anchor.x, anchor.y))[:, None]
+    m, e = unit_scaled(op)
+    anchor_entries = reduced_entries(apply_matrix(m, anchor.x, anchor.y))[:, None]
     xs, ys = grid.axes()
     dev = np.empty((grid.nx, grid.ny))
     rows = max(1, _BLOCK_NODES // grid.ny)
     for i in range(0, grid.nx, rows):
-        psi = op.apply(xs[i : i + rows, None], ys)
+        psi = apply_matrix(m, xs[i : i + rows, None], ys)
         d = reduced_entries(psi.reshape(-1, 4)).T - anchor_entries
         frobenius_distances(d).max(axis=0, out=dev[i : i + rows].reshape(-1))
     return np.ldexp(dev, 2 * e, out=dev).ravel()

@@ -68,6 +68,27 @@ def rank_two_op(rng):
         return GeneralLinearOp(a0, a1, b0, b1, c0, c1, d0, d1)
 
 
+def f01_symbolic(op):
+    """Closed-form plane coefficients of the upper off-diagonal of rho_A.
+
+    Writing that entry as p*Z + q*X + h*Y + r over the Bloch sphere,
+
+        p = (<mu1|mu0> - <nu1|nu0>)/2
+        q = (<nu1|mu0> + <mu1|nu0>)/2
+        h = i (<mu1|nu0> - <nu1|mu0>)/2
+        r = (<mu1|mu0> + <nu1|nu0>)/2
+
+    A hand derivation of rows re01 and im01 of ``constraint_planes``,
+    kept as an independent reference for testing.
+    """
+    (mu0, nu0), (mu1, nu1) = op.coefficients.reshape(2, 2, 2)
+    p = (np.vdot(mu1, mu0) - np.vdot(nu1, nu0)) / 2.0
+    q = (np.vdot(nu1, mu0) + np.vdot(mu1, nu0)) / 2.0
+    h = 1j * (np.vdot(mu1, nu0) - np.vdot(nu1, mu0)) / 2.0
+    r = (np.vdot(mu1, mu0) + np.vdot(nu1, nu0)) / 2.0
+    return complex(p), complex(q), complex(h), complex(r)
+
+
 def well_separated_triple(rng, min_dist=0.1):
     while True:
         states = [random_state(rng) for _ in range(3)]

@@ -26,14 +26,12 @@ from qmask import (
     decode,
     encode,
     extract_constraints,
-    f01_symbolic,
     fig1_axes,
     fig2_vertical,
     fig3_pole,
     grid_deviations,
     maskable_circle,
     maskable_set,
-    mat_distance,
     masker_for_states,
     operator_scale,
     predicted_reduced,
@@ -43,7 +41,7 @@ from qmask import (
     verify_mask,
 )
 from qmask.protocol import TwoCandidates, Unique
-from _helpers import planted_product_op, random_op, random_params, random_state, well_separated_triple
+from _helpers import f01_symbolic, planted_product_op, random_op, random_params, random_state, well_separated_triple
 
 ENTRY_WEIGHTS = np.array([1.0, 1.0, np.sqrt(2), np.sqrt(2), 1.0, 1.0, np.sqrt(2), np.sqrt(2)])
 
@@ -75,12 +73,12 @@ def test_criterion_2_closed_form_reduced_states():
             psi = iso.apply(s.x, s.y)
             rho_a, rho_b = reduced_pair(psi)
             pa, pb = predicted_reduced(params, s)
-            worst_closed = max(worst_closed, mat_distance(rho_a, pa), mat_distance(rho_b, pb))
+            worst_closed = max(worst_closed, np.linalg.norm(rho_a - pa), np.linalg.norm(rho_b - pb))
             if ref is None:
                 ref = (rho_a, rho_b)
             else:
                 worst_pair = max(
-                    worst_pair, mat_distance(rho_a, ref[0]), mat_distance(rho_b, ref[1])
+                    worst_pair, np.linalg.norm(rho_a - ref[0]), np.linalg.norm(rho_b - ref[1])
                 )
     assert worst_pair < 1e-10
     assert worst_closed < 1e-12

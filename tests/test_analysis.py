@@ -19,7 +19,6 @@ from qmask import (
     class_distance,
     constraint_planes,
     extract_constraints,
-    f01_symbolic,
     maskable_circle,
     maskable_set,
     operator_scale,
@@ -28,6 +27,7 @@ from qmask import (
     reduced_pair,
 )
 from _helpers import (
+    f01_symbolic,
     identity_embedding,
     planted_product_op,
     random_op,
@@ -105,7 +105,7 @@ def test_reduced_pair_raw_unnormalized_convention():
 
 def test_constraints_single_direction_for_masker():
     op = GeneralLinearOp.from_isometry(build_masker(MaskerParams(0.0, 0.0)))
-    normals = constraint_planes(op)[0]
+    normals = constraint_planes(op.matrix)[0]
     for n in normals:
         if np.linalg.norm(n) > 1e-10:
             unit = n / np.linalg.norm(n)
@@ -160,7 +160,7 @@ def test_constraint_planes_are_exact_on_dyadic_operators():
     for _ in range(200):
         c = rng.integers(-64, 65, size=(2, 8)) / 64
         op = GeneralLinearOp(*(c[0] + 1j * c[1]))
-        normals, offsets = constraint_planes(op)
+        normals, offsets = constraint_planes(op.matrix)
         ref_normals, ref_offsets = _fraction_planes(op.matrix)
         assert np.array_equal(normals, ref_normals) and np.array_equal(offsets, ref_offsets)
 
@@ -303,7 +303,7 @@ def test_maskable_set_metamorphic_scale_phase_and_b_unitary():
     # a unitary on qubit B leaves both reduced-pair equalities unchanged
     rng = np.random.default_rng(8)
     ops = [random_op(rng), rank_two_op(rng), GeneralLinearOp.from_isometry(build_masker(random_params(rng)))]
-    factors = (1e-150, 1e-100, 1e100, 1e150, np.exp(0.7j), 3 - 4j)
+    factors = (1e-300, 1e-150, 1e-100, 1e100, 1e150, 1e300, np.exp(0.7j), 3 - 4j)
     for op in ops:
         anchor = random_state(rng, margin=0.3)
         ref = maskable_set(op, anchor)

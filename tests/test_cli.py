@@ -207,6 +207,39 @@ def test_scan_fractions_mode(tmp_path, capsys):
     assert len(fr) == 3 and fr[2] < fr[0]
 
 
+# input errors of the operator commands; a zero or empty option value is checked, not read as the option's absence
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--x", "1.2", "--y", "2.5", "--scan", "0"], "grid needs at least 2 points per axis"),
+        (["scan", "--x", "1.2", "--y", "2.5", "--fractions", ""], "--fractions must be comma-separated integers"),
+        (["scan", "--x", "1.2", "--y", "2.5", "--fractions", "10,a"], "--fractions must be comma-separated integers"),
+        (["analyze", "--x", "1.2"], "state required: --state FILE or both --x and --y (radians)"),
+    ],
+    ids=["scan_zero", "fractions_empty", "fractions_not_integers", "x_without_y"],
+)
+def test_operator_command_option_errors(tmp_path, capsys, argv, message):
+    op_path = write_operator(tmp_path / "op.json", identity_embedding())
+    code, out, err = run(capsys, *argv, "--operator", op_path)
+    assert (code, out, err) == (1, "", f"qmask: error: {message}\n")
+
+
+def test_scheme_file_without_maskers(tmp_path, capsys):
+    scheme_path = tmp_path / "scheme.json"
+    scheme_path.write_text(docs.dump({"label": "custom"}), encoding="utf-8")
+    code, out, err = run(capsys, "share", "--scheme", str(scheme_path), "--x", "0.8", "--y", "2.6", "--out", str(tmp_path))
+    assert (code, out, err) == (1, "", f"qmask: error: scheme ({scheme_path}): expected {{label, maskers: [...]}}\n")
+
+
+def test_state_and_share_documents_must_be_objects(tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text("[1.0, 2.0]", encoding="utf-8")
+    code, out, err = run(capsys, "mask", "--alpha", "0", "--theta", "0", "--state", str(path))
+    assert (code, out, err) == (1, "", "qmask: error: state: expected a JSON object, got list\n")
+    code, out, err = run(capsys, "decode", str(path))
+    assert (code, out, err) == (1, "", f"qmask: error: {path}: share: expected a JSON object, got list\n")
+
+
 def test_share_decode_round_trip(tmp_path, capsys):
     out_dir = tmp_path / "shares"
     code, out, _ = run(
@@ -509,7 +542,10 @@ def test_decode_share_with_huge_integer_alpha(tmp_path, capsys):
     path = _share_files(tmp_path, capsys, "fig1_axes")[0]
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     Path(path).write_text(json.dumps({**doc, "alpha": HUGE}), encoding="utf-8")
-    _assert_clean_error(*run(capsys, "decode", path), f"{path}: share: field 'alpha' must be a number")
+    code, out, err = run(capsys, "decode", path)
+    prefix = f"qmask: error: {path}: share: field 'alpha' must be a number, got "
+    _assert_clean_error(code, out, err, prefix)
+    assert len(err) <= len(prefix) + 41  # the echoed value is cut to 40 characters, then the newline
 
 
 def test_mask_state_file_with_huge_integer(tmp_path, capsys):

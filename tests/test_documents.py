@@ -152,6 +152,13 @@ def test_readers_reject_integers_beyond_the_float_range(read, doc, message):
         read(doc)
 
 
+@pytest.mark.parametrize("value", [HUGE, "9" * 1000, [[0.5] * 100] * 100])
+def test_reader_messages_echo_at_most_40_characters_of_the_value(value):
+    with pytest.raises(InvalidInputError, match="^share: field 'alpha' must be a number, got ") as exc:
+        docs.share_from_doc({"alpha": value, "theta": 0.2, "rho_b": []})
+    assert len(str(exc.value)) <= len("share: field 'alpha' must be a number, got ") + 40
+
+
 def test_matrix_from_doc_rejects_integers_beyond_the_float_range():
     with pytest.raises(InvalidInputError, match=r"^share\.rho_b: expected a 2x2 array of \[re, im\] pairs$"):
         docs.matrix_from_doc([[[0.5, 0], [HUGE, 0]], [[0.1, 0], [0.5, 0]]], "share.rho_b")
