@@ -65,6 +65,7 @@ from .oracle import (
     GridSpec,
     default_kappa,
     grid_deviations,
+    grid_flags,
     grid_scan,
     masked_fraction_scaling,
 )

@@ -12,7 +12,11 @@ comparison between the two lives here.  Agreement holds when
     has rank below three is a tangent cut, so there the band is the square
     root of twice the plane tolerance.
 
-The grid's Bloch points are one broadcast ``bloch_points`` call on the grid axes.
+The flags come from :func:`qmask.oracle.grid_flags`, and distances to the
+class are taken only where the two tests need them: at the flagged nodes,
+and at the nodes of the cells whose centre is within one spacing plus the
+cell's radius of the class.  The distance to a set is 1-Lipschitz, so no
+other node can lie within one spacing of it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .analysis import (
 )
 from .bloch import AngleState, bloch_points
 from .linalg import ENTRY_WEIGHTS
-from .oracle import GridSpec, default_kappa, grid_deviations
+from .oracle import GridSpec, default_kappa, grid_flags
 
 
 def agreement_report(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec) -> dict:
@@ -39,11 +43,15 @@ def agreement_report(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec) ->
     mask_class = maskable_set(op, anchor)
     tol = default_kappa(op) * grid.spacing
 
-    flagged = grid_deviations(op, anchor, grid) <= tol
+    flagged = grid_flags(op, anchor, grid, tol).reshape(grid.nx, grid.ny)
     xs, ys = grid.axes()
-    dist = class_distance(mask_class, bloch_points(xs[:, None], ys).reshape(-1, 3))
+    ci, cj, radius = grid.cells()
+    near = class_distance(mask_class, bloch_points(xs[ci, None], ys[cj])) <= grid.spacing + radius
+    i, j = np.nonzero(flagged | grid.cell_mask(near))
+    dist = class_distance(mask_class, bloch_points(xs[i], ys[j]))
+    hit = flagged[i, j]
 
-    complete = bool(np.all(flagged[dist <= grid.spacing * (1 - 1e-9)]))
+    complete = bool(np.all(hit[dist <= grid.spacing * (1 - 1e-9)]))
 
     weighted = constraint_planes(op.matrix)[0] * ENTRY_WEIGHTS[:, None]
     svals = np.linalg.svd(weighted, compute_uv=False)
@@ -63,7 +71,7 @@ def agreement_report(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec) ->
         # the anchored cut is tangent at p0, so a flagged p has |p - p0|^2 / 2 = 1 - p . p0 <= band
         band = np.sqrt(2.0 * band)
     outer = grid.spacing + band
-    max_dist = float(dist[flagged].max()) if flagged.any() else 0.0
+    max_dist = float(dist[hit].max()) if hit.any() else 0.0
     sound = max_dist <= outer
 
     return {

@@ -319,6 +319,32 @@ def test_maskable_set_metamorphic_scale_phase_and_b_unitary():
             assert err < 1e-9
 
 
+def test_maskable_set_invariant_under_b_unitaries():
+    # (I x U_B) op has the reduced pairs of op up to the unitary U_B on rho_B, so the same
+    # maskable set, for operators of every class
+    rng = np.random.default_rng(9)
+    for trial in range(50):
+        kind = trial % 4
+        if kind == 0:
+            op = random_op(rng)
+        elif kind == 1:
+            op = GeneralLinearOp.from_isometry(build_masker(random_params(rng)))
+        elif kind == 2:
+            op = rank_two_op(rng)
+        else:
+            op = planted_product_op(rng)[0]
+        anchor = random_state(rng)
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        ref, got = maskable_set(op, anchor), maskable_set(_b_rotated(op, u), anchor)
+        assert type(got) is type(ref), trial
+        if isinstance(ref, Circle):
+            assert circles_equal(got.circle, ref.circle), trial
+        else:
+            want, have = _class_parts(ref), _class_parts(got)
+            err = min(max(np.linalg.norm(a - b) for a, b in zip(want, order)) for order in (have, have[::-1]))
+            assert err <= 1e-9, (trial, err)
+
+
 def test_product_form_masker_rejected():
     for alpha in np.linspace(0.0, np.pi, 20, endpoint=False):
         op = GeneralLinearOp.from_isometry(build_masker(MaskerParams(alpha, 1.0)))

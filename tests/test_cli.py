@@ -167,11 +167,19 @@ def test_analyze_rejects_zero_operator(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["analyze"], ["analyze", "--scan", "40"], ["scan", "--fractions", "10,20,40"], ["scan"]],
+    [
+        ["analyze"],
+        ["analyze", "--scan", "40"],
+        ["scan", "--fractions", "10,20,40"],
+        ["scan"],
+        ["scan", "--tol", "1"],
+        ["scan", "--fractions", "10,20", "--kappa", "1"],
+    ],
 )
 def test_overflowing_operator_is_invalid_input(tmp_path, capsys, argv):
     # the squared norm of a 1e160-scale operator overflows and that of a 1e-165-scale one
-    # underflows; neither may reach stdout as NaN, Infinity or a verdict at tolerance 0
+    # underflows; neither may reach stdout as NaN, Infinity or a verdict at tolerance 0,
+    # also where --tol or --kappa is given and the default tolerance is not needed
     for scale, word in ((1e160, "overflows"), (1e-165, "underflows")):
         rng = np.random.default_rng(3)
         op = GeneralLinearOp(*(scale * (rng.normal(size=8) + 1j * rng.normal(size=8))))

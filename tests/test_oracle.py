@@ -5,16 +5,20 @@ import pytest
 
 from qmask import (
     AngleState,
+    Circle,
     GeneralLinearOp,
     GridSpec,
     InvalidInputError,
     MaskerParams,
     PointPair,
+    SinglePoint,
     agreement_report,
     bloch_points,
     build_masker,
+    class_distance,
     default_kappa,
     grid_deviations,
+    grid_flags,
     grid_scan,
     maskable_circle,
     maskable_set,
@@ -22,7 +26,7 @@ from qmask import (
     operator_scale,
     reduced_pair,
 )
-from qmask import oracle
+from qmask import crosscheck, oracle
 from _helpers import (
     identity_embedding,
     planted_product_op,
@@ -74,6 +78,7 @@ def reference_deviations(op, anchor, grid):
 
 
 BLOCK_EDGE_GRIDS = [
+    GridSpec(2, 3),  # smaller than one pruning cell along both axes
     GridSpec(3, 4),  # smaller than one block
     GridSpec(4 * oracle._BLOCK_NODES // 256, 256),  # exactly four blocks
     GridSpec(97, 203),
@@ -94,6 +99,100 @@ def test_blocked_deviations_match_the_per_node_reference(grid):
         assert np.abs(dev - ref).max() <= 4 * np.finfo(float).eps * operator_scale(op)
         tol = default_kappa(op) * grid.spacing
         assert np.array_equal(dev <= tol, ref <= tol)
+
+
+def family_ops(rng):
+    """One operator of each bench family: general, masker, rank-two and product form."""
+    masker = GeneralLinearOp.from_isometry(build_masker(random_params(rng)))
+    return [random_op(rng), masker, rank_two_op(rng), planted_product_op(rng)[0]]
+
+
+@pytest.mark.parametrize("grid", BLOCK_EDGE_GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
+def test_pruned_flags_equal_the_dense_flags(grid):
+    # a cell is skipped only when no node in it can be flagged, whatever the tolerance and the
+    # operator's magnitude, so the flags are those of the dense pass exactly
+    rng = np.random.default_rng(grid.nx + grid.ny)
+    for op in family_ops(rng):
+        anchor = sphere_state(rng)
+        for k in (1.0, 30.0, 2.0**400, 2.0**-400):
+            scaled = GeneralLinearOp.from_matrix(k * op.matrix)
+            dev = grid_deviations(scaled, anchor, grid)
+            for tol in (default_kappa(scaled) * grid.spacing, 1e-12 * operator_scale(scaled), np.finfo(float).max):
+                assert np.array_equal(grid_flags(scaled, anchor, grid, tol), dev <= tol), (k, tol)
+
+
+def test_cells_cover_the_grid_within_their_radius():
+    grid = GridSpec(10, 7, region=((0.3, 0.9), (1.0, 2.5)))
+    ci, cj, radius = grid.cells()
+    assert list(ci) == [1, 5, 9] and list(cj) == [1, 5]
+    xs, ys = grid.axes()
+    cell = np.ones(radius.shape, dtype=bool)
+    assert grid.cell_mask(cell).shape == (grid.nx, grid.ny) and grid.cell_mask(cell).all()
+    size = oracle._CELL
+    for a in range(radius.shape[0]):
+        for b in range(radius.shape[1]):
+            one = np.zeros(radius.shape, dtype=bool)
+            one[a, b] = True
+            i, j = np.nonzero(grid.cell_mask(one))
+            assert len(i) == min(size, grid.nx - size * a) * min(size, grid.ny - size * b)
+            reach = np.hypot(xs[i] - xs[ci[a]], ys[j] - ys[cj[b]]).max()
+            assert reach <= radius[a, b] <= reach + 1e-9
+
+
+def dense_report(op, anchor, grid, band_bound):
+    """agreement_report by definition, from grid_deviations and class_distance at every node.
+
+    The band does not depend on the scan, so it is taken from the report under test.
+    """
+    tol = default_kappa(op) * grid.spacing
+    flagged = grid_deviations(op, anchor, grid) <= tol
+    xs, ys = grid.axes()
+    dist = class_distance(maskable_set(op, anchor), bloch_points(xs[:, None], ys).reshape(-1, 3))
+    complete = np.all(flagged[dist <= grid.spacing * (1 - 1e-9)])
+    max_dist = float(dist[flagged].max()) if flagged.any() else 0.0
+    return {
+        "resolution": grid.nx,
+        "tolerance": float(tol),
+        "flagged": int(flagged.sum()),
+        "max_distance_to_class": max_dist,
+        "band_bound": band_bound,
+        "agreement": "OK" if complete and max_dist <= band_bound else "MISMATCH",
+    }
+
+
+@pytest.mark.parametrize("grid", [GridSpec(200, 400), GridSpec(97, 203)], ids=lambda g: f"{g.nx}x{g.ny}")
+def test_agreement_report_equals_the_dense_report(grid):
+    rng = np.random.default_rng(6)
+    cases = [
+        (masker_op(1.1, 0.7), AngleState(1.0, 1.0), Circle),
+        (rank_two_op(rng), sphere_state(rng), PointPair),
+        (random_op(rng), sphere_state(rng), SinglePoint),
+        (masker_op(0.0, 0.0), AngleState(0.0, 0.0), SinglePoint),  # a tangent cut at the pole
+    ]
+    for op, anchor, kind in cases:
+        assert isinstance(maskable_set(op, anchor), kind)
+        rep = agreement_report(op, anchor, grid)
+        ref = dense_report(op, anchor, grid, rep["band_bound"])
+        assert {k: repr(v) for k, v in rep.items()} == {k: repr(v) for k, v in ref.items()}
+
+
+@pytest.mark.parametrize(
+    "op, anchor", [(masker_op(1.1, 0.7), AngleState(1.0, 1.0)), (masker_op(0.0, 0.0), AngleState(0.0, 0.0))]
+)
+def test_agreement_report_sees_every_node_within_one_spacing(monkeypatch, op, anchor):
+    # completeness is decided on the nodes of the cells near the class only, yet unflagging
+    # any one node within one spacing of the class must turn the verdict
+    grid = GridSpec(24, 48)
+    xs, ys = grid.axes()
+    dist = class_distance(maskable_set(op, anchor), bloch_points(xs[:, None], ys).reshape(-1, 3))
+    near = dist <= grid.spacing * (1 - 1e-9)
+    flags = near.copy()
+    monkeypatch.setattr(crosscheck, "grid_flags", lambda *args: flags)
+    assert agreement_report(op, anchor, grid)["agreement"] == "OK"
+    for q in np.flatnonzero(near):
+        flags[q] = False
+        assert agreement_report(op, anchor, grid)["agreement"] == "MISMATCH", q
+        flags[q] = True
 
 
 def test_grid_memory_per_node_is_bounded():
