@@ -14,10 +14,11 @@ Every array path takes one layout: the 4x2 matrix M = [[a0, b0], [a1, b1],
 Each real entry function of the two raw reduced matrices (diagonals,
 real and imaginary parts of the upper off-diagonal, for rho_A and
 rho_B) is an affine function of the Bloch point p = (X, Y, Z): with M the
-4x2 matrix and s the input state, an entry sum_t psi[l_t] conj(psi[r_t])
-is s^dagger G s with G = sum_t outer(conj(M[r_t]), M[l_t]), and since
-s s^dagger = (I + p . sigma)/2 it equals (tr G + p . tr(G sigma))/2.  The
-largest set of input states sharing both reduced matrices with an
+4x2 matrix and s the input state, an entry sum_t psi[l_t] conj(psi[r_t]),
+its rows (l_t, r_t) read from ``linalg.ENTRY_PAIRS`` as the reduced-state
+kernel reads them, is s^dagger G s with G = sum_t outer(conj(M[r_t]), M[l_t]),
+and since s s^dagger = (I + p . sigma)/2 it equals (tr G + p . tr(G sigma))/2.
+The largest set of input states sharing both reduced matrices with an
 anchor state is therefore the sphere cut by up to eight anchored
 planes: a spherical circle, a pair of points, or a single point --
 never the full sphere for a nonzero operator, which is asserted at
@@ -41,16 +42,12 @@ from .bloch import (
     angles_to_bloch, cut_sphere, distance_to_circle,
 )
 from .errors import InvalidInputError, InvariantViolationError
-from .linalg import ENTRY_LABELS
+from .linalg import ENTRY_IMAG, ENTRY_LABELS, ENTRY_PAIRS
 
 # Rank decisions on the stacked constraint normals use this absolute
 # singular-value threshold after row normalization.
 RANK_TOL = 1e-9
 
-# Rows l_t and r_t, t = 0, 1, of the amplitudes summed in each entry of ENTRY_LABELS
-_L = np.array([[0, 1], [2, 3], [0, 1], [0, 1], [0, 2], [1, 3], [0, 2], [0, 2]])
-_R = np.array([[0, 1], [2, 3], [2, 3], [2, 3], [0, 2], [1, 3], [1, 3], [1, 3]])
-_IMAG = (np.arange(8) % 4 == 3)[:, None]  # the im01 rows
 # I, X, Y, Z transposed, so that tr(G sigma) = sum(G * sigma^T)
 _PAULI_T = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 1j], [-1j, 0]], [[1, 0], [0, -1]]])
 
@@ -163,11 +160,13 @@ def operator_scale(op: GeneralLinearOp) -> float:
 def unit_scaled(op: GeneralLinearOp) -> tuple[np.ndarray, int]:
     """``(op.matrix / 2**e, e)`` with 2**e the largest power of two not above the largest coefficient magnitude.
 
-    Exact; it keeps the quadratic reduced-matrix entries clear of under- and overflow.
+    Exact; it keeps the quadratic reduced-matrix entries clear of under- and overflow.  A modulus
+    that overflows, from parts that do not, is at least 2**1024, so e is then taken from |m/2|.
     """
     m = op.matrix
-    e = math.frexp(np.abs(m).max())[1] - 1
-    return m / math.ldexp(1.0, e), e
+    peak = np.abs(m).max()
+    e = math.frexp(peak)[1] - 1 if math.isfinite(peak) else math.frexp(np.abs(m / 2).max())[1]
+    return np.ldexp(m.view(float), -e).view(complex), e
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,8 +187,9 @@ def constraint_planes(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Row k is (tr G + p . tr(G sigma))/2 (see the module docstring), real part, or
     imaginary part for the im01 rows; exact when the products and sums are.
     """
-    traces = np.einsum("kti,ktj,aij->ka", m[_R].conj(), m[_L], _PAULI_T) / 2.0
-    planes = np.where(_IMAG, traces.imag, traces.real)
+    traces = np.einsum("kti,ktj,aij->ka", m[ENTRY_PAIRS[..., 1]].conj(), m[ENTRY_PAIRS[..., 0]], _PAULI_T) / 2.0
+    planes = traces.real.copy()
+    planes[ENTRY_IMAG] = traces.imag[ENTRY_IMAG]
     return planes[:, 1:], planes[:, 0]
 
 

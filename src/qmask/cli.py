@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 invalid input, 2 I/O error, 3 internal
 invariant violation.  QMASK_TOL overrides the default verification
 tolerance used when checking shares and filtering decode candidates.
 Every tolerance, QMASK_TOL and the --tol and --kappa options alike, must
-be a positive finite number.
+be a positive finite number.  scan takes --kappa only with --fractions, and
+--tol and --csv only without it.
 
 decode reads every share file first, then checks all shares at once and
 names the file of the first corrupt one.
@@ -198,9 +199,13 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    fractions = args.fractions is not None
+    for option, value, mode in (("--kappa", args.kappa, "with"), ("--tol", args.tol, "without"), ("--csv", args.csv, "without")):
+        if value is not None and (mode == "with") != fractions:
+            raise InvalidInputError(f"{option} applies only {mode} --fractions")
     op = docs.operator_from_doc(_read_json(args.operator, "operator"), where="operator")
     anchor = _state_from_args(args)
-    if args.fractions is not None:
+    if fractions:
         try:
             resolutions = [int(v) for v in args.fractions.split(",")]
         except ValueError as exc:

@@ -9,17 +9,17 @@ qubit B.  Every other module inherits this convention; a 4-vector
     rho_A = M @ M^dagger        (trace over B)
     rho_B = M^T @ conj(M)       (trace over A)
 
-:func:`_kernel` is the one place these traces are computed, for one vector
-or a stack, in real arithmetic in ``einsum``'s unfused order (see
-:func:`_columns`).  Norm 1 is not required: unnormalized images are traced
-as they are.  Two reduced pairs are compared through their entries:
-:func:`frobenius_distances` is the one rule that turns entry differences
-into the Frobenius distances of rho_A and rho_B.
+:func:`reduced_entries` is the one place these traces are computed, for one
+vector or a stack, in real arithmetic in ``einsum``'s unfused order, and
+:func:`reduced_pair` reads both matrices off its entries.  Which amplitude
+products make each entry is the one table ``ENTRY_PAIRS``, which
+``analysis.constraint_planes`` reads too.  Norm 1 is not required:
+unnormalized images are traced as they are.  Two reduced pairs are compared
+through their entries: :func:`frobenius_distances` is the one rule that turns
+entry differences into the Frobenius distances of rho_A and rho_B.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 import numpy as np
 
@@ -40,53 +40,43 @@ ENTRY_WEIGHTS = np.array([1.0, 1.0, np.sqrt(2), np.sqrt(2), 1.0, 1.0, np.sqrt(2)
 # Row k sums the squared weighted entry differences of rho_A (k = 0) or rho_B (k = 1)
 _SQUARED_WEIGHTS = np.kron(np.eye(2), ENTRY_WEIGHTS[:4] ** 2)
 
+# Entry k is the real part, or for the ENTRY_IMAG (im01) entries the imaginary part, of
+# sum_t psi[l] conj(psi[r]) over the amplitude rows (l, r) = ENTRY_PAIRS[k, t]
+ENTRY_PAIRS = np.array([
+    [[0, 0], [1, 1]], [[2, 2], [3, 3]], [[0, 2], [1, 3]], [[0, 2], [1, 3]],
+    [[0, 0], [2, 2]], [[1, 1], [3, 3]], [[0, 1], [2, 3]], [[0, 1], [2, 3]],
+])
+ENTRY_IMAG = slice(3, None, 4)
+# Rows (4, t, k) of the float view (re psi_0, im psi_0, ...) whose products reduced_entries sums:
+# psi[l] conj(psi[r]) has real part x + y, x = re l * re r, y = im l * im r, and imaginary part
+# x - y, x = im l * re r, y = re l * im r; the rows are those of left x, left y, right x, right y
+_COLUMNS = 2 * ENTRY_PAIRS.T[[0, 0, 1, 1]] + np.array([0, 1, 0, 1])[:, None, None]
+_COLUMNS[:2, :, ENTRY_IMAG] ^= 1
+# The float views of rho_A and rho_B as columns of the entries, the lower off-diagonals' imaginary
+# parts (8, 9) and a zero (10); einsum gives 0.0 - im01 there: -im01, but +0.0 for a zero
+_MATRIX_PARTS = np.array([[0, 10, 2, 3, 2, 8, 1, 10], [4, 10, 6, 7, 6, 9, 5, 10]])
 
-def _columns(slots) -> np.ndarray:
-    """Gather columns for :func:`_kernel` of slots (matrix, i, j, imag): parts of rho_A[i, j] or rho_B[i, j].
 
-    A slot sums over the traced index t = 0, 1 the real part x + y or the imaginary part
-    x - y of u conj(v), u = psi[l], v = psi[r]: x = ur*vr, y = ui*vi or x = ui*vr, y = ur*vi.
-    That is ``einsum``'s order, unfused (numpy's complex multiply fuses on some hosts).
-    Columns index the real view (re psi_0, im psi_0, ...) as left x, left y, right x, right y.
+def reduced_entries(psi) -> np.ndarray:
+    """The entries ENTRY_LABELS of ``(rho_A, rho_B)`` for one vector or a stack: shape (8,) or (N, 8).
+
+    Computed in real arithmetic in ``einsum``'s order, unfused (numpy's complex multiply fuses on some
+    hosts), so bit for bit as ``einsum`` gives them: the products x and y of the :data:`_COLUMNS` rows,
+    x + y or x + (-y) for each t, their sum over t, and + 0.0 as ``einsum`` sums from +0.
     """
-    blocks = ([], [], [], [])
-    for t in (0, 1):
-        for matrix, i, j, imag in slots:
-            l, r = (2 * i + t, 2 * j + t) if matrix == 0 else (2 * t + i, 2 * t + j)
-            for block, col in zip(blocks, (2 * l + imag, 2 * l + 1 - imag, 2 * r, 2 * r + 1)):
-                block.append(col)
-    return np.array(sum(blocks, []))
-
-
-# (columns, imaginary slots) for the float views of both matrices, and for ENTRY_LABELS
-_SLOTS = list(product((0, 1), repeat=4))
-_MATRICES = _columns(_SLOTS), slice(1, None, 2)
-_ENTRIES = _columns([_SLOTS[k] for k in (0, 6, 2, 3, 8, 14, 10, 11)]), slice(3, None, 4)
-
-
-def _kernel(psi, columns: np.ndarray, imag: slice) -> np.ndarray:
-    """The slots of a :func:`_columns` table for every vector, (slots, N); + 0.0 as ``einsum`` sums from +0."""
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim not in (1, 2) or psi.shape[-1] != 4:
         raise InvalidInputError(f"expected 4-component state vectors, got shape {psi.shape}")
     real = psi.view(float).reshape(-1, 8)
     if not np.logical_and.reduce(np.isfinite(real), axis=None):
         raise InvalidInputError("state vector contains non-finite components")
-    n = len(columns) // 8
-    g = np.ascontiguousarray(real.T)[columns]
-    p = np.multiply(g[: 4 * n], g[4 * n :], out=g[: 4 * n])
-    x, y = p[: 2 * n], p[2 * n :]
-    np.negative(y[imag], out=y[imag])  # x + (-y) is x - y, bit for bit
+    g = np.ascontiguousarray(real.T)[_COLUMNS]
+    x, y = np.multiply(g[:2], g[2:], out=g[:2])
+    np.negative(y[:, ENTRY_IMAG], out=y[:, ENTRY_IMAG])  # x + (-y) is x - y, bit for bit
     terms = np.add(x, y, out=x)
-    out = terms[:n] + terms[n:]
+    out = terms[0] + terms[1]
     out += 0.0
-    return out
-
-
-def reduced_entries(psi) -> np.ndarray:
-    """The entries ENTRY_LABELS of :func:`reduced_pair`, bit for bit: shape (8,) or (N, 8)."""
-    psi = np.asarray(psi)
-    return _kernel(psi, *_ENTRIES).T.reshape(psi.shape[:-1] + (8,))
+    return out.T.reshape(psi.shape[:-1] + (8,))
 
 
 def frobenius_distances(diff) -> np.ndarray:
@@ -102,8 +92,7 @@ def reduced_pair(psi) -> tuple[np.ndarray, np.ndarray]:
     and rho_B = Tr_A |psi><psi| with entry ``(b, b') = sum_a psi[2a+b] conj(psi[2a+b'])``.
     Each is Hermitian and PSD, with trace equal to <psi|psi>.
     """
-    psi = np.asarray(psi)
-    rows = _kernel(psi, *_MATRICES).reshape(2, 8, -1).transpose(0, 2, 1)
-    rho = np.ascontiguousarray(rows).view(complex).reshape((2,) + psi.shape[:-1] + (2, 2))
-    return rho[0], rho[1]
-
+    entries = reduced_entries(psi)
+    parts = np.concatenate([entries, 0.0 - entries[..., ENTRY_IMAG], np.zeros(entries.shape[:-1] + (1,))], axis=-1)
+    rho = np.take(parts, _MATRIX_PARTS, axis=-1).view(complex).reshape(entries.shape[:-1] + (2, 2, 2))
+    return rho[..., 0, :, :], rho[..., 1, :, :]

@@ -5,9 +5,12 @@ through the operator, trace out each qubit, and compare the raw reduced
 pair against the anchor's in Frobenius norm.  Nothing in this
 module calls the constraint extraction or the classifier -- that
 independence is the point, so the two paths cross-validate each other.
-The analysis builds its planes in closed form, without the oracle's
-reduced-state kernel :func:`qmask.linalg.reduced_entries`, so the
-cross-check covers that kernel too.
+The analysis's closed-form planes and the oracle's reduced-state kernel
+:func:`qmask.linalg.reduced_entries` read one table, ``ENTRY_PAIRS``, of
+which amplitude products make each entry.  The tests check each against a
+reference that does not use the table: the kernel bit for bit against
+``einsum``, the planes exactly against rational arithmetic on dyadic
+operators.
 
 :func:`_unit_deviations` is the one place a node's deviation is
 computed.  It takes the trig once per axis, works through blocks of

@@ -257,6 +257,12 @@ def test_class_distance_to_a_point_pair_is_the_nearer_point():
     assert np.allclose(class_distance(pair, points), [0.0, 0.0, np.sqrt(2.0), np.sqrt(0.8)], rtol=0, atol=1e-15)
 
 
+def test_class_distance_rejects_what_is_not_a_class():
+    circle = SphericalCircle(np.array([0.0, 0.0, 1.0]), 0.5)
+    with pytest.raises(InvalidInputError, match="not a maskable-set class"):
+        class_distance(circle, np.array([0.0, 0.0, 1.0]))
+
+
 @pytest.mark.parametrize("shape", [(), (1,), (5,), (2, 3)])
 def test_class_distance_keeps_the_points_leading_shape(shape):
     rng = np.random.default_rng(12)
@@ -317,6 +323,23 @@ def test_maskable_set_metamorphic_scale_phase_and_b_unitary():
                 for order in (have, have[::-1])
             )
             assert err < 1e-9
+
+
+@pytest.mark.parametrize(
+    "op, factor",
+    [
+        (GeneralLinearOp(1.5e308 * (1 + 1j), 0, 0, 0, 0, 0, 0, 0), 2.0**-1000),
+        (GeneralLinearOp(3e-310, 0, 0, 1e-310j, 0, 2e-310, -1e-310, 0), 2.0**1000),
+    ],
+    ids=["modulus_overflows", "subnormal"],
+)
+def test_maskable_set_at_the_ends_of_the_float_range(op, factor):
+    # a power-of-two multiple has the same unit-scale matrix, so exactly the same set
+    anchor = AngleState(1.2, 2.5)
+    got = maskable_set(op, anchor)
+    ref = maskable_set(GeneralLinearOp.from_matrix(factor * op.matrix), anchor)
+    assert type(got) is type(ref)
+    assert all(np.array_equal(a, b) for a, b in zip(_class_parts(got), _class_parts(ref)))
 
 
 def test_maskable_set_invariant_under_b_unitaries():

@@ -298,6 +298,53 @@ def test_circle_through_three_degenerate():
     p = np.array([0.0, 0.0, 1.0])
     with pytest.raises(DegenerateInputError):
         circle_through_three(p, p, np.array([1.0, 0.0, 0.0]))
+    # pairwise distinct (2e-8 apart) but on one great circle within rounding
+    a, b, c = (np.array([np.cos(phi), np.sin(phi), 0.0]) for phi in (0.0, 2e-8, 4e-8))
+    with pytest.raises(DegenerateInputError, match="collinear"):
+        circle_through_three(a, b, c)
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (4,), (2, 2), (2, 3, 3)])
+def test_bloch_angles_rejects_bad_shapes(shape):
+    with pytest.raises(InvalidInputError, match="3-vector or an"):
+        bloch_angles(np.zeros(shape))
+
+
+@pytest.mark.parametrize("p", [[0.0, 1.0], [[0.0, 0.0, 1.0]], np.zeros((2, 3))])
+def test_bloch_to_angles_takes_one_3_vector(p):
+    with pytest.raises(InvalidInputError, match="^expected a 3-vector$"):
+        bloch_to_angles(p)
+
+
+@pytest.mark.parametrize(
+    "normal, offset, message",
+    [
+        ([0.0, 0.0, 0.0], 0.0, "circle normal must be nonzero"),
+        ([0.0, np.nan, 1.0], 0.0, "finite 3-vector normal"),
+        ([0.0, np.inf, 1.0], 0.0, "finite 3-vector normal"),
+        ([0.0, 0.0, 1.0], np.nan, "finite offset"),
+        ([0.0, 0.0, 1.0], -np.inf, "finite offset"),
+    ],
+)
+def test_circle_rejects_invalid_planes(normal, offset, message):
+    with pytest.raises(InvalidInputError, match=message):
+        SphericalCircle(np.array(normal), offset)
+
+
+def test_circle_repr_shows_the_canonical_plane():
+    assert repr(SphericalCircle(np.array([0.0, 0.0, -2.0]), -1.0)) == "SphericalCircle(n=(0, 0, 1), c=0.5)"
+
+
+@pytest.mark.parametrize("args", [(np.nan, 0.0, 0.5), (0.3, np.nan, 0.5), (0.3, 0.1, np.nan), (np.inf, 0.0, 0.5)])
+def test_circle_from_mask_params_rejects_non_finite(args):
+    with pytest.raises(InvalidInputError, match="mask parameters must be finite"):
+        circle_from_mask_params(*args)
+
+
+def test_sample_circle_needs_a_sample():
+    circle = SphericalCircle(np.array([0.0, 0.0, 1.0]), 0.5)
+    with pytest.raises(InvalidInputError, match="at least one sample"):
+        sample_circle(circle, 0)
 
 
 # --- intersections ------------------------------------------------------------

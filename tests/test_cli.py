@@ -179,10 +179,17 @@ def test_analyze_rejects_zero_operator(tmp_path, capsys):
 def test_overflowing_operator_is_invalid_input(tmp_path, capsys, argv):
     # the squared norm of a 1e160-scale operator overflows and that of a 1e-165-scale one
     # underflows; neither may reach stdout as NaN, Infinity or a verdict at tolerance 0,
-    # also where --tol or --kappa is given and the default tolerance is not needed
-    for scale, word in ((1e160, "overflows"), (1e-165, "underflows")):
-        rng = np.random.default_rng(3)
-        op = GeneralLinearOp(*(scale * (rng.normal(size=8) + 1j * rng.normal(size=8))))
+    # also where --tol or --kappa is given and the default tolerance is not needed.  The
+    # modulus of a0 = 1.5e308 (1 + i) overflows too, and a 1e-310-scale operator is subnormal
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=8) + 1j * rng.normal(size=8)
+    cases = (
+        (GeneralLinearOp(*(1e160 * z)), "overflows"),
+        (GeneralLinearOp(*(1e-165 * z)), "underflows"),
+        (GeneralLinearOp(1.5e308 * (1 + 1j), 0, 0, 0, 0, 0, 0, 0), "overflows"),
+        (GeneralLinearOp(*(1e-310 * z)), "underflows"),
+    )
+    for op, word in cases:
         path = write_operator(tmp_path / "op.json", op)
         code, out, err = run(capsys, argv[0], "--operator", path, "--x", "1.2", "--y", "2.5", *argv[1:])
         assert code == 1 and out == ""
@@ -223,13 +230,32 @@ def test_scan_fractions_mode(tmp_path, capsys):
         (["scan", "--x", "1.2", "--y", "2.5", "--fractions", ""], "--fractions must be comma-separated integers"),
         (["scan", "--x", "1.2", "--y", "2.5", "--fractions", "10,a"], "--fractions must be comma-separated integers"),
         (["analyze", "--x", "1.2"], "state required: --state FILE or both --x and --y (radians)"),
+        (["scan", "--x", "1.2", "--y", "2.5", "--kappa", "1000"], "--kappa applies only with --fractions"),
+        (["scan", "--x", "1.2", "--y", "2.5", "--fractions", "10,20", "--tol", "1"], "--tol applies only without --fractions"),
     ],
-    ids=["scan_zero", "fractions_empty", "fractions_not_integers", "x_without_y"],
+    ids=[
+        "scan_zero", "fractions_empty", "fractions_not_integers", "x_without_y",
+        "kappa_without_fractions", "tol_with_fractions",
+    ],
 )
 def test_operator_command_option_errors(tmp_path, capsys, argv, message):
     op_path = write_operator(tmp_path / "op.json", identity_embedding())
     code, out, err = run(capsys, *argv, "--operator", op_path)
     assert (code, out, err) == (1, "", f"qmask: error: {message}\n")
+
+
+def test_scan_fractions_write_no_csv(tmp_path, capsys):
+    op_path = write_operator(tmp_path / "op.json", identity_embedding())
+    csv_path = tmp_path / "hits.csv"
+    argv = ["scan", "--operator", op_path, "--x", "1.2", "--y", "2.5", "--fractions", "10,20", "--csv", str(csv_path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "qmask: error: --csv applies only without --fractions\n")
+    assert not csv_path.exists()
+
+
+def test_circle_command_needs_a_sample(capsys):
+    code, out, err = run(capsys, "circle", "--alpha", "0.9", "--theta", "2.0", "--x", "1.1", "--y", "0.3", "--samples", "0")
+    assert (code, out, err) == (1, "", "qmask: error: --samples must be at least 1\n")
 
 
 def test_scheme_file_without_maskers(tmp_path, capsys):

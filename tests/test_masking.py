@@ -25,6 +25,9 @@ def test_params_validation():
         MaskerParams(np.pi, 0.0)
     with pytest.raises(InvalidInputError):
         MaskerParams(0.5, -0.1)
+    for a, t in ((np.nan, 0.0), (0.5, np.inf)):
+        with pytest.raises(InvalidInputError, match="masker parameters must be finite"):
+            MaskerParams(a, t)
 
 
 def test_hbar_examples():

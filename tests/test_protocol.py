@@ -434,6 +434,8 @@ def test_preset_scheme_parsing():
         preset_scheme("nope:3")
     with pytest.raises(InvalidSchemeError):
         preset_scheme("fig3_pole:x")
+    with pytest.raises(InvalidSchemeError, match="fig1_axes takes no size argument"):
+        preset_scheme("fig1_axes:3")
     assert set(preset_schemes()) == {"fig1_axes", "fig3_pole:N", "fig2_vertical:N", "general:N"}
 
 
