@@ -257,7 +257,10 @@ class ProductFormReport:
 
 
 def product_form_diagnosis(op: GeneralLinearOp) -> ProductFormReport:
-    """Decided on the matrix of :func:`unit_scaled`; the residuals are scaled back by 4**e exactly."""
+    """Decided on the matrix of :func:`unit_scaled`; the residuals are scaled back by 4**e exactly.
+
+    Raises InvalidInputError when a residual overflows as it is scaled back.
+    """
     m, e = unit_scaled(op)
     (mu0, nu0), (mu1, nu1) = _blocks(m)
     cross = [
@@ -279,5 +282,8 @@ def product_form_diagnosis(op: GeneralLinearOp) -> ProductFormReport:
         denom = float(np.vdot(mu0, mu0).real + np.vdot(nu0, nu0).real)
         if denom > PRODUCT_FORM_TOL:
             lam = complex((np.vdot(mu0, mu1) + np.vdot(nu0, nu1)) / denom)
-    return ProductFormReport(float(np.ldexp(orth, 2 * e)), float(np.ldexp(norm, 2 * e)), is_product, lam)
+    try:
+        return ProductFormReport(math.ldexp(orth, 2 * e), math.ldexp(norm, 2 * e), is_product, lam)
+    except OverflowError as exc:
+        raise InvalidInputError("operator too large: its product-form residuals overflow") from exc
 

@@ -10,7 +10,7 @@ invariant violation.  QMASK_TOL overrides the default verification
 tolerance used when checking shares and filtering decode candidates.
 Every tolerance, QMASK_TOL and the --tol and --kappa options alike, must
 be a positive finite number.  scan takes --kappa only with --fractions, and
---tol and --csv only without it.
+--tol, --csv, --nx and --ny only without it.
 
 decode reads every share file first, then checks all shares at once and
 names the file of the first corrupt one.
@@ -200,7 +200,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_scan(args) -> int:
     fractions = args.fractions is not None
-    for option, value, mode in (("--kappa", args.kappa, "with"), ("--tol", args.tol, "without"), ("--csv", args.csv, "without")):
+    options = (("--kappa", args.kappa, "with"), ("--tol", args.tol, "without"), ("--csv", args.csv, "without"),
+               ("--nx", args.nx, "without"), ("--ny", args.ny, "without"))
+    for option, value, mode in options:
         if value is not None and (mode == "with") != fractions:
             raise InvalidInputError(f"{option} applies only {mode} --fractions")
     op = docs.operator_from_doc(_read_json(args.operator, "operator"), where="operator")
@@ -218,15 +220,15 @@ def _cmd_scan(args) -> int:
         }
         _emit(args, docs.dump(doc))
         return 0
-    grid = GridSpec(nx=args.nx, ny=args.ny)
+    grid = GridSpec(nx=200 if args.nx is None else args.nx, ny=400 if args.ny is None else args.ny)
     tol = args.tol if args.tol is not None else default_kappa(op) * grid.spacing
     states = grid_scan(op, anchor, grid, tol)
     doc = {
         "anchor": docs.state_to_doc(anchor),
-        "grid": {"nx": args.nx, "ny": args.ny},
+        "grid": {"nx": grid.nx, "ny": grid.ny},
         "tolerance": tol,
         "flagged": len(states),
-        "fraction": float(len(states)) / (args.nx * args.ny),
+        "fraction": float(len(states)) / (grid.nx * grid.ny),
     }
     _emit(args, docs.dump(doc))
     if args.csv:
@@ -325,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="brute-force grid scan of matching states")
     p.add_argument("--operator", metavar="FILE", required=True)
     _add_state_args(p)
-    p.add_argument("--nx", type=int, default=200)
-    p.add_argument("--ny", type=int, default=400)
+    p.add_argument("--nx", type=int, help="grid points along x without --fractions (default 200)")
+    p.add_argument("--ny", type=int, help="grid points along y without --fractions (default 400)")
     p.add_argument("--tol", type=float, help="override the spacing-derived tolerance")
     p.add_argument("--kappa", type=float, help="tolerance factor for --fractions mode")
     p.add_argument("--fractions", metavar="N1,N2,...", help="fraction-scaling ladder instead of one scan")

@@ -37,19 +37,24 @@ from .bloch import AngleState, bloch_points
 from .linalg import ENTRY_WEIGHTS
 from .oracle import GridSpec, default_kappa, grid_flags
 
+_CELL = 4  # nodes along each side of the cells whose centres screen the nodes for class distances
+
 
 def agreement_report(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec) -> dict:
     """Scan the grid and compare against the classified maskable set."""
     mask_class = maskable_set(op, anchor)
     tol = default_kappa(op) * grid.spacing
 
-    flagged = grid_flags(op, anchor, grid, tol).reshape(grid.nx, grid.ny)
+    flagged = grid_flags(op, anchor, grid, tol)
     xs, ys = grid.axes()
-    ci, cj, radius = grid.cells()
+    ci, cj, radius = grid.cells(_CELL)
     near = class_distance(mask_class, bloch_points(xs[ci, None], ys[cj])) <= grid.spacing + radius
-    i, j = np.nonzero(flagged | grid.cell_mask(near))
+    seen = flagged.copy()
+    seen.reshape(grid.nx, grid.ny)[grid.split(*np.nonzero(near), _CELL)] = True
+    nodes = np.flatnonzero(seen)
+    i, j = np.divmod(nodes, grid.ny)
     dist = class_distance(mask_class, bloch_points(xs[i], ys[j]))
-    hit = flagged[i, j]
+    hit = flagged[nodes]
 
     complete = bool(np.all(hit[dist <= grid.spacing * (1 - 1e-9)]))
 

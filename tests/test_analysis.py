@@ -406,6 +406,13 @@ def test_product_form_degenerate_single_coefficient():
     assert abs(report.norm_residual - 1.0) < 1e-15
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_product_form_rejects_an_overflowing_modulus():
+    # a0 = 1.5e308 (1 + i) has finite parts, but its norm residual |a0|^2 overflows: invalid input, not inf
+    with pytest.raises(InvalidInputError, match="^operator too large: its product-form residuals overflow$"):
+        product_form_diagnosis(GeneralLinearOp(1.5e308 * (1 + 1j), 0, 0, 0, 0, 0, 0, 0))
+
+
 def test_product_form_verdict_scale_invariant():
     # k * op factors exactly when op does, with the same lam, for every nonzero complex k
     rng = np.random.default_rng(12)

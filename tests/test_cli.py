@@ -232,10 +232,12 @@ def test_scan_fractions_mode(tmp_path, capsys):
         (["analyze", "--x", "1.2"], "state required: --state FILE or both --x and --y (radians)"),
         (["scan", "--x", "1.2", "--y", "2.5", "--kappa", "1000"], "--kappa applies only with --fractions"),
         (["scan", "--x", "1.2", "--y", "2.5", "--fractions", "10,20", "--tol", "1"], "--tol applies only without --fractions"),
+        (["scan", "--x", "1.2", "--y", "2.5", "--fractions", "10,20", "--nx", "5", "--ny", "3"], "--nx applies only without --fractions"),
+        (["scan", "--x", "1.2", "--y", "2.5", "--fractions", "10,20", "--ny", "3"], "--ny applies only without --fractions"),
     ],
     ids=[
         "scan_zero", "fractions_empty", "fractions_not_integers", "x_without_y",
-        "kappa_without_fractions", "tol_with_fractions",
+        "kappa_without_fractions", "tol_with_fractions", "nx_with_fractions", "ny_with_fractions",
     ],
 )
 def test_operator_command_option_errors(tmp_path, capsys, argv, message):
@@ -492,7 +494,9 @@ def test_tolerance_options_must_be_positive_and_finite(tmp_path, capsys, argv, s
         argv = argv + _share_files(tmp_path, capsys, "fig1_axes")
     else:
         op_path = write_operator(tmp_path / "op.json", identity_embedding())
-        argv = argv + ["--operator", op_path, "--x", "1.2", "--y", "2.5", "--nx", "10", "--ny", "20"]
+        argv = argv + ["--operator", op_path, "--x", "1.2", "--y", "2.5"]
+        if "--fractions" not in argv:
+            argv += ["--nx", "10", "--ny", "20"]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"qmask: error: {shown} must be a positive finite number\n")
 

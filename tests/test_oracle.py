@@ -67,19 +67,26 @@ def test_grid_spec_axes_build_the_points():
     assert np.array_equal(points, flat) and points.strides == flat.strides
 
 
-def reference_deviations(op, anchor, grid):
-    """Per-node deviations by definition: a meshgrid, op.apply and |.|^2 Frobenius norms."""
+def point_deviations(op, anchor, xs, ys):
+    """Deviations at the points (xs, ys) by definition: op.apply and |.|^2 Frobenius norms."""
     ra0, rb0 = reduced_pair(op.apply(anchor.x, anchor.y))
-    xs, ys = grid.points()
     rho_a, rho_b = reduced_pair(op.apply(xs, ys))
     dev_a = np.sqrt(np.sum(np.abs(rho_a - ra0) ** 2, axis=(1, 2)))
     dev_b = np.sqrt(np.sum(np.abs(rho_b - rb0) ** 2, axis=(1, 2)))
-    return xs, ys, np.maximum(dev_a, dev_b)
+    return np.maximum(dev_a, dev_b)
+
+
+def reference_deviations(op, anchor, grid):
+    """Per-node deviations by definition, at the nodes of a meshgrid."""
+    xs, ys = grid.points()
+    return xs, ys, point_deviations(op, anchor, xs, ys)
 
 
 BLOCK_EDGE_GRIDS = [
     GridSpec(2, 3),  # smaller than one pruning cell along both axes
     GridSpec(3, 4),  # smaller than one block
+    GridSpec(16, 48),  # whole 16 x 16 cells
+    GridSpec(17, 33),  # cut one node past a 16-node edge along both axes
     GridSpec(4 * oracle._BLOCK_NODES // 256, 256),  # exactly four blocks
     GridSpec(97, 203),
     GridSpec(3, 9000),  # rows longer than a block
@@ -122,21 +129,58 @@ def test_pruned_flags_equal_the_dense_flags(grid):
 
 
 def test_cells_cover_the_grid_within_their_radius():
-    grid = GridSpec(10, 7, region=((0.3, 0.9), (1.0, 2.5)))
-    ci, cj, radius = grid.cells()
-    assert list(ci) == [1, 5, 9] and list(cj) == [1, 5]
+    grid = GridSpec(40, 23, region=((0.3, 0.9), (1.0, 2.5)))
+    centres = {4: ([1, 5, 9, 13, 17, 21, 25, 29, 33, 37], [1, 5, 9, 13, 17, 21]), 16: ([7, 23, 39], [7, 22])}
     xs, ys = grid.axes()
-    cell = np.ones(radius.shape, dtype=bool)
-    assert grid.cell_mask(cell).shape == (grid.nx, grid.ny) and grid.cell_mask(cell).all()
-    size = oracle._CELL
-    for a in range(radius.shape[0]):
-        for b in range(radius.shape[1]):
-            one = np.zeros(radius.shape, dtype=bool)
-            one[a, b] = True
-            i, j = np.nonzero(grid.cell_mask(one))
+    for size in oracle._CELL_SIZES:
+        ci, cj, radius = grid.cells(size)
+        assert (list(ci), list(cj)) == centres[size]
+        i, j = grid.split(*np.indices(radius.shape).reshape(2, -1), size)
+        assert sorted(i * grid.ny + j) == list(range(grid.nx * grid.ny))  # each node in exactly one cell
+        for a, b in np.ndindex(radius.shape):
+            i, j = grid.split(np.array([a]), np.array([b]), size)
             assert len(i) == min(size, grid.nx - size * a) * min(size, grid.ny - size * b)
             reach = np.hypot(xs[i] - xs[ci[a]], ys[j] - ys[cj[b]]).max()
             assert reach <= radius[a, b] <= reach + 1e-9
+            for fine in (f for f in oracle._CELL_SIZES if f < size):
+                # the cells of a finer size that make up a cell hold exactly its nodes
+                fi, fj = grid.split(*grid.split(np.array([a]), np.array([b]), size, fine), fine)
+                assert sorted(fi * grid.ny + fj) == sorted(i * grid.ny + j)
+
+
+def pair_slopes(op, anchor, x, y, x1, y1):
+    """|dev(p) - dev(q)| / |p - q| over the point pairs (x, y), (x1, y1)."""
+    gap = np.linalg.norm(bloch_points(x, y) - bloch_points(x1, y1), axis=-1)
+    return np.abs(point_deviations(op, anchor, x, y) - point_deviations(op, anchor, x1, y1)) / gap
+
+
+def test_deviation_slope_is_at_most_the_pruning_constant():
+    # |dev(p) - dev(q)| <= L |p - q| with grid_flags' L = |M^dagger M|_F / 2, on nearby and on far pairs
+    rng = np.random.default_rng(11)
+    for op in family_ops(rng) + [random_op(rng, scale=30.0), masker_op(1.1, 0.7)]:
+        lipschitz = np.linalg.norm(op.matrix.conj().T @ op.matrix) / 2
+        anchor = sphere_state(rng)
+        x, y = rng.uniform(0, np.pi, 2000), rng.uniform(0, 2 * np.pi, 2000)
+        near = (x + rng.normal(0, 0.01, x.size), y + rng.normal(0, 0.01, y.size))
+        for x1, y1 in (near, (x[::-1], y[::-1])):
+            assert np.all(pair_slopes(op, anchor, x, y, x1, y1) <= lipschitz * (1 + 1e-12))
+    # the bound is sharp: for the last operator, masker (1.1, 0.7), L = 1/sqrt(2), against sigma_1^2 = 1
+    # and an operator scale of 2, and nearby pairs climb above 0.9 L
+    assert abs(lipschitz - np.sqrt(0.5)) < 1e-12 and abs(operator_scale(op) - 2.0) < 1e-12
+    assert pair_slopes(op, anchor, x, y, *near).max() > 0.9 * lipschitz
+
+
+def test_grid_flags_evaluates_few_nodes(monkeypatch):
+    # masker (1.1, 0.7) on 200 x 400: 15501 nodes evaluated with 16 x 16 and 4 x 4 cells and
+    # L = |M^dagger M|_F / 2; one level of 4 x 4 cells with L = operator_scale evaluated 25208
+    evaluated = []
+    call = oracle._NodeDeviations.__call__
+    monkeypatch.setattr(oracle._NodeDeviations, "__call__", lambda self, i, j: evaluated.append(i.size) or call(self, i, j))
+    op, anchor, grid = masker_op(1.1, 0.7), AngleState(1.0, 1.0), GridSpec(200, 400)
+    tol = default_kappa(op) * grid.spacing
+    flags = grid_flags(op, anchor, grid, tol)
+    assert sum(evaluated) <= 16000 < 25208, sum(evaluated)
+    assert np.array_equal(flags, grid_deviations(op, anchor, grid) <= tol)
 
 
 def dense_report(op, anchor, grid, band_bound):
