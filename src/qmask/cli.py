@@ -72,7 +72,10 @@ def _verification_tol() -> float:
 
 
 def _read_json(path: str, where: str):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{where} ({path}): not UTF-8 text: {exc}") from exc
     return docs.load_text(text, where=f"{where} ({path})")
 
 
@@ -99,10 +102,6 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _vec_doc(psi: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in psi]
-
-
 def _csv_rows(states) -> str:
     xs = np.array([s.x for s in states])
     ys = np.array([s.y for s in states])
@@ -123,12 +122,12 @@ def _class_doc(mask_class) -> dict:
         s = bloch_to_angles(mask_class.point)
         return {
             "class": "single_point",
-            "point": [float(v) for v in mask_class.point],
+            "point": mask_class.point.tolist(),
             "state": docs.state_to_doc(s),
         }
     return {
         "class": "point_pair",
-        "points": [[float(v) for v in mask_class.p1], [float(v) for v in mask_class.p2]],
+        "points": [mask_class.p1.tolist(), mask_class.p2.tolist()],
         "states": [docs.state_to_doc(bloch_to_angles(p)) for p in (mask_class.p1, mask_class.p2)],
     }
 
@@ -145,7 +144,7 @@ def _cmd_mask(args) -> int:
         "masker": docs.masker_to_doc(params),
         "state": docs.state_to_doc(state),
         "hbar": hbar(params, state),
-        "psi": _vec_doc(psi),
+        "psi": docs.matrix_to_doc(psi),
         "rho_a": docs.matrix_to_doc(rho_a),
         "rho_b": docs.matrix_to_doc(rho_b),
     }
@@ -182,9 +181,7 @@ def _cmd_analyze(args) -> int:
     doc = {
         "anchor": docs.state_to_doc(anchor),
         "maskable_set": _class_doc(mask_class),
-        "constraints": [
-            {"label": c.label, "n": [float(v) for v in c.n], "r": c.r} for c in constraints
-        ],
+        "constraints": [{"label": c.label, "n": c.n.tolist(), "r": c.r} for c in constraints],
         "product_form": {
             "orthogonality_residual": diag.orthogonality_residual,
             "norm_residual": diag.norm_residual,

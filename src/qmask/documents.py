@@ -4,12 +4,21 @@ Structured data travels as JSON; plot point streams travel as CSV (see
 the cli module).  Floats are emitted with Python's shortest round-trip
 representation, so every document reloads bit-identically; NaN and
 infinity, which JSON lacks, are never written.  Writers are
-deterministic: fixed key order, no timestamps, LF newlines.
+deterministic: fixed key order, no timestamps, LF newlines.  Float
+arrays enter a document as ``.tolist()`` of their float view.
+
+:func:`dump` is one small recursive writer whose text is byte for byte
+``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"``:
+the stdlib encodes an indented document in pure Python, at about twice
+the cost.  Unlike the stdlib it rejects a non-string key (TypeError)
+and does not look for cycles, since documents are trees.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _string
+from math import isfinite
 from typing import Any
 
 import numpy as np
@@ -21,7 +30,7 @@ from .masking import MaskerParams
 from .protocol import Share
 
 OPERATOR_KEYS = ("a0", "a1", "b0", "b1", "c0", "c1", "d0", "d1")
-_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+_PADS = tuple("\n" + "  " * depth for depth in range(8))  # a newline and the indent of each depth
 
 
 def _field(doc: dict, key: str, where: str) -> Any:
@@ -80,7 +89,9 @@ def operator_from_doc(doc: dict, where: str = "operator") -> GeneralLinearOp:
 
 
 def matrix_to_doc(m: np.ndarray) -> list:
-    return [[[float(m[i, j].real), float(m[i, j].imag)] for j in range(2)] for i in range(2)]
+    """A complex array as nested lists with an [re, im] pair for each entry: a 2x2 matrix is two rows of two."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(float).reshape(*m.shape, 2).tolist()
 
 
 def matrix_from_doc(doc, where: str = "matrix") -> np.ndarray:
@@ -105,7 +116,7 @@ def share_from_doc(doc: dict, where: str = "share") -> Share:
 
 
 def circle_to_doc(circle: SphericalCircle) -> dict:
-    return {"n": [float(v) for v in circle.normal], "c": circle.offset}
+    return {"n": circle.normal.tolist(), "c": circle.offset}
 
 
 def circle_from_doc(doc: dict, where: str = "circle") -> SphericalCircle:
@@ -115,13 +126,49 @@ def circle_from_doc(doc: dict, where: str = "circle") -> SphericalCircle:
     return SphericalCircle(np.array([float(v) for v in n]), _real(doc, "c", where))
 
 
-def dump(doc: Any) -> str:
-    """Deterministic JSON text: two-space indent, LF newline at the end, from one shared encoder.
+def _pad(depth: int) -> str:
+    return _PADS[depth] if depth < len(_PADS) else "\n" + "  " * depth
 
-    A NaN or infinity would make the text invalid JSON; it raises InvariantViolationError instead.
+
+def _write(v, depth: int) -> str:
+    """The JSON text of v at an indent depth; the stdlib's isinstance tests, so a subclass is written as its JSON type."""
+    if isinstance(v, float):  # numpy's float64 among them
+        if isfinite(v):
+            return float.__repr__(v)
+        raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+    if isinstance(v, str):
+        return _string(v)
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        pad = _pad(depth + 1)
+        return "[" + pad + ("," + pad).join([_write(x, depth + 1) for x in v]) + _pad(depth) + "]"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        pad = _pad(depth + 1)
+        # _string raises TypeError on a key that is not a string
+        items = [_string(k) + ": " + _write(x, depth + 1) for k, x in sorted(v.items())]
+        return "{" + pad + ("," + pad).join(items) + _pad(depth) + "}"
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def dump(doc: Any) -> str:
+    """Deterministic JSON text: sorted keys, two-space indent, LF newline at the end (see the module docstring).
+
+    A NaN or infinity would make the text invalid JSON; it raises InvariantViolationError instead,
+    as does an int too long for str().  A value JSON has no type for raises TypeError.
     """
     try:
-        return _ENCODER.encode(doc) + "\n"
+        return _write(doc, 0) + "\n"
     except ValueError as exc:
         raise InvariantViolationError(f"document is not valid JSON: {exc}") from exc
 

@@ -600,3 +600,20 @@ def test_analyze_operator_file_with_huge_integer(tmp_path, capsys):
     Path(op_path).write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run(capsys, "analyze", "--operator", op_path, "--x", "1.0", "--y", "2.0")
     _assert_clean_error(code, out, err, "operator.b1: field 'im' must be a number")
+
+
+@pytest.mark.parametrize(
+    "reader, argv",
+    [
+        ("share", ["decode", "{file}"]),
+        ("operator", ["analyze", "--operator", "{file}", "--x", "1.0", "--y", "2.0"]),
+        ("scheme", ["share", "--scheme", "{file}", "--x", "1.0", "--y", "2.0", "--out", "{dir}"]),
+        ("state", ["mask", "--alpha", "0", "--theta", "0", "--state", "{file}"]),
+    ],
+)
+def test_a_file_that_is_not_utf8_is_invalid_input(tmp_path, capsys, reader, argv):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b'\xff\xfe{\x00}\x00')  # a UTF-16 byte order mark and "{}"
+    argv = [a.format(file=path, dir=tmp_path / "out") for a in argv]
+    code, out, err = run(capsys, *argv)
+    _assert_clean_error(code, out, err, f"{reader} ({path}): not UTF-8 text: ")

@@ -1,5 +1,11 @@
+import collections
+import enum
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qmask import (
     AngleState,
@@ -61,13 +67,91 @@ def test_dump_is_deterministic():
     assert docs.dump(doc).endswith("\n")
 
 
-@pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")])
+@pytest.mark.parametrize(
+    "value",
+    [float("inf"), -float("inf"), float("nan"), np.float64("nan"), np.float64("-inf")],
+    ids=["inf", "-inf", "nan", "float64_nan", "float64_-inf"],
+)
 def test_dump_never_writes_nan_or_infinity(value):
     # JSON has no such numbers; emitting them would make the document unreadable to strict parsers
-    with pytest.raises(InvariantViolationError):
-        docs.dump(value)
-    with pytest.raises(InvariantViolationError):
-        docs.dump({"oracle": {"band_bound": value}})
+    for doc in (value, {"oracle": {"band_bound": value}}, [0.5, value], (1.0, value), {"b": ({"c": value},)}):
+        with pytest.raises(InvariantViolationError, match="not valid JSON"):
+            docs.dump(doc)
+
+
+def stdlib_dump(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# keys and strings with non-ASCII, quote, backslash and control characters
+KEYS = st.text(st.sampled_from('az"\\\n\t\x00\x1f\x7f/é€😀'), max_size=4) | st.text(max_size=6)
+FLOATS = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1.7e308, -1.7e308, np.finfo(float).max])
+)
+LEAVES = (
+    FLOATS
+    | FLOATS.map(np.float64)
+    | st.integers(-(2**64), 2**64)
+    | st.integers(-(10**400), 10**400)
+    | st.booleans()
+    | st.none()
+    | KEYS
+)
+TREES = st.recursive(
+    LEAVES,
+    lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple) | st.dictionaries(KEYS, kids, max_size=4),
+    max_leaves=40,
+)
+
+
+@given(TREES)
+def test_dump_is_the_stdlib_indented_text(doc):
+    assert docs.dump(doc) == stdlib_dump(doc)
+
+
+def test_dump_nests_deeper_than_its_cached_indents():
+    doc = [{"k": [0.5, -0.0]}]
+    for depth in range(20):
+        doc = {"a": doc, "b": [depth, None, True, False, "é"]} if depth % 2 else [doc, ()]
+    assert docs.dump(doc) == stdlib_dump(doc)
+
+
+def test_dump_writes_a_subclass_as_its_json_type():
+    class Level(enum.IntEnum):
+        HIGH = 7
+
+    class Label(str):
+        pass
+
+    pair = collections.namedtuple("pair", "re im")
+    doc = collections.OrderedDict(z=[Level.HIGH, Label("é"), pair(np.float64(-0.0), 2.5)], a={Label("k"): True})
+    assert docs.dump(doc) == stdlib_dump(doc)
+
+
+@pytest.mark.parametrize("value", [{0.5}, np.int64(3), 1 + 2j, np.bool_(True)], ids=["set", "int64", "complex", "bool_"])
+def test_dump_rejects_what_json_has_no_type_for(value):
+    with pytest.raises(TypeError):
+        stdlib_dump(value)
+    for doc in (value, [value], {"a": value}):
+        with pytest.raises(TypeError):
+            docs.dump(doc)
+
+
+@pytest.mark.parametrize("key", [1, None, True, 0.5])
+def test_dump_rejects_keys_that_are_not_strings(key):
+    # the stdlib would write such a key as a string; no qmask document has one
+    with pytest.raises(TypeError):
+        docs.dump({key: 0.0})
+
+
+def test_float_arrays_enter_documents_as_their_float_view():
+    # the floats of float(z.real), float(z.imag) per entry, signed zeros included (repr tells -0.0 from 0.0)
+    m = np.array([[complex(0.5, -0.0), complex(-0.0, 1e-300)], [complex(5e-324, -1.7e308), complex(0.25, 0.0)]])
+    assert repr(docs.matrix_to_doc(m)) == "[[[0.5, -0.0], [-0.0, 1e-300]], [[5e-324, -1.7e+308], [0.25, 0.0]]]"
+    for a in (m.T, m[:, 1]):  # not contiguous
+        pairs = [[float(z.real), float(z.imag)] for z in a.ravel()]
+        assert repr(docs.matrix_to_doc(a)) == repr(pairs if a.ndim == 1 else [pairs[:2], pairs[2:]])
 
 
 def test_missing_field_diagnostics():
