@@ -239,9 +239,12 @@ def _load_scheme(spec: str) -> Scheme:
         maskers = doc.get("maskers") if isinstance(doc, dict) else None
         if not isinstance(maskers, list) or not maskers:
             raise InvalidInputError(f"scheme ({spec}): expected {{label, maskers: [...]}}")
+        label = doc.get("label", Path(spec).stem)
+        if not isinstance(label, str):
+            raise InvalidInputError(f"scheme.label: expected a string, got {type(label).__name__}")
         return Scheme(
             tuple(docs.masker_from_doc(m, where=f"scheme.maskers[{i}]") for i, m in enumerate(maskers)),
-            label=str(doc.get("label", Path(spec).stem)),
+            label=label,
         )
     return preset_scheme(spec)
 

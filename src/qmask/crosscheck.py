@@ -14,9 +14,10 @@ comparison between the two lives here.  Agreement holds when
 
 The flags come from :func:`qmask.oracle.grid_flags`, and distances to the
 class are taken only where the two tests need them: at the flagged nodes,
-and at the nodes of the cells whose centre is within one spacing plus the
-cell's radius of the class.  The distance to a set is 1-Lipschitz, so no
-other node can lie within one spacing of it.
+and at the nodes :meth:`qmask.oracle.GridSpec.live_nodes` keeps on the bound
+class_distance(centre) - r with one spacing as threshold.  The distance to
+a set is 1-Lipschitz, and Bloch distance at most angle distance, so the
+bound holds at every node of the cell.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from .bloch import AngleState, bloch_points
 from .linalg import ENTRY_WEIGHTS
 from .oracle import GridSpec, default_kappa, grid_flags
 
-_CELL = 4  # nodes along each side of the cells whose centres screen the nodes for class distances
-
 
 def agreement_report(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec) -> dict:
     """Scan the grid and compare against the classified maskable set."""
@@ -47,10 +46,9 @@ def agreement_report(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec) ->
 
     flagged = grid_flags(op, anchor, grid, tol)
     xs, ys = grid.axes()
-    ci, cj, radius = grid.cells(_CELL)
-    near = class_distance(mask_class, bloch_points(xs[ci, None], ys[cj])) <= grid.spacing + radius
     seen = flagged.copy()
-    seen.reshape(grid.nx, grid.ny)[grid.split(*np.nonzero(near), _CELL)] = True
+    near = grid.live_nodes(lambda ci, cj, r: class_distance(mask_class, bloch_points(xs[ci], ys[cj])) - r, grid.spacing)
+    seen.reshape(grid.nx, grid.ny)[near] = True
     nodes = np.flatnonzero(seen)
     i, j = np.divmod(nodes, grid.ny)
     dist = class_distance(mask_class, bloch_points(xs[i], ys[j]))

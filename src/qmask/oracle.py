@@ -12,25 +12,18 @@ reference that does not use the table: the kernel bit for bit against
 ``einsum``, the planes exactly against rational arithmetic on dyadic
 operators.
 
-Every node's deviation is computed by :class:`_NodeDeviations`, set up once
-per call: the :func:`unit_scaled` matrix, the anchor's entries and the
-trig of each axis.  It works through blocks of about ``_BLOCK_NODES``
-nodes, so it needs little memory beyond its output, and takes the
-Frobenius distances from the entries with
-:func:`qmask.linalg.frobenius_distances`, as ``masking.verify_mask`` does.
-:func:`grid_deviations` runs it on every node and is the dense reference.
+Every node's deviation is computed by :class:`_NodeDeviations`, with the
+Frobenius distances of :func:`qmask.linalg.frobenius_distances`, as in
+``masking.verify_mask``.  :func:`grid_deviations` runs it on every node
+and is the dense reference.
 
 :func:`grid_flags` gives the same flags from a fraction of the nodes.  By
 the paper's first theorem no nonzero operator masks a set of nonzero
-measure, so almost every node lies far from the masked set.  The grid is
-cut into cells of nodes, coarse to fine (``_CELL_SIZES``, 16 x 16 then
-4 x 4).  Each cell is evaluated once, at a centre node, and skipped when
-dev(centre) - L * r > tol, r being the cell's angle-space radius; a cell
-not skipped is split into the cells of the next size, and the nodes of
-the finest cells still live are evaluated.  A cell lies inside its
-parent, so a cell that can hold a flagged node is never skipped at any
-level.  That is safe with L = |M^dagger M|_F / 2, half the Frobenius
-norm of the 2x2 Gram matrix of M:
+measure, so almost every node lies far from the masked set.  It walks the
+cells with :meth:`GridSpec.live_nodes` on the bound dev(centre) - L * r,
+r being a cell's angle-space radius: at most the deviation at every node
+of the cell, with L = |M^dagger M|_F / 2, half the Frobenius norm of the
+2x2 Gram matrix of M:
 
 * the deviation is Lipschitz in the Bloch point with constant L.  With
   rho(p) = (1 + p . sigma)/2, rho(p) - rho(q) = |p - q| (u u^dagger -
@@ -87,8 +80,7 @@ DEFAULT_REGION = ((0.0, float(np.pi)), (0.0, float(2.0 * np.pi)))
 _BLOCK_NODES = 8192  # ~1 kB of temporaries per node, so ~8 MB a block
 # Nodes along each side of the pruning cells, coarse to fine; each size divides the one before.
 _CELL_SIZES = (16, 4)
-# Allowance, in radians of cell radius, for the rounding of a cell's bound: L * 2**-40 is at least
-# 2**-42 times the operator scale, and the deviations are exact to a few ulps of the scale.
+# Allowance, in radians of cell radius, for the rounding of a cell's bound (see the module docstring).
 _ROUNDING = 2.0**-40
 
 
@@ -153,6 +145,26 @@ class GridSpec:
         inside = (sub_a < -(-self.nx // fine)) & (sub_b < -(-self.ny // fine))
         return sub_a[inside], sub_b[inside]
 
+    def live_nodes(self, bound, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+        """The x and y indices of the nodes of the cells still live after a coarse-to-fine walk.
+
+        The one place cells are walked.  ``bound(i, j, radius)`` is called on
+        the centres and radii (:meth:`cells`) of the live cells of each size
+        in ``_CELL_SIZES``, from all cells of the first size.  A cell whose
+        bound is greater than ``threshold`` is skipped (a NaN keeps it); each
+        other is split (:meth:`split`) into the cells of the next size, or at
+        the last into its nodes, returned cell by cell.  If the bound is at
+        most some value at each node of the cell, no node whose value is at
+        most ``threshold`` is skipped, since a cell lies inside its parent.
+        """
+        sizes = _CELL_SIZES + (1,)
+        a, b = np.indices((-(-self.nx // sizes[0]), -(-self.ny // sizes[0]))).reshape(2, -1)
+        for size, fine in zip(sizes, sizes[1:]):
+            ci, cj, radius = self.cells(size)
+            live = ~(bound(ci[a], cj[b], radius[a, b]) > threshold)
+            a, b = self.split(a[live], b[live], size, fine)
+        return a, b
+
     def points(self) -> tuple[np.ndarray, np.ndarray]:
         """Flattened x and y coordinates of all nx*ny grid nodes, x-major."""
         gx, gy = np.meshgrid(*self.axes(), indexing="ij")
@@ -205,28 +217,17 @@ def grid_deviations(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec):
 
 
 def grid_flags(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec, tol: float) -> np.ndarray:
-    """``grid_deviations(op, anchor, grid) <= tol`` exactly, from the cells that can hold a flagged node.
+    """``grid_deviations(op, anchor, grid) <= tol`` exactly, from the nodes :meth:`GridSpec.live_nodes` keeps.
 
-    The cells of each size in ``_CELL_SIZES`` are evaluated at their centres
-    (:meth:`GridSpec.cells`), the 16 x 16 cells first.  A cell is skipped when
-    dev(centre) - L * radius > tol, with L = |M^dagger M|_F / 2 (see the
-    module docstring); the others are split (:meth:`GridSpec.split`) into
-    the cells of the next size, or at the last size into their nodes, which
-    are then evaluated in one batch.  Raises InvalidInputError when the
-    operator's squared norm over- or underflows.
+    The bound and its L are those of the module docstring.  Raises InvalidInputError when the operator's
+    squared norm over- or underflows.
     """
     operator_scale(op)  # first, so an operator whose squared norm over- or underflows raises
     deviations = _NodeDeviations(op, anchor, grid)
     lipschitz = np.linalg.norm(deviations.m.conj().T @ deviations.m) / 2
-    sizes = _CELL_SIZES + (1,)
-    a, b = np.indices((-(-grid.nx // sizes[0]), -(-grid.ny // sizes[0]))).reshape(2, -1)
-    for size, fine in zip(sizes, sizes[1:]):
-        ci, cj, radius = grid.cells(size)
-        bound = deviations(ci[a], cj[b]) - lipschitz * radius[a, b]
-        live = ~(np.ldexp(bound, 2 * deviations.e) > tol)
-        a, b = grid.split(a[live], b[live], size, fine)
+    i, j = grid.live_nodes(lambda ci, cj, r: np.ldexp(deviations(ci, cj) - lipschitz * r, 2 * deviations.e), tol)
     flags = np.zeros((grid.nx, grid.ny), dtype=bool)
-    flags[a, b] = np.ldexp(deviations(a, b), 2 * deviations.e) <= tol
+    flags[i, j] = np.ldexp(deviations(i, j), 2 * deviations.e) <= tol
     return flags.ravel()
 
 

@@ -267,6 +267,23 @@ def test_scheme_file_without_maskers(tmp_path, capsys):
     assert (code, out, err) == (1, "", f"qmask: error: scheme ({scheme_path}): expected {{label, maskers: [...]}}\n")
 
 
+@pytest.mark.parametrize("label, kind", [({"a": [1e400]}, "dict"), (3, "int"), (None, "NoneType"), (["x"], "list")])
+def test_scheme_label_must_be_a_string(tmp_path, capsys, label, kind):
+    scheme_path = tmp_path / "scheme.json"
+    scheme_path.write_text(json.dumps({"label": label, "maskers": [{"alpha": 0.0, "theta": 0.0}]}), encoding="utf-8")
+    out_dir = tmp_path / "shares"
+    code, out, err = run(capsys, "share", "--scheme", str(scheme_path), "--x", "0.8", "--y", "2.6", "--out", str(out_dir))
+    assert (code, out, err) == (1, "", f"qmask: error: scheme.label: expected a string, got {kind}\n")
+    assert not out_dir.exists()
+
+
+def test_scheme_label_defaults_to_the_file_stem(tmp_path, capsys):
+    scheme_path = tmp_path / "my_scheme.json"
+    scheme_path.write_text(json.dumps({"maskers": [{"alpha": 0.0, "theta": 0.0}]}), encoding="utf-8")
+    code, out, _ = run(capsys, "share", "--scheme", str(scheme_path), "--x", "0.8", "--y", "2.6", "--out", str(tmp_path))
+    assert code == 0 and json.loads(out)["scheme"] == "my_scheme"
+
+
 def test_state_and_share_documents_must_be_objects(tmp_path, capsys):
     path = tmp_path / "array.json"
     path.write_text("[1.0, 2.0]", encoding="utf-8")

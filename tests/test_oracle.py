@@ -148,6 +148,25 @@ def test_cells_cover_the_grid_within_their_radius():
                 assert sorted(fi * grid.ny + fj) == sorted(i * grid.ny + j)
 
 
+@pytest.mark.parametrize("grid", BLOCK_EDGE_GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
+def test_live_nodes_keeps_every_node_within_the_threshold(grid):
+    # |centre - q| - r is at most the angle-space distance from q to every node of the cell, so every
+    # node within the threshold of q is returned; -inf and NaN keep every cell live, +inf none
+    rng = np.random.default_rng(grid.nx * grid.ny)
+    xs, ys = grid.axes()
+    (x0, x1), (y0, y1) = grid.region
+    for _ in range(5):
+        qx, qy, threshold = rng.uniform(x0, x1), rng.uniform(y0, y1), rng.uniform(0, 4) * grid.spacing
+        i, j = grid.live_nodes(lambda ci, cj, r: np.hypot(xs[ci] - qx, ys[cj] - qy) - r, threshold)
+        nodes = i * grid.ny + j
+        assert np.unique(nodes).size == nodes.size
+        near = np.flatnonzero(np.hypot(xs[:, None] - qx, ys - qy) <= threshold)
+        assert np.isin(near, nodes).all()
+    for value, count in ((-np.inf, grid.nx * grid.ny), (np.nan, grid.nx * grid.ny), (np.inf, 0)):
+        i, j = grid.live_nodes(lambda ci, cj, r: np.full(ci.shape, value), 0.0)
+        assert sorted(i * grid.ny + j) == list(range(count)), value
+
+
 def pair_slopes(op, anchor, x, y, x1, y1):
     """|dev(p) - dev(q)| / |p - q| over the point pairs (x, y), (x1, y1)."""
     gap = np.linalg.norm(bloch_points(x, y) - bloch_points(x1, y1), axis=-1)
@@ -204,7 +223,9 @@ def dense_report(op, anchor, grid, band_bound):
     }
 
 
-@pytest.mark.parametrize("grid", [GridSpec(200, 400), GridSpec(97, 203)], ids=lambda g: f"{g.nx}x{g.ny}")
+@pytest.mark.parametrize(
+    "grid", [GridSpec(200, 400), GridSpec(97, 203), GridSpec(37, 74)], ids=lambda g: f"{g.nx}x{g.ny}"
+)
 def test_agreement_report_equals_the_dense_report(grid):
     rng = np.random.default_rng(6)
     cases = [
@@ -218,6 +239,17 @@ def test_agreement_report_equals_the_dense_report(grid):
         rep = agreement_report(op, anchor, grid)
         ref = dense_report(op, anchor, grid, rep["band_bound"])
         assert {k: repr(v) for k, v in rep.items()} == {k: repr(v) for k, v in ref.items()}
+
+
+def test_agreement_report_screens_few_cells(monkeypatch):
+    # masker (1.1, 0.7) on 200 x 400: the screen takes class distances at the 325 centres of the
+    # 16 x 16 cells, then at 1016 centres of 4 x 4 cells; one level of 4 x 4 cells took all 5000
+    sizes = []
+    distance = crosscheck.class_distance
+    monkeypatch.setattr(crosscheck, "class_distance", lambda c, p: sizes.append(len(p)) or distance(c, p))
+    agreement_report(masker_op(1.1, 0.7), AngleState(1.0, 1.0), GridSpec(200, 400))
+    coarse, fine, _ = sizes  # the third call takes the distances at the screened and flagged nodes
+    assert coarse == 325 and fine <= 1100 < 5000, sizes
 
 
 @pytest.mark.parametrize(
