@@ -17,10 +17,11 @@ from qmask import (
     MaskerParams,
     build_masker,
     canonical_mask_params,
-    extract_constraints,
+    constraint_planes,
     maskable_set,
     product_form_diagnosis,
 )
+from qmask.linalg import ENTRY_LABELS
 
 rng = np.random.default_rng(1)
 anchor = AngleState(1.1, 2.3)
@@ -40,8 +41,8 @@ for label, op in [("masker isometry", masker_op), ("identity embedding", embed_o
     print(f"{label:20s} maskable set: {kind}{extra}")
 
 print("\nconstraint planes of the masker isometry (zero rows are constant entries):")
-for c in extract_constraints(masker_op):
-    print(f"  {c.label:10s} n = ({c.n[0]:+.4f}, {c.n[1]:+.4f}, {c.n[2]:+.4f})   r = {c.r:+.4f}")
+for label, n, r in zip(ENTRY_LABELS, *constraint_planes(masker_op.matrix)):
+    print(f"  {label:10s} n = ({n[0]:+.4f}, {n[1]:+.4f}, {n[2]:+.4f})   r = {r:+.4f}")
 
 # the degenerate factorizing operators are recognized from their sub-vector
 # inner products; everything genuinely entangling is rejected

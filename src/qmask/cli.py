@@ -14,6 +14,10 @@ be a positive finite number.  scan takes --kappa only with --fractions, and
 
 decode reads every share file first, then checks all shares at once and
 names the file of the first corrupt one.
+
+The CLI parses arguments, calls the library, composes each command's
+document from the documents module's formats and writes JSON, CSV and
+share files.
 """
 
 from __future__ import annotations
@@ -26,30 +30,14 @@ from pathlib import Path
 import numpy as np
 
 from . import documents as docs
-from .analysis import (
-    Circle,
-    SinglePoint,
-    extract_constraints,
-    maskable_set,
-    product_form_diagnosis,
-)
-from .bloch import AngleState, bloch_points, bloch_to_angles, canonical_mask_params, sample_circle
+from .analysis import constraint_planes, maskable_set, operator_scale, product_form_diagnosis
+from .bloch import AngleState, bloch_points, sample_circle
 from .crosscheck import agreement_report
 from .errors import CorruptShareError, InvalidInputError, InvariantViolationError, check_positive_finite
 from .linalg import reduced_pair
 from .masking import MaskerParams, build_masker, hbar, maskable_circle
 from .oracle import GridSpec, default_kappa, grid_scan, masked_fraction_scaling
-from .protocol import (
-    AmbiguousCircle,
-    DECODE_TOL,
-    Scheme,
-    TwoCandidates,
-    Unique,
-    decode,
-    encode,
-    preset_scheme,
-    preset_schemes,
-)
+from .protocol import DECODE_TOL, Scheme, decode, encode, preset_scheme, preset_schemes
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,29 +97,6 @@ def _csv_rows(states) -> str:
     return "x,y,X,Y,Z\n" + "".join("{:.17g},{:.17g},{:.17g},{:.17g},{:.17g}\n".format(*r) for r in rows)
 
 
-def _class_doc(mask_class) -> dict:
-    """JSON for a :func:`maskable_set` result: a Circle, a SinglePoint or else a PointPair."""
-    if isinstance(mask_class, Circle):
-        alpha, theta, cval = canonical_mask_params(mask_class.circle)
-        return {
-            "class": "circle",
-            "circle": docs.circle_to_doc(mask_class.circle),
-            "mask_params": {"alpha": alpha, "theta": theta, "cval": cval},
-        }
-    if isinstance(mask_class, SinglePoint):
-        s = bloch_to_angles(mask_class.point)
-        return {
-            "class": "single_point",
-            "point": mask_class.point.tolist(),
-            "state": docs.state_to_doc(s),
-        }
-    return {
-        "class": "point_pair",
-        "points": [mask_class.p1.tolist(), mask_class.p2.tolist()],
-        "states": [docs.state_to_doc(bloch_to_angles(p)) for p in (mask_class.p1, mask_class.p2)],
-    }
-
-
 # --- commands -----------------------------------------------------------------
 
 
@@ -176,18 +141,12 @@ def _cmd_analyze(args) -> int:
     op = docs.operator_from_doc(_read_json(args.operator, "operator"), where="operator")
     anchor = _state_from_args(args)
     mask_class = maskable_set(op, anchor)
-    constraints = extract_constraints(op)
-    diag = product_form_diagnosis(op)
+    operator_scale(op)  # rejects an operator whose squared norm over- or underflows
     doc = {
         "anchor": docs.state_to_doc(anchor),
-        "maskable_set": _class_doc(mask_class),
-        "constraints": [{"label": c.label, "n": c.n.tolist(), "r": c.r} for c in constraints],
-        "product_form": {
-            "orthogonality_residual": diag.orthogonality_residual,
-            "norm_residual": diag.norm_residual,
-            "is_product_form": diag.is_product_form,
-            "lambda": None if diag.lam is None else {"re": diag.lam.real, "im": diag.lam.imag},
-        },
+        "maskable_set": docs.class_to_doc(mask_class),
+        "constraints": docs.constraints_to_doc(*constraint_planes(op.matrix)),
+        "product_form": docs.product_form_to_doc(product_form_diagnosis(op)),
     }
     if args.scan is not None:
         doc["oracle"] = agreement_report(op, anchor, GridSpec(nx=args.scan, ny=2 * args.scan))
@@ -235,17 +194,7 @@ def _cmd_scan(args) -> int:
 
 def _load_scheme(spec: str) -> Scheme:
     if spec.endswith(".json") or os.path.sep in spec:
-        doc = _read_json(spec, "scheme")
-        maskers = doc.get("maskers") if isinstance(doc, dict) else None
-        if not isinstance(maskers, list) or not maskers:
-            raise InvalidInputError(f"scheme ({spec}): expected {{label, maskers: [...]}}")
-        label = doc.get("label", Path(spec).stem)
-        if not isinstance(label, str):
-            raise InvalidInputError(f"scheme.label: expected a string, got {type(label).__name__}")
-        return Scheme(
-            tuple(docs.masker_from_doc(m, where=f"scheme.maskers[{i}]") for i, m in enumerate(maskers)),
-            label=label,
-        )
+        return docs.scheme_from_doc(_read_json(spec, "scheme"), where=f"scheme ({spec})", label=Path(spec).stem)
     return preset_scheme(spec)
 
 
@@ -277,18 +226,7 @@ def _cmd_decode(args) -> int:
         result = decode(shares, tol=tol)
     except CorruptShareError as exc:
         raise CorruptShareError(f"{args.shares[exc.index]}: {exc}") from exc
-    if isinstance(result, Unique):
-        doc = {"result": "unique", "state": docs.state_to_doc(result.state)}
-    elif isinstance(result, TwoCandidates):
-        doc = {
-            "result": "two_candidates",
-            "states": [docs.state_to_doc(result.first), docs.state_to_doc(result.second)],
-        }
-    elif isinstance(result, AmbiguousCircle):
-        doc = {"result": "ambiguous_circle", "circle": docs.circle_to_doc(result.circle)}
-    else:
-        doc = {"result": "inconsistent"}
-    _emit(args, docs.dump(doc))
+    _emit(args, docs.dump(docs.decode_to_doc(result)))
     return 0
 
 

@@ -1,4 +1,5 @@
-"""JSON document formats for states, maskers, operators, shares and circles.
+"""JSON document formats: states, maskers, operators, shares, circles and schemes, and the
+maskable-class, constraint, product-form and decode reports that the cli composes.
 
 Structured data travels as JSON; plot point streams travel as CSV (see
 the cli module).  Floats are emitted with Python's shortest round-trip
@@ -23,11 +24,12 @@ from typing import Any
 
 import numpy as np
 
-from .analysis import GeneralLinearOp
-from .bloch import AngleState, SphericalCircle
+from .analysis import GeneralLinearOp, ProductFormReport
+from .bloch import AngleState, Circle, SinglePoint, SphericalCircle, bloch_to_angles, canonical_mask_params
 from .errors import InvalidInputError, InvariantViolationError
+from .linalg import ENTRY_LABELS
 from .masking import MaskerParams
-from .protocol import Share
+from .protocol import AmbiguousCircle, Scheme, Share, TwoCandidates, Unique
 
 OPERATOR_KEYS = ("a0", "a1", "b0", "b1", "c0", "c1", "d0", "d1")
 _PADS = tuple("\n" + "  " * depth for depth in range(8))  # a newline and the indent of each depth
@@ -124,6 +126,65 @@ def circle_from_doc(doc: dict, where: str = "circle") -> SphericalCircle:
     if not (isinstance(n, list) and len(n) == 3 and all(map(_number, n))):
         raise InvalidInputError(f"{where}: field 'n' must be a 3-element array of numbers")
     return SphericalCircle(np.array([float(v) for v in n]), _real(doc, "c", where))
+
+
+def scheme_from_doc(doc: dict, where: str = "scheme", label: str = "") -> Scheme:
+    """A scheme document {label, maskers: [...]}, ``label`` the default label.  ``where`` names a
+    document that is not a scheme; its fields are named from ``scheme``."""
+    maskers = doc.get("maskers") if isinstance(doc, dict) else None
+    if not isinstance(maskers, list) or not maskers:
+        raise InvalidInputError(f"{where}: expected {{label, maskers: [...]}}")
+    label = doc.get("label", label)
+    if not isinstance(label, str):
+        raise InvalidInputError(f"scheme.label: expected a string, got {type(label).__name__}")
+    return Scheme(tuple(masker_from_doc(m, where=f"scheme.maskers[{i}]") for i, m in enumerate(maskers)), label=label)
+
+
+def class_to_doc(mask_class) -> dict:
+    """A :func:`~qmask.analysis.maskable_set` result: a Circle, a SinglePoint or else a PointPair."""
+    if isinstance(mask_class, Circle):
+        alpha, theta, cval = canonical_mask_params(mask_class.circle)
+        return {
+            "class": "circle",
+            "circle": circle_to_doc(mask_class.circle),
+            "mask_params": {"alpha": alpha, "theta": theta, "cval": cval},
+        }
+    if isinstance(mask_class, SinglePoint):
+        return {
+            "class": "single_point",
+            "point": mask_class.point.tolist(),
+            "state": state_to_doc(bloch_to_angles(mask_class.point)),
+        }
+    return {
+        "class": "point_pair",
+        "points": [mask_class.p1.tolist(), mask_class.p2.tolist()],
+        "states": [state_to_doc(bloch_to_angles(p)) for p in (mask_class.p1, mask_class.p2)],
+    }
+
+
+def constraints_to_doc(normals: np.ndarray, offsets: np.ndarray) -> list:
+    """The rows of :func:`~qmask.analysis.constraint_planes`, each labelled from ENTRY_LABELS."""
+    return [{"label": label, "n": n, "r": r} for label, n, r in zip(ENTRY_LABELS, normals.tolist(), offsets.tolist())]
+
+
+def product_form_to_doc(diag: ProductFormReport) -> dict:
+    return {
+        "orthogonality_residual": diag.orthogonality_residual,
+        "norm_residual": diag.norm_residual,
+        "is_product_form": diag.is_product_form,
+        "lambda": None if diag.lam is None else {"re": diag.lam.real, "im": diag.lam.imag},
+    }
+
+
+def decode_to_doc(result) -> dict:
+    """A :func:`~qmask.protocol.decode` result: Unique, TwoCandidates, AmbiguousCircle or else Inconsistent."""
+    if isinstance(result, Unique):
+        return {"result": "unique", "state": state_to_doc(result.state)}
+    if isinstance(result, TwoCandidates):
+        return {"result": "two_candidates", "states": [state_to_doc(result.first), state_to_doc(result.second)]}
+    if isinstance(result, AmbiguousCircle):
+        return {"result": "ambiguous_circle", "circle": circle_to_doc(result.circle)}
+    return {"result": "inconsistent"}
 
 
 def _pad(depth: int) -> str:

@@ -8,15 +8,32 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmask import (
+    AmbiguousCircle,
     AngleState,
+    Circle,
+    Inconsistent,
     InvalidInputError,
     InvariantViolationError,
+    MaskerParams,
+    PointPair,
     Scheme,
+    SinglePoint,
     SphericalCircle,
+    TwoCandidates,
+    Unique,
+    bloch_to_angles,
+    build_masker,
+    circle_from_mask_params,
+    circles_equal,
+    constraint_planes,
     encode,
+    extract_constraints,
+    maskable_set,
+    product_form_diagnosis,
 )
 from qmask import documents as docs
-from _helpers import random_op, random_params, random_state
+from qmask.linalg import ENTRY_LABELS
+from _helpers import planted_product_op, random_op, random_params, random_state, rank_two_op
 
 
 def test_state_round_trip_exact():
@@ -283,3 +300,115 @@ def test_readers_keep_the_downstream_message_for_nan_and_infinity(literal):
 def test_load_text_rejects_what_json_loads_cannot_hold(text, message):
     with pytest.raises(InvalidInputError, match=rf"^share \(s\.json\): .*{message}"):
         docs.load_text(text, where="share (s.json)")
+
+
+# --- the report documents and the scheme reader ---------------------------------
+
+
+def test_class_doc_of_a_circle_rebuilds_its_circle():
+    mask_class = maskable_set(build_masker(MaskerParams(1.1, 0.7)), AngleState(1.0, 1.0))
+    assert isinstance(mask_class, Circle)
+    doc = docs.class_to_doc(mask_class)
+    assert doc.keys() == {"class", "circle", "mask_params"} and doc["class"] == "circle"
+    assert doc["circle"] == docs.circle_to_doc(mask_class.circle)
+    assert doc["mask_params"].keys() == {"alpha", "theta", "cval"}
+    assert circles_equal(circle_from_mask_params(**doc["mask_params"]), mask_class.circle, tol=1e-12)
+
+
+def test_class_doc_of_a_single_point_and_a_point_pair():
+    point = maskable_set(random_op(np.random.default_rng(5)), AngleState(1.0, 1.0))
+    assert isinstance(point, SinglePoint)
+    assert docs.class_to_doc(point) == {
+        "class": "single_point",
+        "point": point.point.tolist(),
+        "state": docs.state_to_doc(bloch_to_angles(point.point)),
+    }
+    pair = maskable_set(rank_two_op(np.random.default_rng(5)), AngleState(1.0, 1.0))
+    assert isinstance(pair, PointPair)
+    assert docs.class_to_doc(pair) == {
+        "class": "point_pair",
+        "points": [pair.p1.tolist(), pair.p2.tolist()],
+        "states": [docs.state_to_doc(bloch_to_angles(pair.p1)), docs.state_to_doc(bloch_to_angles(pair.p2))],
+    }
+
+
+def test_product_form_doc_has_a_lambda_only_for_a_product_operator():
+    diag = product_form_diagnosis(random_op(np.random.default_rng(6)))
+    assert docs.product_form_to_doc(diag) == {
+        "orthogonality_residual": diag.orthogonality_residual,
+        "norm_residual": diag.norm_residual,
+        "is_product_form": False,
+        "lambda": None,
+    }
+    op, lam = planted_product_op(np.random.default_rng(6))
+    doc = docs.product_form_to_doc(product_form_diagnosis(op))
+    assert doc["is_product_form"] is True and doc["lambda"].keys() == {"re", "im"}
+    assert complex(doc["lambda"]["re"], doc["lambda"]["im"]) == pytest.approx(lam, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_constraints_doc_is_the_plane_rows_in_entry_label_order(seed):
+    op = random_op(np.random.default_rng(seed))
+    normals, offsets = constraint_planes(op.matrix)
+    doc = docs.constraints_to_doc(normals, offsets)
+    assert [c["label"] for c in doc] == list(ENTRY_LABELS)
+    # repr tells -0.0 from 0.0, so these compare bit for bit
+    assert repr([c["n"] for c in doc]) == repr(normals.tolist())
+    assert repr([c["r"] for c in doc]) == repr(offsets.tolist())
+    assert all(type(v) is float for c in doc for v in (*c["n"], c["r"]))
+    old = [{"label": c.label, "n": c.n.tolist(), "r": c.r} for c in extract_constraints(op)]
+    assert repr(doc) == repr(old)
+
+
+CIRCLE = SphericalCircle(np.array([0.0, 0.6, 0.8]), 0.25)
+
+
+@pytest.mark.parametrize(
+    "result, doc",
+    [
+        (Unique(AngleState(1.0, 2.0)), {"result": "unique", "state": {"x": 1.0, "y": 2.0}}),
+        (
+            TwoCandidates(AngleState(1.0, 2.0), AngleState(2.0, 2.0)),
+            {"result": "two_candidates", "states": [{"x": 1.0, "y": 2.0}, {"x": 2.0, "y": 2.0}]},
+        ),
+        (AmbiguousCircle(CIRCLE), {"result": "ambiguous_circle", "circle": {"n": [0.0, 0.6, 0.8], "c": 0.25}}),
+        (Inconsistent(), {"result": "inconsistent"}),
+    ],
+    ids=["unique", "two_candidates", "ambiguous_circle", "inconsistent"],
+)
+def test_decode_doc(result, doc):
+    assert docs.decode_to_doc(result) == doc
+
+
+MASKERS = [{"alpha": 0.3, "theta": 0.1}, {"alpha": 1.2, "theta": 2.0}]
+
+
+def test_scheme_from_doc_reads_maskers_and_label():
+    scheme = docs.scheme_from_doc({"label": "mine", "maskers": MASKERS}, label="file")
+    assert scheme.label == "mine"
+    assert scheme.maskers == (MaskerParams(0.3, 0.1), MaskerParams(1.2, 2.0))
+    assert docs.scheme_from_doc({"maskers": MASKERS}, label="file").label == "file"
+    assert docs.scheme_from_doc({"maskers": MASKERS}).label == ""
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (MASKERS, r"^scheme \(s\.json\): expected \{label, maskers: \[\.\.\.\]\}$"),
+        ({"label": "x"}, r"^scheme \(s\.json\): expected \{label, maskers: \[\.\.\.\]\}$"),
+        ({"maskers": []}, r"^scheme \(s\.json\): expected \{label, maskers: \[\.\.\.\]\}$"),
+        ({"maskers": MASKERS[0]}, r"^scheme \(s\.json\): expected \{label, maskers: \[\.\.\.\]\}$"),
+        (
+            {"maskers": [MASKERS[0], {"alpha": "a", "theta": 0.1}]},
+            r"^scheme\.maskers\[1\]: field 'alpha' must be a number, got 'a'$",
+        ),
+        ({"maskers": [{"alpha": 0.3}]}, r"^scheme\.maskers\[0\]: missing field 'theta'$"),
+        ({"label": {"a": [1e400]}, "maskers": MASKERS}, r"^scheme\.label: expected a string, got dict$"),
+        ({"label": None, "maskers": MASKERS}, r"^scheme\.label: expected a string, got NoneType$"),
+    ],
+    ids=["not_an_object", "no_maskers", "empty_maskers", "maskers_not_a_list", "bad_masker_field",
+         "missing_masker_field", "label_dict", "label_null"],
+)
+def test_scheme_from_doc_rejections(doc, message):
+    with pytest.raises(InvalidInputError, match=message):
+        docs.scheme_from_doc(doc, where="scheme (s.json)", label="s")
