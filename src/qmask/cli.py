@@ -12,8 +12,9 @@ Every tolerance, QMASK_TOL and the --tol and --kappa options alike, must
 be a positive finite number.  scan takes --kappa only with --fractions, and
 --tol, --csv, --nx and --ny only without it.
 
-decode reads every share file first, then checks all shares at once and
-names the file of the first corrupt one.
+Every error from an input file (a state, operator, scheme or share file)
+begins with that file's path, once.  decode reads every share file first,
+then checks all shares at once and names the file of the first corrupt one.
 
 The CLI parses arguments, calls the library, composes each command's
 document from the documents module's formats and writes JSON, CSV and
@@ -59,19 +60,22 @@ def _verification_tol() -> float:
     return tol
 
 
-def _read_json(path: str, where: str):
+def _read(path: str, kind: str, from_doc):
+    """A ``kind`` file's UTF-8 text, parsed and converted by ``from_doc``: the one place an input file is
+    named, each InvalidInputError raised again, of its type, with the path in front.  OSError propagates."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return from_doc(docs.load_text(Path(path).read_text(encoding="utf-8"), where=kind))
     except UnicodeDecodeError as exc:
-        raise InvalidInputError(f"{where} ({path}): not UTF-8 text: {exc}") from exc
-    return docs.load_text(text, where=f"{where} ({path})")
+        raise InvalidInputError(f"{path}: {kind}: not UTF-8 text: {exc}") from exc
+    except InvalidInputError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _state_from_args(args) -> AngleState:
     if args.state is not None:
         if args.x is not None or args.y is not None:
             raise InvalidInputError("give either --state FILE or --x/--y, not both")
-        return docs.state_from_doc(_read_json(args.state, "state"), where="state")
+        return _read(args.state, "state", docs.state_from_doc)
     if args.x is None or args.y is None:
         raise InvalidInputError("state required: --state FILE or both --x and --y (radians)")
     return AngleState(args.x, args.y)
@@ -138,7 +142,7 @@ def _cmd_circle(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    op = docs.operator_from_doc(_read_json(args.operator, "operator"), where="operator")
+    op = _read(args.operator, "operator", docs.operator_from_doc)
     anchor = _state_from_args(args)
     mask_class = maskable_set(op, anchor)
     operator_scale(op)  # rejects an operator whose squared norm over- or underflows
@@ -161,7 +165,7 @@ def _cmd_scan(args) -> int:
     for option, value, mode in options:
         if value is not None and (mode == "with") != fractions:
             raise InvalidInputError(f"{option} applies only {mode} --fractions")
-    op = docs.operator_from_doc(_read_json(args.operator, "operator"), where="operator")
+    op = _read(args.operator, "operator", docs.operator_from_doc)
     anchor = _state_from_args(args)
     if fractions:
         try:
@@ -194,7 +198,7 @@ def _cmd_scan(args) -> int:
 
 def _load_scheme(spec: str) -> Scheme:
     if spec.endswith(".json") or os.path.sep in spec:
-        return docs.scheme_from_doc(_read_json(spec, "scheme"), where=f"scheme ({spec})", label=Path(spec).stem)
+        return _read(spec, "scheme", lambda doc: docs.scheme_from_doc(doc, label=Path(spec).stem))
     return preset_scheme(spec)
 
 
@@ -216,12 +220,7 @@ def _cmd_share(args) -> int:
 
 def _cmd_decode(args) -> int:
     tol = args.tol if args.tol is not None else _verification_tol()
-    shares = []
-    for path in args.shares:
-        try:
-            shares.append(docs.share_from_doc(_read_json(path, "share"), where="share"))
-        except InvalidInputError as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
+    shares = [_read(path, "share", docs.share_from_doc) for path in args.shares]
     try:
         result = decode(shares, tol=tol)
     except CorruptShareError as exc:

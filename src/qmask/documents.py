@@ -128,12 +128,11 @@ def circle_from_doc(doc: dict, where: str = "circle") -> SphericalCircle:
     return SphericalCircle(np.array([float(v) for v in n]), _real(doc, "c", where))
 
 
-def scheme_from_doc(doc: dict, where: str = "scheme", label: str = "") -> Scheme:
-    """A scheme document {label, maskers: [...]}, ``label`` the default label.  ``where`` names a
-    document that is not a scheme; its fields are named from ``scheme``."""
+def scheme_from_doc(doc: dict, label: str = "") -> Scheme:
+    """A scheme document {label, maskers: [...]}, ``label`` the default label."""
     maskers = doc.get("maskers") if isinstance(doc, dict) else None
     if not isinstance(maskers, list) or not maskers:
-        raise InvalidInputError(f"{where}: expected {{label, maskers: [...]}}")
+        raise InvalidInputError("scheme: expected {label, maskers: [...]}")
     label = doc.get("label", label)
     if not isinstance(label, str):
         raise InvalidInputError(f"scheme.label: expected a string, got {type(label).__name__}")

@@ -67,7 +67,7 @@ def reduced_entries(psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim not in (1, 2) or psi.shape[-1] != 4:
         raise InvalidInputError(f"expected 4-component state vectors, got shape {psi.shape}")
-    real = psi.view(float).reshape(-1, 8)
+    real = np.ascontiguousarray(psi).view(float).reshape(-1, 8)  # no copy unless psi is strided
     if not np.logical_and.reduce(np.isfinite(real), axis=None):
         raise InvalidInputError("state vector contains non-finite components")
     g = np.ascontiguousarray(real.T)[_COLUMNS]

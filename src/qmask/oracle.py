@@ -67,6 +67,8 @@ which is all these scans are meant to probe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
+from numbers import Integral
 
 import numpy as np
 
@@ -98,11 +100,13 @@ class GridSpec:
     region: tuple[tuple[float, float], tuple[float, float]] = DEFAULT_REGION
 
     def __post_init__(self):
+        if not (isinstance(self.nx, Integral) and isinstance(self.ny, Integral)):
+            raise InvalidInputError(f"grid sizes must be integers, got nx={self.nx!r}, ny={self.ny!r}")
         if self.nx < 2 or self.ny < 2:
             raise InvalidInputError("grid needs at least 2 points per axis")
         (x0, x1), (y0, y1) = self.region
-        if not (x1 > x0 and y1 > y0):
-            raise InvalidInputError("grid region must have positive extent")
+        if not (x1 > x0 and y1 > y0 and all(map(isfinite, (x0, x1, y0, y1)))):
+            raise InvalidInputError("grid region must have finite bounds and positive extent")
 
     @property
     def spacing(self) -> float:
@@ -165,11 +169,6 @@ class GridSpec:
             a, b = self.split(a[live], b[live], size, fine)
         return a, b
 
-    def points(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened x and y coordinates of all nx*ny grid nodes, x-major."""
-        gx, gy = np.meshgrid(*self.axes(), indexing="ij")
-        return gx.ravel(), gy.ravel()
-
 
 class _NodeDeviations:
     """Deviations at grid nodes (xs[i], ys[j]) on the :func:`unit_scaled` matrix ``m``: 4**e times each
@@ -205,7 +204,7 @@ class _NodeDeviations:
 def grid_deviations(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec):
     """Per-node deviation of the raw reduced pair from the anchor's, at every node: the dense reference.
 
-    Returns dev flattened over the grid in :meth:`GridSpec.points` order,
+    Returns dev flattened over the grid in x-major order,
     the larger of the two Frobenius distances.  The anchor itself is
     evaluated exactly, not snapped to the grid.  The distances are computed
     from the :func:`unit_scaled` matrix and scaled back exactly, so only

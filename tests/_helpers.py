@@ -15,6 +15,12 @@ def sphere_state(rng):
     return AngleState(float(np.arccos(rng.uniform(-1.0, 1.0))), rng.uniform(0.0, 2 * np.pi))
 
 
+def grid_points(grid):
+    """Flattened x and y coordinates of all nx*ny nodes of a GridSpec, x-major: the tests' reference grid."""
+    gx, gy = np.meshgrid(*grid.axes(), indexing="ij")
+    return gx.ravel(), gy.ravel()
+
+
 def random_params(rng):
     return MaskerParams(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2 * np.pi))
 

@@ -41,7 +41,9 @@ from qmask import (
     verify_mask,
 )
 from qmask.protocol import TwoCandidates, Unique
-from _helpers import f01_symbolic, planted_product_op, random_op, random_params, random_state, well_separated_triple
+from _helpers import (
+    f01_symbolic, grid_points, planted_product_op, random_op, random_params, random_state, well_separated_triple,
+)
 
 ENTRY_WEIGHTS = np.array([1.0, 1.0, np.sqrt(2), np.sqrt(2), 1.0, 1.0, np.sqrt(2), np.sqrt(2)])
 
@@ -149,7 +151,7 @@ def test_criterion_5_oracle_vs_classification():
         scale = operator_scale(op)
         tol = default_kappa(op) * h
 
-        xs, ys = grid.points()
+        xs, ys = grid_points(grid)
         dev = grid_deviations(op, anchor, grid)
         points = np.column_stack([np.sin(xs) * np.cos(ys), np.sin(xs) * np.sin(ys), np.cos(xs)])
         flagged = dev <= tol

@@ -264,7 +264,7 @@ def test_scheme_file_without_maskers(tmp_path, capsys):
     scheme_path = tmp_path / "scheme.json"
     scheme_path.write_text(docs.dump({"label": "custom"}), encoding="utf-8")
     code, out, err = run(capsys, "share", "--scheme", str(scheme_path), "--x", "0.8", "--y", "2.6", "--out", str(tmp_path))
-    assert (code, out, err) == (1, "", f"qmask: error: scheme ({scheme_path}): expected {{label, maskers: [...]}}\n")
+    assert (code, out, err) == (1, "", f"qmask: error: {scheme_path}: scheme: expected {{label, maskers: [...]}}\n")
 
 
 @pytest.mark.parametrize("label, kind", [({"a": [1e400]}, "dict"), (3, "int"), (None, "NoneType"), (["x"], "list")])
@@ -273,7 +273,7 @@ def test_scheme_label_must_be_a_string(tmp_path, capsys, label, kind):
     scheme_path.write_text(json.dumps({"label": label, "maskers": [{"alpha": 0.0, "theta": 0.0}]}), encoding="utf-8")
     out_dir = tmp_path / "shares"
     code, out, err = run(capsys, "share", "--scheme", str(scheme_path), "--x", "0.8", "--y", "2.6", "--out", str(out_dir))
-    assert (code, out, err) == (1, "", f"qmask: error: scheme.label: expected a string, got {kind}\n")
+    assert (code, out, err) == (1, "", f"qmask: error: {scheme_path}: scheme.label: expected a string, got {kind}\n")
     assert not out_dir.exists()
 
 
@@ -288,7 +288,7 @@ def test_state_and_share_documents_must_be_objects(tmp_path, capsys):
     path = tmp_path / "array.json"
     path.write_text("[1.0, 2.0]", encoding="utf-8")
     code, out, err = run(capsys, "mask", "--alpha", "0", "--theta", "0", "--state", str(path))
-    assert (code, out, err) == (1, "", "qmask: error: state: expected a JSON object, got list\n")
+    assert (code, out, err) == (1, "", f"qmask: error: {path}: state: expected a JSON object, got list\n")
     code, out, err = run(capsys, "decode", str(path))
     assert (code, out, err) == (1, "", f"qmask: error: {path}: share: expected a JSON object, got list\n")
 
@@ -633,4 +633,48 @@ def test_a_file_that_is_not_utf8_is_invalid_input(tmp_path, capsys, reader, argv
     path.write_bytes(b'\xff\xfe{\x00}\x00')  # a UTF-16 byte order mark and "{}"
     argv = [a.format(file=path, dir=tmp_path / "out") for a in argv]
     code, out, err = run(capsys, *argv)
-    _assert_clean_error(code, out, err, f"{reader} ({path}): not UTF-8 text: ")
+    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert (code, out, err) == (1, "", f"qmask: error: {path}: {reader}: not UTF-8 text: {reason}\n")
+
+
+_OPERATOR = docs.operator_to_doc(identity_embedding())
+_3X3 = [[[0.5, 0.0]] * 3] * 3
+INPUT_ARGV = {
+    "state": ["mask", "--alpha", "0", "--theta", "0", "--state", "{file}"],
+    "operator": ["analyze", "--operator", "{file}", "--x", "1.0", "--y", "2.0"],
+    "scheme": ["share", "--scheme", "{file}", "--x", "1.0", "--y", "2.0", "--out", "{dir}"],
+    "share": ["decode", "{file}"],
+}
+
+
+@pytest.mark.parametrize(
+    "kind, content, message",
+    [
+        ("state", '{"x": 1.0,', "state: line 1, column 11: Expecting property name enclosed in double quotes"),
+        ("state", "[1.0, 2.0]", "state: expected a JSON object, got list"),
+        ("state", '{"x": "a", "y": 0.3}', "state: field 'x' must be a number, got 'a'"),
+        ("state", '{"x": 5.0, "y": 0.3}', "x=5.0 outside [0, pi]"),
+        ("operator", json.dumps({k: v for k, v in _OPERATOR.items() if k != "c1"}), "operator: missing field 'c1'"),
+        ("operator", json.dumps(dict.fromkeys(_OPERATOR, {"re": 0.0, "im": 0.0})),
+         "the zero operator has no maskable-set analysis"),
+        ("scheme", '{"label": "x"}', "scheme: expected {label, maskers: [...]}"),
+        ("scheme", '{"maskers": [{"alpha": "a", "theta": 0.0}]}', "scheme.maskers[0]: field 'alpha' must be a number, got 'a'"),
+        ("scheme", '{"maskers": [{"alpha": 9.0, "theta": 0.0}]}', "alpha=9.0 outside [0, pi)"),
+        ("scheme", '{"label": 3, "maskers": [{"alpha": 0.0, "theta": 0.0}]}', "scheme.label: expected a string, got int"),
+        ("share", '{"alpha": 0.0,', "share: line 1, column 15: Expecting property name enclosed in double quotes"),
+        ("share", json.dumps({"alpha": 0.0, "theta": 0.0, "rho_b": _3X3}),
+         "share.rho_b: expected a 2x2 array of [re, im] pairs"),
+        ("share", b'\xff\xfe{\x00}\x00',
+         "share: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ],
+    ids=["state_syntax", "state_not_object", "state_bad_field", "state_x_out_of_range", "operator_missing_field",
+         "operator_zero", "scheme_no_maskers", "scheme_bad_masker_field", "scheme_masker_out_of_range",
+         "scheme_label_not_string", "share_syntax", "share_3x3", "share_not_utf8"],
+)
+def test_every_input_file_error_names_the_file_once(tmp_path, capsys, kind, content, message):
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    argv = [a.format(file=path, dir=tmp_path / "out") for a in INPUT_ARGV[kind]]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"qmask: error: {path}: {message}\n")
+    assert not (tmp_path / "out").exists()

@@ -394,10 +394,10 @@ def test_scheme_from_doc_reads_maskers_and_label():
 @pytest.mark.parametrize(
     "doc, message",
     [
-        (MASKERS, r"^scheme \(s\.json\): expected \{label, maskers: \[\.\.\.\]\}$"),
-        ({"label": "x"}, r"^scheme \(s\.json\): expected \{label, maskers: \[\.\.\.\]\}$"),
-        ({"maskers": []}, r"^scheme \(s\.json\): expected \{label, maskers: \[\.\.\.\]\}$"),
-        ({"maskers": MASKERS[0]}, r"^scheme \(s\.json\): expected \{label, maskers: \[\.\.\.\]\}$"),
+        (MASKERS, r"^scheme: expected \{label, maskers: \[\.\.\.\]\}$"),
+        ({"label": "x"}, r"^scheme: expected \{label, maskers: \[\.\.\.\]\}$"),
+        ({"maskers": []}, r"^scheme: expected \{label, maskers: \[\.\.\.\]\}$"),
+        ({"maskers": MASKERS[0]}, r"^scheme: expected \{label, maskers: \[\.\.\.\]\}$"),
         (
             {"maskers": [MASKERS[0], {"alpha": "a", "theta": 0.1}]},
             r"^scheme\.maskers\[1\]: field 'alpha' must be a number, got 'a'$",
@@ -411,4 +411,4 @@ def test_scheme_from_doc_reads_maskers_and_label():
 )
 def test_scheme_from_doc_rejections(doc, message):
     with pytest.raises(InvalidInputError, match=message):
-        docs.scheme_from_doc(doc, where="scheme (s.json)", label="s")
+        docs.scheme_from_doc(doc, label="s")

@@ -177,6 +177,18 @@ def test_kernel_emits_no_negative_zero():
     assert negative_zeros(reduced_pair(psi)) == 0
 
 
+def test_kernel_reads_strided_input():
+    # a column of a masker's matrix and a Fortran-ordered stack give the entries of their contiguous copies
+    column = build_masker(MaskerParams(0.3, 0.2)).matrix[:, 0]
+    rng = np.random.default_rng(4)
+    stack = np.asfortranarray(rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4)))
+    for psi in (column, stack):
+        assert not psi.flags.c_contiguous
+        assert bitwise_equal(reduced_entries(psi), reduced_entries(psi.copy()))
+        for rho, ref in zip(reduced_pair(psi), reduced_pair(psi.copy())):
+            assert bitwise_equal(rho, ref)
+
+
 def test_frobenius_distances_are_the_matrix_norms():
     rng = np.random.default_rng(21)
     psi = rng.normal(size=(50, 4)) + 1j * rng.normal(size=(50, 4))

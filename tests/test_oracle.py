@@ -28,6 +28,7 @@ from qmask import (
 )
 from qmask import crosscheck, oracle
 from _helpers import (
+    grid_points,
     identity_embedding,
     planted_product_op,
     random_op,
@@ -47,11 +48,17 @@ def test_grid_spec_validation():
         GridSpec(1, 10)
     with pytest.raises(InvalidInputError):
         GridSpec(10, 10, region=((0.0, 0.0), (0.0, 1.0)))
+    with pytest.raises(InvalidInputError, match="integers"):
+        GridSpec(10.5, 20)
+    for region in (((0.0, np.inf), (0.0, 1.0)), ((0.0, 1.0), (-np.inf, 1.0)), ((0.0, np.nan), (0.0, 1.0))):
+        with pytest.raises(InvalidInputError, match="finite"):
+            GridSpec(10, 10, region=region)
+    assert GridSpec(np.int64(10), np.int64(20)).axes()[1].size == 20
 
 
 def test_grid_spec_points_layout():
     grid = GridSpec(3, 4, region=((0.0, 1.0), (0.0, 2.0)))
-    xs, ys = grid.points()
+    xs, ys = grid_points(grid)
     assert xs.size == 12
     assert xs.max() == 1.0  # x includes both endpoints
     assert ys.max() == 1.5  # y excludes the upper endpoint
@@ -60,7 +67,7 @@ def test_grid_spec_points_layout():
 def test_grid_spec_axes_build_the_points():
     grid = GridSpec(5, 7, region=((0.2, 1.0), (0.5, 3.0)))
     xs, ys = grid.axes()
-    gx, gy = grid.points()
+    gx, gy = grid_points(grid)
     assert np.array_equal(gx, np.repeat(xs, 7)) and np.array_equal(gy, np.tile(ys, 5))
     points = bloch_points(xs[:, None], ys).reshape(-1, 3)
     flat = bloch_points(gx, gy)
@@ -78,7 +85,7 @@ def point_deviations(op, anchor, xs, ys):
 
 def reference_deviations(op, anchor, grid):
     """Per-node deviations by definition, at the nodes of a meshgrid."""
-    xs, ys = grid.points()
+    xs, ys = grid_points(grid)
     return xs, ys, point_deviations(op, anchor, xs, ys)
 
 
@@ -99,7 +106,7 @@ def test_blocked_deviations_match_the_per_node_reference(grid):
     rng = np.random.default_rng(grid.nx * grid.ny)
     for op in (random_op(rng), masker_op(1.1, 0.7), random_op(rng, scale=30.0)):
         anchor = random_state(rng)
-        xs, ys = grid.points()
+        xs, ys = grid_points(grid)
         dev = grid_deviations(op, anchor, grid)
         ref_xs, ref_ys, ref = reference_deviations(op, anchor, grid)
         assert np.array_equal(xs, ref_xs) and np.array_equal(ys, ref_ys)
@@ -341,7 +348,7 @@ def test_grid_scan_contains_node_nearest_anchor():
         op = random_op(rng)
         anchor = random_state(rng)
         grid = GridSpec(60, 120)
-        xs, ys = grid.points()
+        xs, ys = grid_points(grid)
         dev = grid_deviations(op, anchor, grid)
         nearest = np.argmin((xs - anchor.x) ** 2 + (ys - anchor.y) ** 2)
         assert dev[nearest] <= default_kappa(op) * grid.spacing
