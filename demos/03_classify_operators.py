@@ -26,7 +26,7 @@ from qmask.linalg import ENTRY_LABELS
 rng = np.random.default_rng(1)
 anchor = AngleState(1.1, 2.3)
 
-masker_op = GeneralLinearOp.from_isometry(build_masker(MaskerParams(np.pi / 4, np.pi / 4)))
+masker_op = build_masker(MaskerParams(np.pi / 4, np.pi / 4))
 embed_op = GeneralLinearOp(1, 0, 0, 1, 0, 0, 0, 0)  # |0> -> |00>, |1> -> |01>
 random_op = GeneralLinearOp(*(rng.normal(size=8) + 1j * rng.normal(size=8)))
 

@@ -25,7 +25,7 @@ from qmask import (
 )
 
 anchor = AngleState(np.pi / 3, np.pi / 4)
-circle_op = GeneralLinearOp.from_isometry(build_masker(MaskerParams(np.pi / 4, np.pi / 4)))
+circle_op = build_masker(MaskerParams(np.pi / 4, np.pi / 4))
 point_op = GeneralLinearOp(1, 0, 0, 1, 0, 0, 0, 0)
 
 grid = GridSpec(nx=200, ny=400)

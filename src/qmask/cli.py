@@ -16,9 +16,11 @@ Every error from an input file (a state, operator, scheme or share file)
 begins with that file's path, once.  decode reads every share file first,
 then checks all shares at once and names the file of the first corrupt one.
 
-The CLI parses arguments, calls the library, composes each command's
-document from the documents module's formats and writes JSON, CSV and
-share files.
+The CLI parses arguments, calls the library and composes each command's
+document from the documents module's formats.  Each command returns its
+document, having written its CSV or share files first; main dumps it and
+writes it to --out, where the command has that option and it is given, or
+to stdout.  One writer, _write, writes every file as UTF-8 with LF line ends.
 """
 
 from __future__ import annotations
@@ -87,11 +89,9 @@ def _add_state_args(p: argparse.ArgumentParser):
     p.add_argument("--y", type=float, help="azimuthal angle y in radians")
 
 
-def _emit(args, text: str):
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text, encoding="utf-8", newline="\n")
-    else:
-        sys.stdout.write(text)
+def _write(path, text: str) -> None:
+    """The one place the CLI writes a file: UTF-8, LF line ends."""
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def _csv_rows(states) -> str:
@@ -104,12 +104,12 @@ def _csv_rows(states) -> str:
 # --- commands -----------------------------------------------------------------
 
 
-def _cmd_mask(args) -> int:
+def _cmd_mask(args) -> dict:
     params = MaskerParams(args.alpha, args.theta)
     state = _state_from_args(args)
     psi = build_masker(params).apply(state.x, state.y)
     rho_a, rho_b = reduced_pair(psi)
-    doc = {
+    return {
         "masker": docs.masker_to_doc(params),
         "state": docs.state_to_doc(state),
         "hbar": hbar(params, state),
@@ -117,31 +117,26 @@ def _cmd_mask(args) -> int:
         "rho_a": docs.matrix_to_doc(rho_a),
         "rho_b": docs.matrix_to_doc(rho_b),
     }
-    _emit(args, docs.dump(doc))
-    return 0
 
 
-def _cmd_circle(args) -> int:
+def _cmd_circle(args) -> dict:
     params = MaskerParams(args.alpha, args.theta)
     anchor = _state_from_args(args)
     if args.samples < 1:
         raise InvalidInputError("--samples must be at least 1")
     circle = maskable_circle(params, anchor)
-    samples = sample_circle(circle, args.samples)
-    doc = {
+    if args.csv:
+        _write(args.csv, _csv_rows(sample_circle(circle, args.samples)))
+    return {
         "masker": docs.masker_to_doc(params),
         "anchor": docs.state_to_doc(anchor),
         "circle": docs.circle_to_doc(circle),
         "hbar": hbar(params, anchor),
         "samples": args.samples,
     }
-    _emit(args, docs.dump(doc))
-    if args.csv:
-        Path(args.csv).write_text(_csv_rows(samples), encoding="utf-8", newline="\n")
-    return 0
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> dict:
     op = _read(args.operator, "operator", docs.operator_from_doc)
     anchor = _state_from_args(args)
     mask_class = maskable_set(op, anchor)
@@ -154,11 +149,10 @@ def _cmd_analyze(args) -> int:
     }
     if args.scan is not None:
         doc["oracle"] = agreement_report(op, anchor, GridSpec(nx=args.scan, ny=2 * args.scan))
-    _emit(args, docs.dump(doc))
-    return 0
+    return doc
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> dict:
     fractions = args.fractions is not None
     options = (("--kappa", args.kappa, "with"), ("--tol", args.tol, "without"), ("--csv", args.csv, "without"),
                ("--nx", args.nx, "without"), ("--ny", args.ny, "without"))
@@ -173,27 +167,23 @@ def _cmd_scan(args) -> int:
         except ValueError as exc:
             raise InvalidInputError("--fractions must be comma-separated integers") from exc
         rows = masked_fraction_scaling(op, anchor, resolutions, kappa=args.kappa)
-        doc = {
+        return {
             "anchor": docs.state_to_doc(anchor),
             "kappa": args.kappa if args.kappa is not None else default_kappa(op),
             "fractions": [{"resolution": n, "fraction": f} for n, f in rows],
         }
-        _emit(args, docs.dump(doc))
-        return 0
     grid = GridSpec(nx=200 if args.nx is None else args.nx, ny=400 if args.ny is None else args.ny)
     tol = args.tol if args.tol is not None else default_kappa(op) * grid.spacing
     states = grid_scan(op, anchor, grid, tol)
-    doc = {
+    if args.csv:
+        _write(args.csv, _csv_rows(states))
+    return {
         "anchor": docs.state_to_doc(anchor),
         "grid": {"nx": grid.nx, "ny": grid.ny},
         "tolerance": tol,
         "flagged": len(states),
         "fraction": float(len(states)) / (grid.nx * grid.ny),
     }
-    _emit(args, docs.dump(doc))
-    if args.csv:
-        Path(args.csv).write_text(_csv_rows(states), encoding="utf-8", newline="\n")
-    return 0
 
 
 def _load_scheme(spec: str) -> Scheme:
@@ -202,36 +192,31 @@ def _load_scheme(spec: str) -> Scheme:
     return preset_scheme(spec)
 
 
-def _cmd_share(args) -> int:
+def _cmd_share(args) -> dict:
     scheme = _load_scheme(args.scheme)
     message = _state_from_args(args)
     shares = encode(message, scheme)
-    out_dir = Path(args.out)
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     width = max(2, len(str(len(shares))))
-    paths = []
-    for i, share in enumerate(shares, start=1):
-        path = out_dir / f"share_{i:0{width}d}.json"
-        path.write_text(docs.dump(docs.share_to_doc(share)), encoding="utf-8", newline="\n")
-        paths.append(str(path))
-    sys.stdout.write(docs.dump({"scheme": scheme.label, "shares": paths}))
-    return 0
+    paths = [str(out_dir / f"share_{i:0{width}d}.json") for i in range(1, len(shares) + 1)]
+    for path, share in zip(paths, shares):
+        _write(path, docs.dump(docs.share_to_doc(share)))
+    return {"scheme": scheme.label, "shares": paths}
 
 
-def _cmd_decode(args) -> int:
+def _cmd_decode(args) -> dict:
     tol = args.tol if args.tol is not None else _verification_tol()
     shares = [_read(path, "share", docs.share_from_doc) for path in args.shares]
     try:
         result = decode(shares, tol=tol)
     except CorruptShareError as exc:
         raise CorruptShareError(f"{args.shares[exc.index]}: {exc}") from exc
-    _emit(args, docs.dump(docs.decode_to_doc(result)))
-    return 0
+    return docs.decode_to_doc(result)
 
 
-def _cmd_presets(args) -> int:
-    _emit(args, docs.dump(preset_schemes()))
-    return 0
+def _cmd_presets(args) -> dict:
+    return preset_schemes()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("share", help="encode a message under a scheme, one share file per receiver")
     p.add_argument("--scheme", required=True, help="preset name (e.g. fig1_axes, fig3_pole:8) or JSON file")
     _add_state_args(p)
-    p.add_argument("--out", required=True, metavar="DIR")
+    p.add_argument("--out", required=True, metavar="DIR", dest="out_dir")
     p.set_defaults(func=_cmd_share)
 
     p = sub.add_parser("decode", help="intersect share constraints and report the candidates")
@@ -295,7 +280,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        text = docs.dump(args.func(args))
+        if getattr(args, "out", None):
+            _write(args.out, text)
+        else:
+            sys.stdout.write(text)
+        return 0
     except InvariantViolationError as exc:
         print(f"qmask: invariant violation: {exc}", file=sys.stderr)
         return 3

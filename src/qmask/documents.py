@@ -1,5 +1,6 @@
 """JSON document formats: states, maskers, operators, shares, circles and schemes, and the
-maskable-class, constraint, product-form and decode reports that the cli composes.
+maskable-class, constraint, product-form and decode reports that the cli composes.  Circles
+are written, not read: no command takes one as input.
 
 Structured data travels as JSON; plot point streams travel as CSV (see
 the cli module).  Floats are emitted with Python's shortest round-trip
@@ -119,13 +120,6 @@ def share_from_doc(doc: dict, where: str = "share") -> Share:
 
 def circle_to_doc(circle: SphericalCircle) -> dict:
     return {"n": circle.normal.tolist(), "c": circle.offset}
-
-
-def circle_from_doc(doc: dict, where: str = "circle") -> SphericalCircle:
-    n = _field(doc, "n", where)
-    if not (isinstance(n, list) and len(n) == 3 and all(map(_number, n))):
-        raise InvalidInputError(f"{where}: field 'n' must be a 3-element array of numbers")
-    return SphericalCircle(np.array([float(v) for v in n]), _real(doc, "c", where))
 
 
 def scheme_from_doc(doc: dict, label: str = "") -> Scheme:

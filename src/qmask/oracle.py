@@ -67,7 +67,7 @@ which is all these scans are meant to probe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 from numbers import Integral
 
 import numpy as np
@@ -92,7 +92,8 @@ class GridSpec:
 
     x runs through ``nx`` points including both region endpoints; y runs
     through ``ny`` points with the upper endpoint excluded (the default
-    region is periodic in y).
+    region is periodic in y).  The region's extent along each axis must
+    be positive and finite.
     """
 
     nx: int
@@ -105,8 +106,9 @@ class GridSpec:
         if self.nx < 2 or self.ny < 2:
             raise InvalidInputError("grid needs at least 2 points per axis")
         (x0, x1), (y0, y1) = self.region
-        if not (x1 > x0 and y1 > y0 and all(map(isfinite, (x0, x1, y0, y1)))):
-            raise InvalidInputError("grid region must have finite bounds and positive extent")
+        # on Python floats, so numpy-scalar bounds cannot warn; an infinite or NaN bound gives no finite extent
+        if not all(0.0 < extent < inf for extent in (float(x1) - float(x0), float(y1) - float(y0))):
+            raise InvalidInputError("grid region must have finite bounds and a positive finite extent")
 
     @property
     def spacing(self) -> float:
@@ -218,13 +220,16 @@ def grid_deviations(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec):
 def grid_flags(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec, tol: float) -> np.ndarray:
     """``grid_deviations(op, anchor, grid) <= tol`` exactly, from the nodes :meth:`GridSpec.live_nodes` keeps.
 
-    The bound and its L are those of the module docstring.  Raises InvalidInputError when the operator's
-    squared norm over- or underflows.
+    The bound and its L are those of the module docstring.  Raises InvalidInputError unless tol is a
+    positive finite number, and when the operator's squared norm over- or underflows.
     """
-    operator_scale(op)  # first, so an operator whose squared norm over- or underflows raises
+    check_positive_finite(tol, f"tol={tol}")
+    operator_scale(op)  # so an operator whose squared norm over- or underflows raises
     deviations = _NodeDeviations(op, anchor, grid)
     lipschitz = np.linalg.norm(deviations.m.conj().T @ deviations.m) / 2
-    i, j = grid.live_nodes(lambda ci, cj, r: np.ldexp(deviations(ci, cj) - lipschitz * r, 2 * deviations.e), tol)
+    # An L * r that overflows is +inf: the bound is then -inf and keeps the cell live, as it should.
+    with np.errstate(over="ignore"):
+        i, j = grid.live_nodes(lambda ci, cj, r: np.ldexp(deviations(ci, cj) - lipschitz * r, 2 * deviations.e), tol)
     flags = np.zeros((grid.nx, grid.ny), dtype=bool)
     flags[i, j] = np.ldexp(deviations(i, j), 2 * deviations.e) <= tol
     return flags.ravel()
@@ -234,7 +239,6 @@ def grid_scan(
     op: GeneralLinearOp, anchor: AngleState, grid: GridSpec, tol: float
 ) -> list[AngleState]:
     """All grid states whose raw reduced pair matches the anchor's within tol, a positive finite number."""
-    check_positive_finite(tol, f"tol={tol}")
     i, j = np.divmod(np.flatnonzero(grid_flags(op, anchor, grid, tol)), grid.ny)
     xs, ys = grid.axes()
     return [AngleState(float(x), float(y)) for x, y in zip(xs[i], ys[j])]
@@ -247,8 +251,16 @@ def default_kappa(op: GeneralLinearOp) -> float:
     at most half the operator scale (see the module docstring), so with
     tol = kappa * h every grid node within one spacing of the true masked
     set is flagged, with at least 4x slack.
+
+    Raises InvalidInputError when 16x the scale overflows, as well as where
+    :func:`operator_scale` does.  On any grid of the default region such a
+    tol is at most 2 pi times the scale, and the crosscheck's band takes
+    sqrt(2) times tol; 2 sqrt(2) pi < 16, so neither overflows.
     """
-    return 2.0 * operator_scale(op)
+    scale = operator_scale(op)
+    if not isfinite(16.0 * scale):
+        raise InvalidInputError("operator too large for a spacing-tied tolerance: 16x its squared norm overflows")
+    return 2.0 * scale
 
 
 def masked_fraction_scaling(

@@ -137,7 +137,7 @@ def test_criterion_5_oracle_vs_classification():
     for _ in range(60):
         ops.append(random_op(rng))
     for _ in range(20):
-        ops.append(GeneralLinearOp.from_isometry(build_masker(random_params(rng))))
+        ops.append(build_masker(random_params(rng)))
     for _ in range(20):
         ops.append(planted_product_op(rng)[0])
     checked = 0
@@ -200,7 +200,7 @@ def test_criterion_6_never_full_sphere_and_measure_scaling():
         assert isinstance(mask_class, (SinglePoint, PointPair, Circle))
 
     resolutions = [50, 100, 200, 400]
-    circle_op = GeneralLinearOp.from_isometry(build_masker(MaskerParams(np.pi / 4, np.pi / 4)))
+    circle_op = build_masker(MaskerParams(np.pi / 4, np.pi / 4))
     from qmask import masked_fraction_scaling
 
     circle_rows = masked_fraction_scaling(circle_op, AngleState(np.pi / 3, np.pi / 4), resolutions)
@@ -267,7 +267,7 @@ def test_criterion_8_product_form_diagnosis():
 
     for alpha in np.linspace(1e-3, np.pi - 1e-3, 50):
         for theta in (0.0, 2.1):
-            op = GeneralLinearOp.from_isometry(build_masker(MaskerParams(alpha, theta)))
+            op = build_masker(MaskerParams(alpha, theta))
             assert not product_form_diagnosis(op).is_product_form
     report(8, f"200 planted product operators detected (lambda within {worst_lam:.2e}); all maskers rejected")
 

@@ -80,7 +80,7 @@ def test_reduced_pair_raw_matches_masker_closed_form():
     rng = np.random.default_rng(0)
     for _ in range(100):
         params, s = random_params(rng), random_state(rng)
-        op = GeneralLinearOp.from_isometry(build_masker(params))
+        op = build_masker(params)
         rho_a, rho_b = reduced_pair(op.apply(s.x, s.y))
         pa, pb = predicted_reduced(params, s)
         assert np.abs(rho_a - pa).max() < 1e-12
@@ -104,7 +104,7 @@ def test_reduced_pair_raw_unnormalized_convention():
 
 
 def test_constraints_single_direction_for_masker():
-    op = GeneralLinearOp.from_isometry(build_masker(MaskerParams(0.0, 0.0)))
+    op = build_masker(MaskerParams(0.0, 0.0))
     normals = constraint_planes(op.matrix)[0]
     for n in normals:
         if np.linalg.norm(n) > 1e-10:
@@ -195,7 +195,7 @@ def test_maskable_set_masker_gives_its_circle():
     rng = np.random.default_rng(3)
     for _ in range(100):
         params, anchor = random_params(rng), random_state(rng)
-        op = GeneralLinearOp.from_isometry(build_masker(params))
+        op = build_masker(params)
         got = maskable_set(op, anchor)
         expected = maskable_circle(params, anchor)
         if expected.radius < 1e-9:
@@ -243,7 +243,7 @@ def test_maskable_set_random_never_full_sphere():
 def test_maskable_set_anchor_always_member():
     rng = np.random.default_rng(6)
     ops = [random_op(rng) for _ in range(30)]
-    ops += [GeneralLinearOp.from_isometry(build_masker(random_params(rng))) for _ in range(10)]
+    ops += [build_masker(random_params(rng)) for _ in range(10)]
     ops += [planted_product_op(rng)[0] for _ in range(10)]
     for op in ops:
         anchor = random_state(rng)
@@ -308,7 +308,7 @@ def test_maskable_set_metamorphic_scale_phase_and_b_unitary():
     # the maskable set of k*op is that of op for every nonzero complex k, and
     # a unitary on qubit B leaves both reduced-pair equalities unchanged
     rng = np.random.default_rng(8)
-    ops = [random_op(rng), rank_two_op(rng), GeneralLinearOp.from_isometry(build_masker(random_params(rng)))]
+    ops = [random_op(rng), rank_two_op(rng), build_masker(random_params(rng))]
     factors = (1e-300, 1e-150, 1e-100, 1e100, 1e150, 1e300, np.exp(0.7j), 3 - 4j)
     for op in ops:
         anchor = random_state(rng, margin=0.3)
@@ -351,7 +351,7 @@ def test_maskable_set_invariant_under_b_unitaries():
         if kind == 0:
             op = random_op(rng)
         elif kind == 1:
-            op = GeneralLinearOp.from_isometry(build_masker(random_params(rng)))
+            op = build_masker(random_params(rng))
         elif kind == 2:
             op = rank_two_op(rng)
         else:
@@ -370,7 +370,7 @@ def test_maskable_set_invariant_under_b_unitaries():
 
 def test_product_form_masker_rejected():
     for alpha in np.linspace(0.0, np.pi, 20, endpoint=False):
-        op = GeneralLinearOp.from_isometry(build_masker(MaskerParams(alpha, 1.0)))
+        op = build_masker(MaskerParams(alpha, 1.0))
         report = product_form_diagnosis(op)
         assert not report.is_product_form
         if 0.01 < alpha:
@@ -433,5 +433,5 @@ def test_operator_scale_rejects_overflow():
 
 def test_operator_scale():
     assert operator_scale(GeneralLinearOp(1, 0, 0, 1, 0, 0, 0, 0)) == 2.0
-    iso_op = GeneralLinearOp.from_isometry(build_masker(MaskerParams(0.9, 4.0)))
+    iso_op = build_masker(MaskerParams(0.9, 4.0))
     assert abs(operator_scale(iso_op) - 2.0) < 1e-12

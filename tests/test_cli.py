@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmask import GeneralLinearOp, MaskerParams, build_masker
+from qmask import GeneralLinearOp, MaskerParams, SphericalCircle, build_masker, operator_scale
 from qmask import documents as docs
 from qmask import protocol
 from qmask.cli import main
@@ -84,12 +84,12 @@ def test_circle_command_single_sample(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 2
     x, y, bx, by, bz = map(float, lines[1].split(","))
-    circle = docs.circle_from_doc(doc["circle"])
+    circle = SphericalCircle(np.array(doc["circle"]["n"]), doc["circle"]["c"])
     assert circle.plane_residual(np.array([bx, by, bz])) < 1e-10
 
 
 def test_analyze_masker_circle(tmp_path, capsys):
-    op = GeneralLinearOp.from_isometry(build_masker(MaskerParams(0.0, 0.0)))
+    op = build_masker(MaskerParams(0.0, 0.0))
     op_path = write_operator(tmp_path / "op.json", op)
     code, out, _ = run(capsys, "analyze", "--operator", op_path, "--x", "1.0", "--y", "2.0")
     assert code == 0
@@ -196,7 +196,7 @@ def test_overflowing_operator_is_invalid_input(tmp_path, capsys, argv):
         assert word in err
 
 def test_scan_command(tmp_path, capsys):
-    op = GeneralLinearOp.from_isometry(build_masker(MaskerParams(0.0, 0.0)))
+    op = build_masker(MaskerParams(0.0, 0.0))
     op_path = write_operator(tmp_path / "op.json", op)
     csv_path = tmp_path / "hits.csv"
     code, out, _ = run(
@@ -552,6 +552,50 @@ def test_out_flag_writes_file(tmp_path, capsys):
     code, out, _ = run(capsys, "mask", "--alpha", "0", "--theta", "0", "--x", "1", "--y", "1", "--out", str(out_file))
     assert code == 0 and out == ""
     assert json.loads(out_file.read_text())["hbar"] == pytest.approx(np.cos(1.0))
+
+
+def test_out_writes_the_bytes_stdout_gets(tmp_path, capsys):
+    # every command with --out FILE writes there exactly what it prints without it, and prints nothing
+    op_path = write_operator(tmp_path / "op.json", build_masker(MaskerParams(1.1, 0.7)))
+    shares = _share_files(tmp_path, capsys, "fig1_axes")
+    state = ["--x", "1.0", "--y", "2.0"]
+    commands = [
+        ["mask", "--alpha", "0.7", "--theta", "4.1", *state],
+        ["circle", "--alpha", "0.9", "--theta", "2.0", *state, "--samples", "5"],
+        ["analyze", "--operator", op_path, *state, "--scan", "20"],
+        ["decode", *shares],
+        ["presets"],
+    ]
+    for argv in commands:
+        code, printed, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and printed
+        out_file = tmp_path / f"{argv[0]}.json"
+        assert run(capsys, *argv, "--out", str(out_file)) == (0, "", "")
+        assert out_file.read_bytes() == printed.encode("utf-8"), argv[0]
+
+
+TOO_LARGE = "qmask: error: operator too large for a spacing-tied tolerance: 16x its squared norm overflows\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--scan", "2"], ["analyze", "--scan", "200"], ["scan"], ["scan", "--fractions", "2,4,8"]],
+    ids=["analyze_scan_2", "analyze_scan_200", "scan", "scan_fractions"],
+)
+@pytest.mark.parametrize("lg", [1019.9, 1021.0, 1022.8, 1023.5])
+def test_operators_near_the_float_maximum(tmp_path, capsys, argv, lg):
+    # from an operator scale of 2**1020 on, 16x the scale overflows and no spacing-tied tolerance is
+    # sure to stay finite: one invalid-input message, never a warning, an inf or an invariant violation
+    rng = np.random.default_rng(4)
+    z = rng.normal(size=8) + 1j * rng.normal(size=8)
+    op = GeneralLinearOp(*(z / np.linalg.norm(z) * 2.0 ** (lg / 2)))
+    assert np.log2(operator_scale(op)) == pytest.approx(lg)
+    path = write_operator(tmp_path / "op.json", op)
+    code, out, err = run(capsys, argv[0], "--operator", path, "--x", "1.2", "--y", "2.5", *argv[1:])
+    if lg < 1020:
+        assert (code, err) == (0, "") and _strict_json(out)
+    else:
+        assert (code, out, err) == (1, "", TOO_LARGE)
 
 
 def test_analyze_rank_two_operator_point_pair_document(tmp_path, capsys):

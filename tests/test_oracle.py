@@ -40,7 +40,7 @@ from _helpers import (
 
 
 def masker_op(alpha, theta):
-    return GeneralLinearOp.from_isometry(build_masker(MaskerParams(alpha, theta)))
+    return build_masker(MaskerParams(alpha, theta))
 
 
 def test_grid_spec_validation():
@@ -54,6 +54,15 @@ def test_grid_spec_validation():
         with pytest.raises(InvalidInputError, match="finite"):
             GridSpec(10, 10, region=region)
     assert GridSpec(np.int64(10), np.int64(20)).axes()[1].size == 20
+    # finite bounds whose extent overflows, also as numpy scalars, which must not warn
+    op, anchor = random_op(np.random.default_rng(0)), AngleState(1.0, 1.0)
+    for bound in (1e308, np.float64(1e308)):
+        with pytest.raises(InvalidInputError, match="finite"):
+            masked_fraction_scaling(op, anchor, [10], region=((-bound, bound), (0.0, 1.0)))
+    # a finite extent whose cell radii times L overflow: those cells stay live, without a warning
+    grid = GridSpec(10, 20, region=((0.0, 1e308), (0.0, 1.0)))
+    for tol in (1.0, 1e300):
+        assert np.array_equal(grid_flags(op, anchor, grid, tol), grid_deviations(op, anchor, grid) <= tol)
 
 
 def test_grid_spec_points_layout():
@@ -117,7 +126,7 @@ def test_blocked_deviations_match_the_per_node_reference(grid):
 
 def family_ops(rng):
     """One operator of each bench family: general, masker, rank-two and product form."""
-    masker = GeneralLinearOp.from_isometry(build_masker(random_params(rng)))
+    masker = build_masker(random_params(rng))
     return [random_op(rng), masker, rank_two_op(rng), planted_product_op(rng)[0]]
 
 
@@ -328,6 +337,8 @@ def test_tolerances_must_be_positive_and_finite(tol):
     op, anchor = identity_embedding(), AngleState(1.0, 1.0)
     with pytest.raises(InvalidInputError, match=f"^tol={tol} must be a positive finite number$"):
         grid_scan(op, anchor, GridSpec(10, 20), tol)
+    with pytest.raises(InvalidInputError, match=f"^tol={tol} must be a positive finite number$"):
+        grid_flags(op, anchor, GridSpec(10, 20), tol)
     with pytest.raises(InvalidInputError, match=f"^kappa={tol} must be a positive finite number$"):
         masked_fraction_scaling(op, anchor, [10, 20], kappa=tol)
 
