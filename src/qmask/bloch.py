@@ -31,39 +31,44 @@ TWO_PI = 2.0 * np.pi
 CANON_EPS = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AngleState:
     """A pure qubit state in Bloch angle coordinates (x, y).
 
-    Range bounds are enforced at construction; exact poles (x = 0 or
-    x = pi) are canonicalized to y = 0.
+    The one ``__init__`` validates and sets each field once.  Range bounds
+    are enforced there: coordinates inside x in [0, pi], y in [0, 2pi)
+    take one test, and only the others are checked for finiteness and
+    sub-epsilon excursions.  Exact poles (x = 0 or x = pi) are
+    canonicalized to y = 0.
     """
 
     x: float
     y: float
 
-    def __post_init__(self):
-        x = float(self.x) + 0.0  # clears negative zeros
-        y = float(self.y) + 0.0
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise InvalidInputError("angle coordinates must be finite")
-        # absorb sub-epsilon range excursions from upstream arithmetic
-        if -1e-12 <= x < 0.0:
-            x = 0.0
-        if np.pi < x <= np.pi + 1e-12:
-            x = float(np.pi)
-        if -1e-12 <= y < 0.0:
-            y = 0.0
-        if TWO_PI <= y <= TWO_PI + 1e-12:
-            y = 0.0
-        if not (0.0 <= x <= np.pi):
-            raise InvalidInputError(f"x={x!r} outside [0, pi]")
-        if not (0.0 <= y < TWO_PI):
-            raise InvalidInputError(f"y={y!r} outside [0, 2*pi)")
+    def __init__(self, x: float, y: float):
+        x = float(x) + 0.0  # clears negative zeros
+        y = float(y) + 0.0
+        if not (0.0 <= x <= np.pi and 0.0 <= y < TWO_PI):  # NaN fails too
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise InvalidInputError("angle coordinates must be finite")
+            # absorb sub-epsilon range excursions from upstream arithmetic
+            if -1e-12 <= x < 0.0:
+                x = 0.0
+            if np.pi < x <= np.pi + 1e-12:
+                x = float(np.pi)
+            if -1e-12 <= y < 0.0:
+                y = 0.0
+            if TWO_PI <= y <= TWO_PI + 1e-12:
+                y = 0.0
+            if not (0.0 <= x <= np.pi):
+                raise InvalidInputError(f"x={x!r} outside [0, pi]")
+            if not (0.0 <= y < TWO_PI):
+                raise InvalidInputError(f"y={y!r} outside [0, 2*pi)")
         if x == 0.0 or x == np.pi:
             y = 0.0
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        # frozen: the fields are set once, past the dataclass's __setattr__
+        self.__dict__["x"] = x
+        self.__dict__["y"] = y
 
 
 def _norms(p: np.ndarray) -> np.ndarray:

@@ -5,9 +5,10 @@ inputs and outputs are JSON documents, plot point streams are CSV.
 Every command is deterministic -- identical inputs produce byte-identical
 outputs.
 
-Exit codes: 0 success, 1 invalid input, 2 I/O error, 3 internal
-invariant violation.  QMASK_TOL overrides the default verification
-tolerance used when checking shares and filtering decode candidates.
+Exit codes: 0 success, 1 invalid input (a request too large for the
+machine's memory too), 2 I/O error, 3 internal invariant violation.
+QMASK_TOL overrides the default verification tolerance used when
+checking shares and filtering decode candidates.
 Every tolerance, QMASK_TOL and the --tol and --kappa options alike, must
 be a positive finite number.  scan takes --kappa only with --fractions, and
 --tol, --csv, --nx and --ny only without it.
@@ -291,6 +292,9 @@ def main(argv=None) -> int:
         return 3
     except InvalidInputError as exc:
         print(f"qmask: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. an --scan grid too large for this machine
+        print(f"qmask: error: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"qmask: i/o error: {exc}", file=sys.stderr)

@@ -34,7 +34,9 @@ of those matrices by :func:`masker_matrices`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -52,23 +54,24 @@ from .errors import InvalidInputError, InvariantViolationError
 from .linalg import TOL_EQUALITY, frobenius_distances, reduced_entries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MaskerParams:
-    """Masker family parameters, alpha in [0, pi) and theta in [0, 2pi)."""
+    """Masker family parameters, alpha in [0, pi) and theta in [0, 2pi), validated and set once in ``__init__``."""
 
     alpha: float
     theta: float
 
-    def __post_init__(self):
-        a, t = float(self.alpha), float(self.theta)
-        if not (np.isfinite(a) and np.isfinite(t)):
-            raise InvalidInputError("masker parameters must be finite")
-        if not (0.0 <= a < np.pi):
-            raise InvalidInputError(f"alpha={a!r} outside [0, pi)")
-        if not (0.0 <= t < TWO_PI):
+    def __init__(self, alpha: float, theta: float):
+        a, t = float(alpha), float(theta)
+        if not (0.0 <= a < np.pi and 0.0 <= t < TWO_PI):  # NaN fails too
+            if not (math.isfinite(a) and math.isfinite(t)):
+                raise InvalidInputError("masker parameters must be finite")
+            if not (0.0 <= a < np.pi):
+                raise InvalidInputError(f"alpha={a!r} outside [0, pi)")
             raise InvalidInputError(f"theta={t!r} outside [0, 2*pi)")
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "theta", t)
+        # frozen: the fields are set once, past the dataclass's __setattr__
+        self.__dict__["alpha"] = a
+        self.__dict__["theta"] = t
 
 
 @dataclass(frozen=True)
@@ -144,8 +147,7 @@ def verify_mask(op: GeneralLinearOp, states: list[AngleState], tol: float = TOL_
     """
     if not states:
         raise InvalidInputError("verify_mask needs at least one state")
-    xs = np.array([s.x for s in states])
-    ys = np.array([s.y for s in states])
+    xs, ys = (np.fromiter(map(attrgetter(c), states), float, len(states)) for c in "xy")
     entries = reduced_entries(op.apply(xs, ys))
     dev_a, dev_b = frobenius_distances((entries - entries[0]).T)
     max_a, max_b = float(dev_a.max()), float(dev_b.max())

@@ -121,15 +121,17 @@ class GridSpec:
         (x0, x1), (y0, y1) = self.region
         return np.linspace(x0, x1, self.nx), np.linspace(y0, y1, self.ny, endpoint=False)
 
-    def cells(self, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The centre nodes of the size x size cells, as x and y indices, and each cell's radius.
+    def cells(self, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The centre nodes of the size x size cells, as x and y indices, and each cell's reach along x and y.
 
         Cell (a, b) holds the nodes size*a ... size*a + size - 1 along x and
         likewise along y, cut at the grid's edge; its centre is its node
         (size - 1) // 2 along each axis, or its last one in a cell cut
-        shorter.  The radius, shape (cells along x, cells along y), is the
-        largest angle-space distance from the centre to a node of the cell,
-        plus ``_ROUNDING`` for the rounding of the bounds it enters.
+        shorter.  Its reach along an axis is the largest distance from the
+        centre to a node of the cell along it; its radius, the largest
+        angle-space distance from the centre to a node of the cell, is the
+        hypot of its two reaches, and :meth:`live_nodes` adds ``_ROUNDING``
+        for the rounding of the bounds it enters.
         """
         centres, reach = [], []
         for axis in self.axes():
@@ -137,7 +139,7 @@ class GridSpec:
             c = np.minimum(starts + (size - 1) // 2, axis.size - 1)
             centres.append(c)
             reach.append(np.maximum.reduceat(np.abs(axis - axis[c.repeat(size)[: axis.size]]), starts))
-        return centres[0], centres[1], np.hypot(reach[0][:, None], reach[1]) + _ROUNDING
+        return centres[0], centres[1], reach[0], reach[1]
 
     def split(self, a: np.ndarray, b: np.ndarray, size: int, fine: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """The fine x fine cells that make up the size x size cells (a[k], b[k]): their nodes when fine is 1.
@@ -166,8 +168,8 @@ class GridSpec:
         sizes = _CELL_SIZES + (1,)
         a, b = np.indices((-(-self.nx // sizes[0]), -(-self.ny // sizes[0]))).reshape(2, -1)
         for size, fine in zip(sizes, sizes[1:]):
-            ci, cj, radius = self.cells(size)
-            live = ~(bound(ci[a], cj[b], radius[a, b]) > threshold)
+            ci, cj, reach_x, reach_y = self.cells(size)
+            live = ~(bound(ci[a], cj[b], np.hypot(reach_x[a], reach_y[b]) + _ROUNDING) > threshold)
             a, b = self.split(a[live], b[live], size, fine)
         return a, b
 
@@ -241,7 +243,7 @@ def grid_scan(
     """All grid states whose raw reduced pair matches the anchor's within tol, a positive finite number."""
     i, j = np.divmod(np.flatnonzero(grid_flags(op, anchor, grid, tol)), grid.ny)
     xs, ys = grid.axes()
-    return [AngleState(float(x), float(y)) for x, y in zip(xs[i], ys[j])]
+    return list(map(AngleState, xs[i].tolist(), ys[j].tolist()))
 
 
 def default_kappa(op: GeneralLinearOp) -> float:
@@ -282,9 +284,12 @@ def masked_fraction_scaling(
     check_positive_finite(kappa, f"kappa={kappa}")
     if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
         raise InvalidInputError("resolutions must be strictly increasing")
+    grids = [GridSpec(nx=n, ny=2 * n, region=region) for n in resolutions]
+    for n, grid in zip(resolutions, grids):
+        # kappa * h can over- or underflow where kappa does not; the error names the kappa the caller gave
+        check_positive_finite(kappa * grid.spacing, f"kappa={kappa} times the spacing at resolution {n}")
     out = []
-    for n in resolutions:
-        grid = GridSpec(nx=n, ny=2 * n, region=region)
+    for n, grid in zip(resolutions, grids):
         flags = grid_flags(op, anchor, grid, kappa * grid.spacing)
         fraction = float(np.count_nonzero(flags)) / flags.size
         out.append((n, fraction))

@@ -1,8 +1,11 @@
-"""Shared random generators for the test suite."""
+"""Shared random generators for the test suite, and reference copies of rules the library states once."""
+
+import math
 
 import numpy as np
+from hypothesis import strategies as st
 
-from qmask import AngleState, GeneralLinearOp, MaskerParams, angles_to_bloch
+from qmask import AngleState, GeneralLinearOp, InvalidInputError, MaskerParams, angles_to_bloch
 
 
 def random_state(rng, margin=0.0):
@@ -102,3 +105,81 @@ def well_separated_triple(rng, min_dist=0.1):
         dists = [np.linalg.norm(pts[i] - pts[j]) for i in range(3) for j in range(i + 1, 3)]
         if min(dists) > min_dist:
             return states
+
+
+# --- the state rules, as written when each class checked its fields after the generated __init__ set them ---
+
+TWO_PI = 2.0 * np.pi
+
+
+def reference_angle_fields(x, y):
+    """The (x, y) fields AngleState's rules give the arguments: the earlier ``__post_init__``, verbatim."""
+    x = float(x) + 0.0  # clears negative zeros
+    y = float(y) + 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InvalidInputError("angle coordinates must be finite")
+    # absorb sub-epsilon range excursions from upstream arithmetic
+    if -1e-12 <= x < 0.0:
+        x = 0.0
+    if np.pi < x <= np.pi + 1e-12:
+        x = float(np.pi)
+    if -1e-12 <= y < 0.0:
+        y = 0.0
+    if TWO_PI <= y <= TWO_PI + 1e-12:
+        y = 0.0
+    if not (0.0 <= x <= np.pi):
+        raise InvalidInputError(f"x={x!r} outside [0, pi]")
+    if not (0.0 <= y < TWO_PI):
+        raise InvalidInputError(f"y={y!r} outside [0, 2*pi)")
+    if x == 0.0 or x == np.pi:
+        y = 0.0
+    return x, y
+
+
+def reference_masker_fields(alpha, theta):
+    """The (alpha, theta) fields MaskerParams' rules give the arguments: the earlier ``__post_init__``, verbatim."""
+    a, t = float(alpha), float(theta)
+    if not (np.isfinite(a) and np.isfinite(t)):
+        raise InvalidInputError("masker parameters must be finite")
+    if not (0.0 <= a < np.pi):
+        raise InvalidInputError(f"alpha={a!r} outside [0, pi)")
+    if not (0.0 <= t < TWO_PI):
+        raise InvalidInputError(f"theta={t!r} outside [0, 2*pi)")
+    return a, t
+
+
+# The edges of both classes' ranges and absorptions, with their float neighbours; then the non-finite
+# values and arguments that are not Python floats
+EDGE_FLOATS = [
+    0.0, -0.0, -1e-12, -1.1e-12, np.pi, np.pi + 1e-12, np.pi + 1.1e-12, TWO_PI, TWO_PI + 1e-12, TWO_PI - 1e-12,
+    math.nextafter(0.0, -1.0), math.nextafter(np.pi, 4.0), math.nextafter(np.pi, 0.0), math.nextafter(TWO_PI, 0.0),
+    math.nextafter(-1e-12, 0.0), math.nextafter(-1e-12, -1.0), math.nextafter(np.pi + 1e-12, 4.0),
+    math.nextafter(TWO_PI + 1e-12, 7.0), 1.0, 5e-324, 1e308,
+]
+EDGE_ARGS = EDGE_FLOATS + [
+    math.nan, math.inf, -math.inf,
+    0, 1, 3, 4, 7, -1, 10**400, True, False,
+    np.float64(-0.0), np.float64(np.pi), np.float64(math.nan), np.float32(1.5), np.float32(-0.0), np.int64(2),
+    np.bool_(True), "1.0", None,
+]
+
+
+# Any float, the edges and floats within 3e-12 of them, small ints and numpy scalars
+edge_or_any = st.one_of(
+    st.floats(),
+    st.sampled_from(EDGE_ARGS),
+    st.sampled_from(EDGE_FLOATS).flatmap(lambda e: st.floats(-3e-12, 3e-12).map(lambda d: e + d)),
+    st.integers(-8, 8),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+)
+
+
+def field_bits(build, *args):
+    """Each field's type and exact bits (the sign of zero included) that ``build(*args)`` gives, or the
+    type and message of the exception it raises."""
+    try:
+        fields = build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return tuple((type(v), v.hex()) for v in fields)

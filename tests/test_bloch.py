@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -30,12 +32,48 @@ from qmask import (
     sample_circle,
 )
 from qmask.bloch import TWO_PI
+from _helpers import EDGE_ARGS, edge_or_any, field_bits, reference_angle_fields
 
 angles_x = st.floats(min_value=0.0, max_value=np.pi)
 angles_y = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True)
 
 
 # --- angle state and conversions -------------------------------------------
+
+
+def angle_fields(x, y):
+    s = AngleState(x, y)
+    return s.x, s.y
+
+
+def test_angle_state_rules_at_the_edges():
+    # the one __init__ gives every pair of edge arguments the fields, or the error, of the earlier rules
+    for x in EDGE_ARGS:
+        for y in EDGE_ARGS:
+            assert field_bits(angle_fields, x, y) == field_bits(reference_angle_fields, x, y), (x, y)
+
+
+@given(edge_or_any, edge_or_any)
+def test_angle_state_rules_are_the_earlier_rules(x, y):
+    assert field_bits(angle_fields, x, y) == field_bits(reference_angle_fields, x, y)
+
+
+def test_angle_state_is_a_frozen_dataclass():
+    s = AngleState(x=1.25, y=np.float64(2.5))
+    assert s == AngleState(1.25, 2.5) and hash(s) == hash(AngleState(1.25, 2.5)) and s != AngleState(1.25, 2.0)
+    assert repr(s) == "AngleState(x=1.25, y=2.5)"
+    back = pickle.loads(pickle.dumps(s))
+    assert back == s and (type(back.x), type(back.y)) == (float, float)
+    # replace runs the one __init__: its rules hold for the new fields
+    assert dataclasses.replace(s, x=np.pi) == AngleState(np.pi, 0.0)
+    assert dataclasses.replace(s, y=-1e-13).y == 0.0
+    with pytest.raises(InvalidInputError, match=r"^x=4\.0 outside \[0, pi\]$"):
+        dataclasses.replace(s, x=4.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.x = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del s.y
+    assert [f.name for f in dataclasses.fields(s)] == ["x", "y"] and dataclasses.astuple(s) == (1.25, 2.5)
 
 
 EDGE = 1e-12

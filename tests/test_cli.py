@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmask import GeneralLinearOp, MaskerParams, SphericalCircle, build_masker, operator_scale
+from qmask import GeneralLinearOp, GridSpec, MaskerParams, SphericalCircle, build_masker, operator_scale
 from qmask import documents as docs
 from qmask import protocol
 from qmask.cli import main
@@ -244,6 +244,33 @@ def test_operator_command_option_errors(tmp_path, capsys, argv, message):
     op_path = write_operator(tmp_path / "op.json", identity_embedding())
     code, out, err = run(capsys, *argv, "--operator", op_path)
     assert (code, out, err) == (1, "", f"qmask: error: {message}\n")
+
+
+def test_scan_fractions_kappa_whose_tolerance_overflows(tmp_path, capsys):
+    # 1e308 is finite, but 1e308 times the spacing of the 2 x 4 grid is not: the message names --kappa's value
+    op_path = write_operator(tmp_path / "op.json", identity_embedding())
+    argv = ["scan", "--operator", op_path, "--x", "1.2", "--y", "2.5", "--fractions", "2,4", "--kappa", "1e308"]
+    code, out, err = run(capsys, *argv)
+    message = "kappa=1e+308 times the spacing at resolution 2 must be a positive finite number"
+    assert (code, out, err) == (1, "", f"qmask: error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError(), "qmask: error: out of memory\n"),
+        (MemoryError("Unable to allocate 9.31 GiB"), "qmask: error: out of memory: Unable to allocate 9.31 GiB\n"),
+    ],
+)
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, exc, line):
+    # a grid too large for the machine's memory exits 1 with qmask's own message, not a traceback
+    def allocate(*args):
+        raise exc
+
+    monkeypatch.setattr(GridSpec, "live_nodes", allocate)
+    op_path = write_operator(tmp_path / "op.json", identity_embedding())
+    code, out, err = run(capsys, "analyze", "--operator", op_path, "--x", "1.2", "--y", "2.5", "--scan", "50")
+    assert (code, out, err) == (1, "", line)
 
 
 def test_scan_fractions_write_no_csv(tmp_path, capsys):

@@ -1,5 +1,9 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given
 
 from qmask import (
     AngleState,
@@ -17,7 +21,47 @@ from qmask import (
     sample_circle,
     verify_mask,
 )
-from _helpers import random_params, random_state, well_separated_triple
+from _helpers import (
+    EDGE_ARGS,
+    edge_or_any,
+    field_bits,
+    random_params,
+    random_state,
+    reference_masker_fields,
+    well_separated_triple,
+)
+
+
+def masker_fields(alpha, theta):
+    p = MaskerParams(alpha, theta)
+    return p.alpha, p.theta
+
+
+def test_params_rules_at_the_edges():
+    # the one __init__ gives every pair of edge arguments the fields, or the error, of the earlier rules
+    for a in EDGE_ARGS:
+        for t in EDGE_ARGS:
+            assert field_bits(masker_fields, a, t) == field_bits(reference_masker_fields, a, t), (a, t)
+
+
+@given(edge_or_any, edge_or_any)
+def test_params_rules_are_the_earlier_rules(a, t):
+    assert field_bits(masker_fields, a, t) == field_bits(reference_masker_fields, a, t)
+
+
+def test_params_are_a_frozen_dataclass():
+    p = MaskerParams(alpha=np.float64(0.5), theta=2)
+    assert p == MaskerParams(0.5, 2.0) and hash(p) == hash(MaskerParams(0.5, 2.0)) and p != MaskerParams(0.5, 1.0)
+    assert repr(p) == "MaskerParams(alpha=0.5, theta=2.0)"
+    back = pickle.loads(pickle.dumps(p))
+    assert back == p and (type(back.alpha), type(back.theta)) == (float, float)
+    # replace runs the one __init__: its rules hold for the new fields
+    assert dataclasses.replace(p, theta=1.0) == MaskerParams(0.5, 1.0)
+    with pytest.raises(InvalidInputError, match=r"^alpha=4\.0 outside \[0, pi\)$"):
+        dataclasses.replace(p, alpha=4.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.alpha = 0.25
+    assert [f.name for f in dataclasses.fields(p)] == ["alpha", "theta"]
 
 
 def test_params_validation():

@@ -149,7 +149,8 @@ def test_cells_cover_the_grid_within_their_radius():
     centres = {4: ([1, 5, 9, 13, 17, 21, 25, 29, 33, 37], [1, 5, 9, 13, 17, 21]), 16: ([7, 23, 39], [7, 22])}
     xs, ys = grid.axes()
     for size in oracle._CELL_SIZES:
-        ci, cj, radius = grid.cells(size)
+        ci, cj, reach_x, reach_y = grid.cells(size)
+        radius = np.hypot.outer(reach_x, reach_y) + oracle._ROUNDING
         assert (list(ci), list(cj)) == centres[size]
         i, j = grid.split(*np.indices(radius.shape).reshape(2, -1), size)
         assert sorted(i * grid.ny + j) == list(range(grid.nx * grid.ny))  # each node in exactly one cell
@@ -181,6 +182,22 @@ def test_live_nodes_keeps_every_node_within_the_threshold(grid):
     for value, count in ((-np.inf, grid.nx * grid.ny), (np.nan, grid.nx * grid.ny), (np.inf, 0)):
         i, j = grid.live_nodes(lambda ci, cj, r: np.full(ci.shape, value), 0.0)
         assert sorted(i * grid.ny + j) == list(range(count)), value
+
+
+def test_live_nodes_takes_radii_only_for_the_cells_it_tests():
+    # a walk whose bound rejects every 16 x 16 cell builds no array sized by the 4 x 4 cells; building
+    # the radius of every 4 x 4 cell, 8 bytes each, is what made --scan 100000 ask for 9.31 GiB
+    grid = GridSpec(4000, 8000)
+    reject = lambda ci, cj, r: np.full(ci.shape, np.inf)
+    grid.live_nodes(reject, 0.0)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        i, j = grid.live_nodes(reject, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert i.size == j.size == 0
+    assert peak < 8 * (grid.nx // 4) * (grid.ny // 4), peak
 
 
 def pair_slopes(op, anchor, x, y, x1, y1):
@@ -399,6 +416,15 @@ def test_fraction_scaling_validation():
         masked_fraction_scaling(op, AngleState(1.0, 1.0), [100, 50])
     with pytest.raises(InvalidInputError):
         masked_fraction_scaling(op, AngleState(1.0, 1.0), [50, 100], kappa=0.0)
+
+
+@pytest.mark.parametrize("kappa, resolution", [(1e308, 2), (5e-324, 100)])
+def test_fraction_scaling_kappa_times_the_spacing_must_be_positive_and_finite(kappa, resolution):
+    # kappa * h over- or underflows although kappa is positive and finite: the error names kappa, not a tol
+    # the caller never gave, and comes before any grid is scanned
+    with pytest.raises(InvalidInputError) as exc:
+        masked_fraction_scaling(identity_embedding(), AngleState(1.0, 1.0), [2, 4, 100], kappa=kappa)
+    assert str(exc.value) == f"kappa={kappa} times the spacing at resolution {resolution} must be a positive finite number"
 
 
 def test_agreement_report_ok_across_operator_kinds():
