@@ -58,13 +58,6 @@ ISOMETRY_TOL = 1e-12
 PRODUCT_FORM_TOL = 1e-10
 
 
-def isometric(m: np.ndarray) -> np.ndarray:
-    """Whether the Gram matrix m^dagger m of each 4x2 matrix of a (..., 4, 2) stack is the identity
-    within ISOMETRY_TOL."""
-    gram = m.conj().swapaxes(-1, -2) @ m
-    return np.abs(gram - np.eye(2)).max(axis=(-2, -1)) <= ISOMETRY_TOL
-
-
 def apply_matrix(m: np.ndarray, x, y) -> np.ndarray:
     """Image cos(x/2) m[:, 0] + e^{iy} sin(x/2) m[:, 1] of the state |(x, y)>: the angles' broadcast shape
     (floats or arrays) plus a trailing axis of 4 amplitudes; a (k, 4, 2) stack broadcasts against it."""
@@ -115,8 +108,9 @@ class GeneralLinearOp:
 
     @property
     def is_isometry(self) -> bool:
-        """Whether the columns are orthonormal within ISOMETRY_TOL."""
-        return bool(isometric(self.matrix))
+        """Whether the Gram matrix m^dagger m is the identity within ISOMETRY_TOL in every entry."""
+        m = self.matrix
+        return bool(np.abs(m.conj().T @ m - np.eye(2)).max() <= ISOMETRY_TOL)
 
     def apply(self, x, y) -> np.ndarray:
         """Image of the state |(x, y)>; see :func:`apply_matrix`."""

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -45,7 +46,15 @@ from .protocol import DECODE_TOL, Scheme, decode, encode, preset_scheme, preset_
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant honoring the exit-code contract (usage errors are invalid input)."""
+    """argparse variant honoring the exit-code contract (usage errors are invalid input).
+
+    Its negative-number pattern also takes an exponent, so ``--x -1e-13`` is a value, not an option;
+    no qmask option starts with ``-`` and a digit.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
 
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")

@@ -49,8 +49,8 @@ from .bloch import (
     circle_from_mask_params,
     circle_through_three,
 )
-from .analysis import GeneralLinearOp, isometric
-from .errors import InvalidInputError, InvariantViolationError
+from .analysis import GeneralLinearOp
+from .errors import InvalidInputError
 from .linalg import TOL_EQUALITY, frobenius_distances, reduced_entries
 
 
@@ -101,19 +101,14 @@ def hbar(params: MaskerParams, s: AngleState) -> float:
 
 
 def masker_matrices(alpha, theta) -> np.ndarray:
-    """The (k, 4, 2) stack of the masker matrices for length-k ``alpha``, ``theta``;
-    InvariantViolationError if some masker fails the ``is_isometry`` test."""
+    """The (k, 4, 2) stack of the masker matrices for length-k ``alpha``, ``theta``, each an isometry by
+    its closed form."""
     a, t = np.asarray([alpha, theta], dtype=float)[:, :, None]
     ca, sa = np.cos(a / 2.0), np.sin(a / 2.0)
     # [[u0, v0], [u1, v1]] of the module docstring before their (|0> + |1>) or (|0> - |1>), which the signs apply
     phase = t * [1.0, 0.0, 1.0, 0.0] + [np.pi / 4, np.pi / 4, -np.pi / 4, -np.pi / 4]
     amplitudes = np.sqrt(2.0) / 2.0 * np.concatenate([ca, -sa, sa, ca], axis=1) * np.exp(1j * phase)
-    m = amplitudes.reshape(-1, 2, 2).repeat(2, axis=1) * np.array([[1.0], [1.0], [1.0], [-1.0]], dtype=complex)
-    ok = isometric(m)
-    if not ok.all():
-        bad = MaskerParams(a[~ok][0, 0], t[~ok][0, 0])
-        raise InvariantViolationError(f"masker matrix for {bad} is not isometric")
-    return m
+    return amplitudes.reshape(-1, 2, 2).repeat(2, axis=1) * np.array([[1.0], [1.0], [1.0], [-1.0]], dtype=complex)
 
 
 def build_masker(params: MaskerParams) -> GeneralLinearOp:

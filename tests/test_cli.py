@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import re
 import warnings
@@ -5,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qmask import GeneralLinearOp, GridSpec, MaskerParams, SphericalCircle, build_masker, operator_scale
 from qmask import documents as docs
@@ -749,3 +753,52 @@ def test_every_input_file_error_names_the_file_once(tmp_path, capsys, kind, cont
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"qmask: error: {path}: {message}\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["--x", "-1e-13"], ""),
+        (["--alpha", "-1e-13"], "qmask: error: alpha=-1e-13 outside [0, pi)\n"),
+        (["--x", "-1.5E+0"], "qmask: error: x=-1.5 outside [0, pi]\n"),
+    ],
+    ids=["x_absorbed", "alpha_out_of_range", "x_capital_exponent"],
+)
+def test_negative_numbers_with_an_exponent_are_values(capsys, argv, err):
+    # argparse's own negative-number pattern has no exponent and would read -1e-13 as an option
+    flags = {"--alpha": "0", "--theta": "0", "--x": "1", "--y": "1"} | dict([argv])
+    code, out, got = run(capsys, "mask", *[t for kv in flags.items() for t in kv])
+    assert (code, got) == (1 if err else 0, err)
+    if not err:
+        assert json.loads(out)["state"]["x"] == 0.0
+        assert run(capsys, "mask", *[f"{k}={v}" for k, v in flags.items()]) == (0, out, "")
+
+
+def _near(*centres):
+    return [c + d for c in centres for d in (0.0, 1e-12, -1e-12, 1.1e-12, -1.1e-12)]
+
+
+# each range's ends, 1e-12 (absorbed) and 1.1e-12 (rejected) beyond them, tiny negatives and large values
+EDGE_ANGLES = _near(0.0, np.pi, 2 * np.pi) + [-0.0, -1e-13, 5e-324, -5e-324, 1e300, -1e300, 1.7976931348623157e308]
+angle_tokens = st.one_of(
+    st.sampled_from(EDGE_ANGLES), st.floats(-1.0, 7.0), st.floats(allow_nan=False, allow_infinity=False)
+).map(repr)
+
+
+def _main_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(st.sampled_from([["mask"], ["circle", "--samples", "3"]]), angle_tokens, angle_tokens, angle_tokens, angle_tokens)
+def test_numeric_flags_keep_the_cli_contract(command, alpha, theta, x, y):
+    argv = [*command, "--alpha", alpha, "--theta", theta, "--x", x, "--y", y]
+    code, out, err = first = _main_captured(argv)
+    assert code in (0, 1) and "Traceback" not in err
+    if code == 0:
+        assert err == "" and isinstance(_strict_json(out), dict)
+    else:
+        assert out == "" and re.fullmatch(r"qmask: error: [^\n]*\n", err)
+    assert _main_captured(argv) == first

@@ -21,6 +21,7 @@ from qmask import (
     sample_circle,
     verify_mask,
 )
+from qmask.masking import masker_matrices
 from _helpers import (
     EDGE_ARGS,
     edge_or_any,
@@ -110,6 +111,18 @@ def test_isometry_condition_grid():
             iso = build_masker(MaskerParams(alpha, theta))
             gram = iso.matrix.conj().T @ iso.matrix
             assert np.abs(gram - np.eye(2)).max() < 1e-12
+
+
+def test_masker_stack_is_isometric_and_equals_each_masker():
+    # masker_matrices runs no Gram test: the closed form is the guarantee, pinned here for a stack of k = 1600
+    alpha, theta = (g.ravel() for g in np.meshgrid(
+        np.linspace(0.0, np.pi, 40, endpoint=False), np.linspace(0.0, 2 * np.pi, 40, endpoint=False)))
+    stack = masker_matrices(alpha, theta)
+    assert stack.shape == (1600, 4, 2)
+    gram = stack.conj().swapaxes(-1, -2) @ stack
+    assert np.abs(gram - np.eye(2)).max(axis=(-2, -1)).max() <= 1e-12
+    singles = np.stack([build_masker(MaskerParams(a, t)).matrix for a, t in zip(alpha, theta)])
+    assert singles.tobytes() == stack.tobytes()
 
 
 def test_isometry42_rejects_non_isometry():

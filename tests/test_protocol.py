@@ -35,7 +35,7 @@ from qmask import (
     share_constraint,
 )
 from qmask import protocol
-from qmask.bloch import CANON_EPS
+from qmask.bloch import CANON_EPS, mask_normals
 from _helpers import random_params, random_state
 
 maskers = st.builds(
@@ -453,3 +453,17 @@ def test_general_triples_decode_by_rank(n):
         else:
             assert isinstance(result, Unique), trio
             assert states_close(result.state, message), trio
+
+
+def test_general_rank_deficient_triples_are_exactly_k_half_mirror():
+    # general()'s docstring: up to n = 41 the only triples of plane normals without full rank are k, n/2, n - k
+    for n in range(4, 42):
+        params = general(n).maskers
+        normals = mask_normals(np.array([p.alpha for p in params]), np.array([p.theta for p in params]))
+        trios = np.array(list(combinations(range(1, n), 3)))
+        sigma3 = np.linalg.svd(normals[trios - 1], compute_uv=False)[:, 2]
+        deficient = {tuple(t) for t in trios[sigma3 <= 1e-9].tolist()}
+        expected = {(k, n // 2, n - k) for k in range(1, n // 2)} if n % 2 == 0 else set()
+        assert deficient == expected, n
+        # the gap is wide: rounding noise on one side, a clear rank on the other
+        assert sigma3[sigma3 <= 1e-9].max(initial=0.0) <= 1e-12 and sigma3[sigma3 > 1e-9].min(initial=np.inf) >= 1e-6, n
