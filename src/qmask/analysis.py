@@ -39,7 +39,7 @@ import numpy as np
 
 from .bloch import (
     AngleState, Circle, MaskableClass, PointPair, SinglePoint,
-    angles_to_bloch, cut_sphere, distance_to_circle,
+    angles_to_bloch, cut_sphere, distance_to_circle, point_distances,
 )
 from .errors import InvalidInputError, InvariantViolationError
 from .linalg import ENTRY_IMAG, ENTRY_LABELS, ENTRY_PAIRS
@@ -221,9 +221,9 @@ def class_distance(mask_class: MaskableClass, points) -> np.ndarray:
     """Euclidean distance from Bloch points (..., 3) to a classified maskable set, shape (...)."""
     p = np.asarray(points, dtype=float)
     if isinstance(mask_class, SinglePoint):
-        return np.linalg.norm(p - mask_class.point, axis=-1)
+        return point_distances(p, mask_class.point)
     if isinstance(mask_class, PointPair):
-        return np.minimum(np.linalg.norm(p - mask_class.p1, axis=-1), np.linalg.norm(p - mask_class.p2, axis=-1))
+        return np.minimum(point_distances(p, mask_class.p1), point_distances(p, mask_class.p2))
     if isinstance(mask_class, Circle):
         return distance_to_circle(mask_class.circle, p)
     raise InvalidInputError(f"not a maskable-set class: {mask_class!r}")

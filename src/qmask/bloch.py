@@ -76,12 +76,26 @@ def _norms(p: np.ndarray) -> np.ndarray:
     return np.sqrt(p[..., None, :] @ p[..., :, None])[..., 0, 0]
 
 
+def column_norms(d0, d1, d2) -> np.ndarray:
+    """Euclidean norms of the rows (d0, d1, d2) as sqrt((d0^2 + d1^2) + d2^2): ``np.linalg.norm(axis=-1)`` bit for bit."""
+    return np.sqrt((np.square(d0) + np.square(d1)) + np.square(d2))
+
+
+def point_distances(p, q) -> np.ndarray:
+    """Euclidean distances from points (..., 3) to the point q, shape (...), taken column by column."""
+    return column_norms(*(p[..., k] - q[k] for k in range(3)))
+
+
 def bloch_points(xs, ys) -> np.ndarray:
     """Points (sin x cos y, sin x sin y, cos x) of broadcast angles, shape + (3,), one coordinate a block."""
-    sx = np.sin(xs)
-    px = sx * np.cos(ys)
+    return trig_points(np.sin(xs), np.cos(xs), np.cos(ys), np.sin(ys))
+
+
+def trig_points(sin_x, cos_x, cos_y, sin_y) -> np.ndarray:
+    """The points of :func:`bloch_points` from the sines and cosines of their angles: its one formula."""
+    px = sin_x * cos_y
     points = np.empty((3,) + px.shape)
-    points[0], points[1], points[2] = px, sx * np.sin(ys), np.cos(xs)
+    points[0], points[1], points[2] = px, sin_x * sin_y, cos_x
     return points.transpose((*range(1, points.ndim), 0))
 
 
@@ -196,7 +210,7 @@ def distance_to_circle(circle: SphericalCircle, p) -> np.ndarray:
     """
     p = np.asarray(p, dtype=float)
     height = p @ circle.normal
-    rho = np.linalg.norm(p - height[..., None] * circle.normal, axis=-1)
+    rho = column_norms(*(p[..., k] - height * circle.normal[k] for k in range(3)))
     return np.sqrt((height - circle.offset) ** 2 + (rho - circle.radius) ** 2)
 
 

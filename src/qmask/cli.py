@@ -48,13 +48,17 @@ from .protocol import DECODE_TOL, Scheme, decode, encode, preset_scheme, preset_
 class _Parser(argparse.ArgumentParser):
     """argparse variant honoring the exit-code contract (usage errors are invalid input).
 
-    Its negative-number pattern also takes an exponent, so ``--x -1e-13`` is a value, not an option;
-    no qmask option starts with ``-`` and a digit.
+    Its negative-number pattern takes every spelling ``float()`` reads after a minus sign, exponents,
+    digit underscores, ``inf``, ``infinity`` and ``nan`` in any case included, so ``--x -1e-13`` and
+    ``--x -inf`` are values, not options; no qmask option starts with ``-`` and a digit, ``.``, ``i`` or ``n``.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+        digits = r"\d(?:_?\d)*"
+        self._negative_number_matcher = re.compile(
+            rf"^-(?:(?:{digits}(?:\.(?:{digits})?)?|\.{digits})(?:[eE][+-]?{digits})?|(?i:inf(?:inity)?|nan))$"
+        )
 
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")

@@ -17,7 +17,9 @@ class are taken only where the two tests need them: at the flagged nodes,
 and at the nodes :meth:`qmask.oracle.GridSpec.live_nodes` keeps on the bound
 class_distance(centre) - r with one spacing as threshold.  The distance to
 a set is 1-Lipschitz, and Bloch distance at most angle distance, so the
-bound holds at every node of the cell.
+bound holds at every node of the cell.  Both take their Bloch points from
+:func:`node_points`: the sine and cosine of each axis once per report, not
+four per node.
 """
 
 from __future__ import annotations
@@ -34,9 +36,17 @@ from .analysis import (
     constraint_planes,
     maskable_set,
 )
-from .bloch import AngleState, bloch_points
+from .bloch import AngleState, trig_points
 from .linalg import ENTRY_WEIGHTS
 from .oracle import GridSpec, default_kappa, grid_flags
+
+
+def node_points(grid: GridSpec):
+    """The function (i, j) -> ``bloch_points(xs[i], ys[j])`` at grid nodes, gathering the sines and cosines
+    of each axis, taken once here, into :func:`qmask.bloch.trig_points`."""
+    xs, ys = grid.axes()
+    sin_x, cos_x, cos_y, sin_y = np.sin(xs), np.cos(xs), np.cos(ys), np.sin(ys)
+    return lambda i, j: trig_points(sin_x[i], cos_x[i], cos_y[j], sin_y[j])
 
 
 def agreement_report(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec) -> dict:
@@ -45,13 +55,13 @@ def agreement_report(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec) ->
     tol = default_kappa(op) * grid.spacing
 
     flagged = grid_flags(op, anchor, grid, tol)
-    xs, ys = grid.axes()
+    points = node_points(grid)
     seen = flagged.copy()
-    near = grid.live_nodes(lambda ci, cj, r: class_distance(mask_class, bloch_points(xs[ci], ys[cj])) - r, grid.spacing)
+    near = grid.live_nodes(lambda ci, cj, r: class_distance(mask_class, points(ci, cj)) - r, grid.spacing)
     seen.reshape(grid.nx, grid.ny)[near] = True
     nodes = np.flatnonzero(seen)
     i, j = np.divmod(nodes, grid.ny)
-    dist = class_distance(mask_class, bloch_points(xs[i], ys[j]))
+    dist = class_distance(mask_class, points(i, j))
     hit = flagged[nodes]
 
     complete = bool(np.all(hit[dist <= grid.spacing * (1 - 1e-9)]))

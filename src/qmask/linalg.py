@@ -9,11 +9,13 @@ qubit B.  Every other module inherits this convention; a 4-vector
     rho_A = M @ M^dagger        (trace over B)
     rho_B = M^T @ conj(M)       (trace over A)
 
-:func:`reduced_entries` is the one place these traces are computed, for one
-vector or a stack, in real arithmetic in ``einsum``'s unfused order, and
+:func:`trace_into` is the one place these traces are computed, in real
+arithmetic in ``einsum``'s unfused order, into buffers its caller passes;
+:func:`reduced_entries` validates one vector or a stack and runs it, and
 :func:`reduced_pair` reads both matrices off its entries.  Which amplitude
-products make each entry is the one table ``ENTRY_PAIRS``, which
-``analysis.constraint_planes`` reads too.  Norm 1 is not required:
+products make each entry is the one table ``ENTRY_PAIRS``, from which the
+kernel's tables are derived and which ``analysis.constraint_planes`` reads
+too.  Norm 1 is not required:
 unnormalized images are traced as they are.  Two reduced pairs are compared
 through their entries: :func:`frobenius_distances` is the one rule that turns
 entry differences into the Frobenius distances of rho_A and rho_B.
@@ -47,22 +49,50 @@ ENTRY_PAIRS = np.array([
     [[0, 0], [2, 2]], [[1, 1], [3, 3]], [[0, 1], [2, 3]], [[0, 1], [2, 3]],
 ])
 ENTRY_IMAG = slice(3, None, 4)
-# Rows (4, t, k) of the float view (re psi_0, im psi_0, ...) whose products reduced_entries sums:
-# psi[l] conj(psi[r]) has real part x + y, x = re l * re r, y = im l * im r, and imaginary part
-# x - y, x = im l * re r, y = re l * im r; the rows are those of left x, left y, right x, right y
-_COLUMNS = 2 * ENTRY_PAIRS.T[[0, 0, 1, 1]] + np.array([0, 1, 0, 1])[:, None, None]
-_COLUMNS[:2, :, ENTRY_IMAG] ^= 1
+# The terms the entries sum: the real part of psi[l] conj(psi[r]) for each distinct pair (l, r) of
+# ENTRY_PAIRS, then the imaginary part for each distinct pair of the im01 entries.  _TERMS[t, k] is the
+# term that pair t of entry k reads.
+_RE_PAIRS, _TERMS = np.unique(ENTRY_PAIRS.reshape(-1, 2), axis=0, return_inverse=True)
+_IM_PAIRS, _IM_TERMS = np.unique(ENTRY_PAIRS[ENTRY_IMAG].reshape(-1, 2), axis=0, return_inverse=True)
+_TERMS = _TERMS.reshape(8, 2)
+_TERMS[ENTRY_IMAG] = len(_RE_PAIRS) + _IM_TERMS.reshape(2, 2)
+_TERMS = _TERMS.T.ravel()
+# Rows of the parts (re psi_0, im psi_0, re psi_1, ...) whose products, left half times right half, are
+# each term's x, then each term's y: x = re l * re r and y = im l * im r for a real part, x = im l * re r
+# and y = re l * im r for an imaginary part; each of the 24 is a distinct product of two parts
+_FACTORS = np.concatenate([
+    2 * _RE_PAIRS[:, 0], 2 * _IM_PAIRS[:, 0] + 1, 2 * _RE_PAIRS[:, 0] + 1, 2 * _IM_PAIRS[:, 0],
+    2 * _RE_PAIRS[:, 1], 2 * _IM_PAIRS[:, 1], 2 * _RE_PAIRS[:, 1] + 1, 2 * _IM_PAIRS[:, 1] + 1,
+])
 # The float views of rho_A and rho_B as columns of the entries, the lower off-diagonals' imaginary
 # parts (8, 9) and a zero (10); einsum gives 0.0 - im01 there: -im01, but +0.0 for a zero
 _MATRIX_PARTS = np.array([[0, 10, 2, 3, 2, 8, 1, 10], [4, 10, 6, 7, 6, 9, 5, 10]])
 
 
+def trace_into(parts: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+    """Write the entries ENTRY_LABELS of ``(rho_A, rho_B)``, (8, n), into ``out``: the one kernel.
+
+    ``parts`` (8, n) holds re psi_0, im psi_0, re psi_1, ... of n vectors, and ``work`` is (48, n) scratch.
+    Each of the 24 distinct products is formed once (:data:`_FACTORS`); then, bit for bit as ``einsum``
+    gives them and unfused (numpy's complex multiply fuses on some hosts), each term x + y or x - y,
+    which is x + (-y), the sum of the two terms of each entry (:data:`_TERMS`), and + 0.0 as ``einsum``
+    sums from +0.
+    """
+    # mode="clip" lets take write into ``work`` unbuffered; every index is in range
+    parts.take(_FACTORS, axis=0, out=work, mode="clip")
+    x, y = np.multiply(work[:24], work[24:], out=work[:24]).reshape(2, 12, -1)
+    terms = work[24:36]
+    np.add(x[:8], y[:8], out=terms[:8])
+    np.subtract(x[8:], y[8:], out=terms[8:])
+    halves = terms.take(_TERMS, axis=0, out=work[:16], mode="clip")
+    np.add(halves[:8], halves[8:], out=out)
+    np.add(out, 0.0, out=out)
+
+
 def reduced_entries(psi) -> np.ndarray:
     """The entries ENTRY_LABELS of ``(rho_A, rho_B)`` for one vector or a stack: shape (8,) or (N, 8).
 
-    Computed in real arithmetic in ``einsum``'s order, unfused (numpy's complex multiply fuses on some
-    hosts), so bit for bit as ``einsum`` gives them: the products x and y of the :data:`_COLUMNS` rows,
-    x + y or x + (-y) for each t, their sum over t, and + 0.0 as ``einsum`` sums from +0.
+    Computed by :func:`trace_into`, bit for bit as ``einsum`` gives them.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim not in (1, 2) or psi.shape[-1] != 4:
@@ -70,18 +100,18 @@ def reduced_entries(psi) -> np.ndarray:
     real = np.ascontiguousarray(psi).view(float).reshape(-1, 8)  # no copy unless psi is strided
     if not np.logical_and.reduce(np.isfinite(real), axis=None):
         raise InvalidInputError("state vector contains non-finite components")
-    g = np.ascontiguousarray(real.T)[_COLUMNS]
-    x, y = np.multiply(g[:2], g[2:], out=g[:2])
-    np.negative(y[:, ENTRY_IMAG], out=y[:, ENTRY_IMAG])  # x + (-y) is x - y, bit for bit
-    terms = np.add(x, y, out=x)
-    out = terms[0] + terms[1]
-    out += 0.0
+    out = np.empty((8, real.shape[0]))
+    trace_into(real.T, out, np.empty((48, real.shape[0])))
     return out.T.reshape(psi.shape[:-1] + (8,))
 
 
-def frobenius_distances(diff) -> np.ndarray:
-    """The rho_A and rho_B Frobenius norms, (2,) or (2, N), of ENTRY_LABELS differences (8,) or (8, N)."""
-    return np.sqrt(_SQUARED_WEIGHTS @ (diff * diff))
+def frobenius_distances(diff, out=None) -> np.ndarray:
+    """The rho_A and rho_B Frobenius norms, (2,) or (2, N), of ENTRY_LABELS differences (8,) or (8, N).
+
+    Given ``out``, the norms are written there and ``diff`` is left holding its squares.
+    """
+    squares = np.multiply(diff, diff, out=None if out is None else diff)
+    return np.sqrt(np.matmul(_SQUARED_WEIGHTS, squares, out=out), out=out)
 
 
 def reduced_pair(psi) -> tuple[np.ndarray, np.ndarray]:

@@ -6,16 +6,20 @@ pair against the anchor's in Frobenius norm.  Nothing in this
 module calls the constraint extraction or the classifier -- that
 independence is the point, so the two paths cross-validate each other.
 The analysis's closed-form planes and the oracle's reduced-state kernel
-:func:`qmask.linalg.reduced_entries` read one table, ``ENTRY_PAIRS``, of
-which amplitude products make each entry.  The tests check each against a
+:func:`qmask.linalg.trace_into` read one table, ``ENTRY_PAIRS``, of which
+amplitude products make each entry.  The tests check each against a
 reference that does not use the table: the kernel bit for bit against
 ``einsum``, the planes exactly against rational arithmetic on dyadic
 operators.
 
 Every node's deviation is computed by :class:`_NodeDeviations`, with the
 Frobenius distances of :func:`qmask.linalg.frobenius_distances`, as in
-``masking.verify_mask``.  :func:`grid_deviations` runs it on every node
-and is the dense reference.
+``masking.verify_mask``.  It runs the nodes of a call in blocks of at most
+``_BLOCK_NODES``, every block in the buffers of one workspace taken once
+per :func:`grid_flags` or :func:`grid_deviations` call: the amplitudes,
+the kernel's products and sums, the entries and the distances.  The block
+size does not change a deviation's bits.  :func:`grid_deviations` runs it
+on every node and is the dense reference.
 
 :func:`grid_flags` gives the same flags from a fraction of the nodes.  By
 the paper's first theorem no nonzero operator masks a set of nonzero
@@ -75,11 +79,15 @@ import numpy as np
 from .analysis import GeneralLinearOp, apply_matrix, operator_scale, unit_scaled
 from .bloch import AngleState
 from .errors import InvalidInputError, check_positive_finite
-from .linalg import frobenius_distances, reduced_entries
+from .linalg import frobenius_distances, reduced_entries, trace_into
 
 DEFAULT_REGION = ((0.0, float(np.pi)), (0.0, float(2.0 * np.pi)))
 
-_BLOCK_NODES = 8192  # ~1 kB of temporaries per node, so ~8 MB a block
+_BLOCK_NODES = 4096
+# Rows of n floats in the workspace of blocks of n nodes: w0 m[:, 0] and w1 m[:, 1] (8 each, complex),
+# cos(x/2), sin(x/2), e^{iy} and w1 (2 each, complex), the amplitude parts (8), the kernel's work (48),
+# the entries (8) and the rho_A and rho_B distances (2): 720 bytes a node, ~2.9 MB at _BLOCK_NODES
+_WORKSPACE_ROWS = 90
 # Nodes along each side of the pruning cells, coarse to fine; each size divides the one before.
 _CELL_SIZES = (16, 4)
 # Allowance, in radians of cell radius, for the rounding of a cell's bound (see the module docstring).
@@ -148,8 +156,8 @@ class GridSpec:
         within each cell, cut at the grid's edge.
         """
         k = size // fine
-        offsets = np.arange(k)
-        sub_a, sub_b = np.broadcast_arrays(k * a[:, None, None] + offsets[:, None], k * b[:, None, None] + offsets)
+        da, db = np.divmod(np.arange(k * k), k)  # each sub-cell's offsets, x-major
+        sub_a, sub_b = (k * a[:, None] + da).ravel(), (k * b[:, None] + db).ravel()
         inside = (sub_a < -(-self.nx // fine)) & (sub_b < -(-self.ny // fine))
         return sub_a[inside], sub_b[inside]
 
@@ -179,29 +187,50 @@ class _NodeDeviations:
     value is the node's deviation.
 
     The one place a node's deviation is computed.  The matrix, the anchor's
-    entries and the trig of each axis are set up once, for one call of
-    :func:`grid_flags` or :func:`grid_deviations`; the nodes of each call go
-    through in blocks of ``_BLOCK_NODES``.  The amplitudes repeat
-    :func:`apply_matrix`'s operations in its operand order (where numpy fuses
-    complex products, swapped operands round differently), amplitude-major,
-    so every loop runs along the nodes.
+    entries, the trig of each axis and one workspace are set up once, for
+    one call of :func:`grid_flags` or :func:`grid_deviations`; the nodes of
+    each call go through in blocks of at most ``_BLOCK_NODES``, each computed
+    in the buffers of that workspace: one allocation serves every block,
+    where fresh temporaries for each would go back to the OS and fault in
+    again.  The amplitudes repeat :func:`apply_matrix`'s operations in its
+    operand order (where numpy fuses complex products, swapped operands round
+    differently), amplitude-major, so every loop runs along the nodes.
     """
 
     def __init__(self, op: GeneralLinearOp, anchor: AngleState, grid: GridSpec):
         self.m, self.e = unit_scaled(op)
         self._anchor_entries = reduced_entries(apply_matrix(self.m, anchor.x, anchor.y))[:, None]
         xs, ys = grid.axes()
-        self._cos_x, self._sin_x, self._phase_y = np.cos(xs / 2.0), np.sin(xs / 2.0), np.exp(1j * ys)
+        # complex, as the products would cast them in every block
+        self._cos_x, self._sin_x = np.cos(xs / 2.0).astype(complex), np.sin(xs / 2.0).astype(complex)
+        self._phase_y = np.exp(1j * ys)
+        self._workspace = np.empty(_WORKSPACE_ROWS * min(_BLOCK_NODES, grid.nx * grid.ny))
 
     def __call__(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        m = self.m
         dev = np.empty(i.size)
-        for k in range(0, i.size, _BLOCK_NODES):
-            ib, jb = i[k : k + _BLOCK_NODES], j[k : k + _BLOCK_NODES]
-            psi = np.empty((ib.size, 4), dtype=complex)
-            np.add(self._cos_x[ib] * m[:, 0, None], (self._phase_y[jb] * self._sin_x[ib]) * m[:, 1, None], out=psi.T)
-            d = reduced_entries(psi).T - self._anchor_entries
-            frobenius_distances(d).max(axis=0, out=dev[k : k + _BLOCK_NODES])
+        if not i.size:
+            return dev
+        n = -(-i.size // -(-i.size // _BLOCK_NODES))  # the nodes in equal blocks of at most _BLOCK_NODES
+        workspace = self._workspace[: _WORKSPACE_ROWS * n]
+        w0m, w1m = workspace[: 16 * n].view(complex).reshape(2, 4, n)
+        cos_x, sin_x, phase_y, w1 = workspace[16 * n : 24 * n].view(complex).reshape(4, n)
+        parts = workspace[24 * n : 32 * n].reshape(4, 2, n)
+        work = workspace[32 * n : 80 * n].reshape(48, n)
+        entries = workspace[80 * n : 88 * n].reshape(8, n)
+        distances = workspace[88 * n :].reshape(2, n)
+        for k in range(0, i.size, n):
+            k = min(k, i.size - n)  # the last block ends at the last node
+            # mode="clip" lets take write into its out unbuffered; every index is in range
+            self._cos_x.take(i[k : k + n], out=cos_x, mode="clip")
+            self._sin_x.take(i[k : k + n], out=sin_x, mode="clip")
+            self._phase_y.take(j[k : k + n], out=phase_y, mode="clip")
+            np.multiply(cos_x, self.m[:, 0, None], out=w0m)
+            np.multiply(np.multiply(phase_y, sin_x, out=w1), self.m[:, 1, None], out=w1m)
+            # the amplitudes as the kernel reads them: parts[l] holds the real, then the imaginary parts of psi[l]
+            np.add(*(w.view(float).reshape(4, n, 2).transpose(0, 2, 1) for w in (w0m, w1m)), out=parts)
+            trace_into(parts.reshape(8, n), entries, work)
+            np.subtract(entries, self._anchor_entries, out=entries)
+            frobenius_distances(entries, out=distances).max(axis=0, out=dev[k : k + n])
         return dev
 
 

@@ -31,7 +31,7 @@ from qmask import (
     maskable_circle,
     sample_circle,
 )
-from qmask.bloch import TWO_PI
+from qmask.bloch import TWO_PI, column_norms, point_distances
 from _helpers import EDGE_ARGS, edge_or_any, field_bits, reference_angle_fields
 
 angles_x = st.floats(min_value=0.0, max_value=np.pi)
@@ -578,6 +578,48 @@ def test_distance_to_circle_keeps_the_points_leading_shape():
     d = distance_to_circle(equator, bloch_points(np.array([[0.0], [np.pi / 2]]), np.array([0.0, 1.0, 2.0])))
     assert d.shape == (2, 3)
     assert np.allclose(d, [[np.sqrt(2)] * 3, [0.0] * 3], rtol=0, atol=1e-15)
+
+
+def signed_bits(a):
+    """Each float's bit pattern, so -0.0 and +0.0 differ."""
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def awkward_rows(rng, n):
+    """(n, 3) floats: zeros of both signs, subnormals, magnitudes up to ~1e150, whose squares stay finite."""
+    rows = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-170, 150, size=(n, 3))
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e150, -1e150, 1.0])
+    pick = rng.random((n, 3)) < 0.3
+    rows[pick] = rng.choice(special, np.count_nonzero(pick))
+    return rows
+
+
+def test_column_norms_are_the_linalg_norms_bit_for_bit():
+    # sqrt((d0^2 + d1^2) + d2^2) is np.linalg.norm(axis=-1) exactly, for C and F layouts alike;
+    # the other order, d0^2 + (d1^2 + d2^2), is not
+    rng = np.random.default_rng(27)
+    rows = awkward_rows(rng, 5000)
+    for p in (rows, np.asfortranarray(rows), bloch_points(rng.uniform(0, 4, 5000), rng.uniform(0, 7, 5000))):
+        ref = np.linalg.norm(p, axis=-1)
+        assert np.array_equal(signed_bits(column_norms(p[:, 0], p[:, 1], p[:, 2])), signed_bits(ref))
+        for q in (p[17], np.array([-0.0, 5e-324, 1e150])):
+            assert np.array_equal(signed_bits(point_distances(p, q)), signed_bits(np.linalg.norm(p - q, axis=-1)))
+    assert np.array_equal(signed_bits(point_distances(rows[3], rows[4])), signed_bits(np.linalg.norm(rows[3] - rows[4])))
+    plain = rng.normal(size=(5000, 3))
+    right_first = np.sqrt(np.square(plain[:, 0]) + (np.square(plain[:, 1]) + np.square(plain[:, 2])))
+    assert not np.array_equal(right_first, np.linalg.norm(plain, axis=-1))
+
+
+def test_distance_to_circle_is_the_linalg_norm_formula_bit_for_bit():
+    rng = np.random.default_rng(28)
+    for _ in range(20):
+        normal = rng.normal(size=3)
+        circle = SphericalCircle(normal / np.linalg.norm(normal), rng.uniform(-0.99, 0.99))
+        for p in (awkward_rows(rng, 500), bloch_points(rng.uniform(0, 4, 500), rng.uniform(0, 7, 500))):
+            height = p @ circle.normal
+            rho = np.linalg.norm(p - height[..., None] * circle.normal, axis=-1)
+            ref = np.sqrt((height - circle.offset) ** 2 + (rho - circle.radius) ** 2)
+            assert np.array_equal(signed_bits(distance_to_circle(circle, p)), signed_bits(ref))
 
 
 def test_bloch_points_broadcast_the_angles():

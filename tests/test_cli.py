@@ -774,6 +774,26 @@ def test_negative_numbers_with_an_exponent_are_values(capsys, argv, err):
         assert run(capsys, "mask", *[f"{k}={v}" for k, v in flags.items()]) == (0, out, "")
 
 
+@pytest.mark.parametrize("token", ["-inf", "-Infinity", "-INF", "-nan", "-NaN"])
+def test_negative_non_finite_spellings_are_values(capsys, token):
+    # float() reads these after a minus sign; a digits-only pattern read them as options
+    code, out, err = run(capsys, "mask", "--alpha", "0", "--theta", "0", "--x", token, "--y", "1")
+    assert (code, out, err) == (1, "", "qmask: error: angle coordinates must be finite\n")
+
+
+@pytest.mark.parametrize(
+    "token, err",
+    [("-1_0e-1_4", ""), ("-.5e-13", ""), ("-1.", "qmask: error: x=-1.0 outside [0, pi]\n")],
+    ids=["digit_underscores", "leading_point", "trailing_point"],
+)
+def test_every_negative_float_spelling_is_a_value(capsys, token, err):
+    # as float() reads them: the first two are absorbed to x = 0, the third is out of range, none is an option
+    code, out, got = run(capsys, "mask", "--alpha", "0", "--theta", "0", "--x", token, "--y", "1")
+    assert (code, got) == (1 if err else 0, err)
+    if not err:
+        assert json.loads(out)["state"]["x"] == 0.0
+
+
 def _near(*centres):
     return [c + d for c in centres for d in (0.0, 1e-12, -1e-12, 1.1e-12, -1.1e-12)]
 

@@ -12,6 +12,7 @@ from qmask import (
     sample_circle,
     maskable_circle,
 )
+from qmask import oracle
 from qmask.linalg import frobenius_distances, reduced_entries
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -162,6 +163,21 @@ def test_kernel_matches_einsum_bitwise(psi):
         assert np.all(rho[..., 1, 0] == rho[..., 0, 1].conj())
         diagonal = np.stack([rho[..., 0, 0].imag, rho[..., 1, 1].imag])
         assert np.all(diagonal == 0.0) and not np.signbit(diagonal).any()
+
+
+def test_kernel_matches_einsum_bitwise_beyond_a_block():
+    # the hypothesis test draws at most 12 rows; the oracle runs the kernel on blocks of up to _BLOCK_NODES
+    rng = np.random.default_rng(27)
+    n = oracle._BLOCK_NODES + 5
+    parts = rng.normal(size=(n, 8)) * 10.0 ** rng.integers(-170, 150, size=(n, 8))
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e150, -1e150, 1.0, -1.0])
+    pick = rng.random((n, 8)) < 0.3
+    parts[pick] = rng.choice(special, np.count_nonzero(pick))
+    psi = parts.view(complex)
+    assert bitwise_equal(reduced_entries(psi), einsum_entries(psi))
+    for rho, ref in zip(reduced_pair(psi), einsum_pair(psi)):
+        assert bitwise_equal(rho, ref)
+    assert negative_zeros(reduced_entries(psi)) == negative_zeros(einsum_entries(psi)) == 0
 
 
 def negative_zeros(a):

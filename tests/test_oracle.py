@@ -103,7 +103,7 @@ BLOCK_EDGE_GRIDS = [
     GridSpec(3, 4),  # smaller than one block
     GridSpec(16, 48),  # whole 16 x 16 cells
     GridSpec(17, 33),  # cut one node past a 16-node edge along both axes
-    GridSpec(4 * oracle._BLOCK_NODES // 256, 256),  # exactly four blocks
+    GridSpec(128, 256),  # 32768 nodes, a whole number of blocks (eight of 4096)
     GridSpec(97, 203),
     GridSpec(3, 9000),  # rows longer than a block
     GridSpec(60, 90, region=((0.3, 0.9), (1.0, 2.5))),
@@ -122,6 +122,23 @@ def test_blocked_deviations_match_the_per_node_reference(grid):
         assert np.abs(dev - ref).max() <= 4 * np.finfo(float).eps * operator_scale(op)
         tol = default_kappa(op) * grid.spacing
         assert np.array_equal(dev <= tol, ref <= tol)
+
+
+def test_block_size_does_not_change_the_deviations(monkeypatch):
+    # a call's nodes go in equal blocks, the last overlapping the one before, so no node is computed in a
+    # block of its own, where the distances' matrix product takes another path and can round differently:
+    # on odd grids, whose node counts leave a single node over at most of these block sizes, the same bits
+    rng = np.random.default_rng(8)
+    for nx, ny in ((5, 9), (7, 11), (3, 17), (9, 13)):
+        grid = GridSpec(nx, ny)
+        for _ in range(5):
+            op, anchor = random_op(rng), sphere_state(rng)
+            ref = grid_deviations(op, anchor, grid)
+            for block in (2, 4, 8, 11):
+                monkeypatch.setattr(oracle, "_BLOCK_NODES", block)
+                dev = grid_deviations(op, anchor, grid)
+                assert np.array_equal(dev.view(np.int64), ref.view(np.int64)), (nx, ny, block)
+            monkeypatch.undo()
 
 
 def family_ops(rng):
@@ -163,6 +180,19 @@ def test_cells_cover_the_grid_within_their_radius():
                 # the cells of a finer size that make up a cell hold exactly its nodes
                 fi, fj = grid.split(*grid.split(np.array([a]), np.array([b]), size, fine), fine)
                 assert sorted(fi * grid.ny + fj) == sorted(i * grid.ny + j)
+
+
+@pytest.mark.parametrize("grid", BLOCK_EDGE_GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
+def test_split_lists_the_cells_in_order(grid):
+    # cell by cell, x-major within each cell, cut at the grid's edge: a loop over the cells as the reference
+    for size, fine in ((16, 4), (4, 1), (16, 1)):
+        k, rows, cols = size // fine, -(-grid.nx // fine), -(-grid.ny // fine)
+        a, b = np.indices((-(-grid.nx // size), -(-grid.ny // size))).reshape(2, -1)
+        keep = np.random.default_rng(size).random(a.size) < 0.5
+        a, b = a[keep], b[keep]
+        i, j = grid.split(a, b, size, fine)
+        ref = [(k * ca + u, k * cb + v) for ca, cb in zip(a, b) for u in range(k) for v in range(k)]
+        assert list(zip(i.tolist(), j.tolist())) == [(u, v) for u, v in ref if u < rows and v < cols]
 
 
 @pytest.mark.parametrize("grid", BLOCK_EDGE_GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
@@ -302,6 +332,34 @@ def test_agreement_report_sees_every_node_within_one_spacing(monkeypatch, op, an
         flags[q] = False
         assert agreement_report(op, anchor, grid)["agreement"] == "MISMATCH", q
         flags[q] = True
+
+
+def test_node_points_are_bloch_points_bit_for_bit():
+    # the screen and the distance pass gather each axis's sines and cosines instead of taking four per node
+    rng = np.random.default_rng(27)
+    for _ in range(100):
+        x0, y0 = rng.uniform(-1, 2), rng.uniform(-3, 5)
+        grid = GridSpec(int(rng.integers(2, 90)), int(rng.integers(2, 90)),
+                        region=((x0, x0 + rng.uniform(1e-3, 4)), (y0, y0 + rng.uniform(1e-3, 8))))
+        i, j = rng.integers(0, grid.nx, 300), rng.integers(0, grid.ny, 300)
+        xs, ys = grid.axes()
+        points, ref = crosscheck.node_points(grid)(i, j), bloch_points(xs[i], ys[j])
+        assert np.array_equal(points.view(np.int64), ref.view(np.int64)) and points.strides == ref.strides
+
+
+def test_grid_flags_computes_every_block_in_one_workspace():
+    # masker (1.1, 0.7) on 200 x 400 evaluates 15501 nodes in blocks of up to 4096, in one 2.9 MB workspace;
+    # a fresh 64-row gather for each 8192-node block took the peak to 5.7 MB
+    op, anchor, grid = masker_op(1.1, 0.7), AngleState(1.0, 1.0), GridSpec(200, 400)
+    tol = default_kappa(op) * grid.spacing
+    grid_flags(op, anchor, grid, tol)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        grid_flags(op, anchor, grid, tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_grid_memory_per_node_is_bounded():
