@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -381,11 +382,12 @@ def cut_sphere(normals, offsets, tol: float) -> MaskableClass | Empty:
 def sample_circle(circle: SphericalCircle, k: int) -> list[AngleState]:
     """k points uniformly spaced by central angle around the circle.
 
-    Every sample satisfies the plane equation to within 1e-10.  Point
-    circles (radius 0) return k copies of their single point.
+    ``k`` must be an integer of at least 1.  Every sample satisfies the
+    plane equation to within 1e-10.  Point circles (radius 0) return k
+    copies of their single point.
     """
-    if k < 1:
-        raise InvalidInputError("need at least one sample")
+    if not (isinstance(k, Integral) and k >= 1):
+        raise InvalidInputError(f"need at least one sample, and an integer count of them, got k={k!r}")
     n = circle.normal
     r = circle.radius
     # orthonormal frame in the circle's plane, seeded off the smallest normal component

@@ -18,8 +18,10 @@ and at the nodes :meth:`qmask.oracle.GridSpec.live_nodes` keeps on the bound
 class_distance(centre) - r with one spacing as threshold.  The distance to
 a set is 1-Lipschitz, and Bloch distance at most angle distance, so the
 bound holds at every node of the cell.  Both take their Bloch points from
-:func:`node_points`: the sine and cosine of each axis once per report, not
-four per node.
+:func:`node_points`: the sine and cosine of each axis of the grid's
+coordinates once per report, not four per node.  The coordinates and the
+cell tables are the grid's own fields, made when the grid is, so a report
+makes neither.
 """
 
 from __future__ import annotations
@@ -42,10 +44,9 @@ from .oracle import GridSpec, default_kappa, grid_flags
 
 
 def node_points(grid: GridSpec):
-    """The function (i, j) -> ``bloch_points(xs[i], ys[j])`` at grid nodes, gathering the sines and cosines
-    of each axis, taken once here, into :func:`qmask.bloch.trig_points`."""
-    xs, ys = grid.axes()
-    sin_x, cos_x, cos_y, sin_y = np.sin(xs), np.cos(xs), np.cos(ys), np.sin(ys)
+    """The function (i, j) -> ``bloch_points(grid.xs[i], grid.ys[j])`` at grid nodes, gathering the sines and
+    cosines of each axis, taken once here, into :func:`qmask.bloch.trig_points`."""
+    sin_x, cos_x, cos_y, sin_y = np.sin(grid.xs), np.cos(grid.xs), np.cos(grid.ys), np.sin(grid.ys)
     return lambda i, j: trig_points(sin_x[i], cos_x[i], cos_y[j], sin_y[j])
 
 

@@ -50,7 +50,7 @@ from .bloch import (
     circle_through_three,
 )
 from .analysis import GeneralLinearOp
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_positive_finite
 from .linalg import TOL_EQUALITY, frobenius_distances, reduced_entries
 
 
@@ -138,8 +138,9 @@ def verify_mask(op: GeneralLinearOp, states: list[AngleState], tol: float = TOL_
 
     Every state is compared against the first (identity of marginals is
     transitive, so O(n) comparisons suffice); deviations are Frobenius
-    distances.
+    distances.  Raises InvalidInputError unless tol is a positive finite number.
     """
+    check_positive_finite(tol, f"tol={tol}")
     if not states:
         raise InvalidInputError("verify_mask needs at least one state")
     xs, ys = (np.fromiter(map(attrgetter(c), states), float, len(states)) for c in "xy")

@@ -21,6 +21,11 @@ the kernel's products and sums, the entries and the distances.  The block
 size does not change a deviation's bits.  :func:`grid_deviations` runs it
 on every node and is the dense reference.
 
+A :class:`GridSpec` makes its geometry once, at construction: the
+coordinates of each axis and the cell tables of each size in
+``_CELL_SIZES``, read-only fields that every walk, evaluator and report
+reads, so no call on a grid remakes them.
+
 :func:`grid_flags` gives the same flags from a fraction of the nodes.  By
 the paper's first theorem no nonzero operator masks a set of nonzero
 measure, so almost every node lies far from the masked set.  It walks the
@@ -70,7 +75,7 @@ which is all these scans are meant to probe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import inf, isfinite
 from numbers import Integral
 
@@ -94,19 +99,48 @@ _CELL_SIZES = (16, 4)
 _ROUNDING = 2.0**-40
 
 
+def _cell_table(xs: np.ndarray, ys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The centre nodes of the size x size cells of the grid on axes xs and ys, as x and y indices, and each
+    cell's reach along x and y.
+
+    Cell (a, b) holds the nodes size*a ... size*a + size - 1 along x and
+    likewise along y, cut at the grid's edge; its centre is its node
+    (size - 1) // 2 along each axis, or its last one in a cell cut
+    shorter.  Its reach along an axis is the largest distance from the
+    centre to a node of the cell along it; its radius, the largest
+    angle-space distance from the centre to a node of the cell, is the
+    hypot of its two reaches, and :meth:`GridSpec.live_nodes` adds
+    ``_ROUNDING`` for the rounding of the bounds it enters.
+    """
+    centres, reach = [], []
+    for axis in (xs, ys):
+        starts = np.arange(0, axis.size, size)
+        c = np.minimum(starts + (size - 1) // 2, axis.size - 1)
+        centres.append(c)
+        reach.append(np.maximum.reduceat(np.abs(axis - axis[c.repeat(size)[: axis.size]]), starts))
+    return centres[0], centres[1], reach[0], reach[1]
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """A rectangular (x, y) evaluation grid.
+    """A rectangular (x, y) evaluation grid, with its geometry made once, at construction.
 
     x runs through ``nx`` points including both region endpoints; y runs
     through ``ny`` points with the upper endpoint excluded (the default
     region is periodic in y).  The region's extent along each axis must
-    be positive and finite.
+    be positive and finite.  The read-only fields ``xs`` and ``ys`` are the
+    nx x coordinates and the ny y coordinates, and ``cells`` holds the
+    :func:`_cell_table` of each size in ``_CELL_SIZES``, in that order; like
+    ``GeneralLinearOp.matrix`` they take no part in equality, hashing or
+    ``repr``, which see ``nx``, ``ny`` and ``region`` only.
     """
 
     nx: int
     ny: int
     region: tuple[tuple[float, float], tuple[float, float]] = DEFAULT_REGION
+    xs: np.ndarray = field(init=False, repr=False, compare=False)
+    ys: np.ndarray = field(init=False, repr=False, compare=False)
+    cells: tuple[tuple[np.ndarray, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (isinstance(self.nx, Integral) and isinstance(self.ny, Integral)):
@@ -117,37 +151,18 @@ class GridSpec:
         # on Python floats, so numpy-scalar bounds cannot warn; an infinite or NaN bound gives no finite extent
         if not all(0.0 < extent < inf for extent in (float(x1) - float(x0), float(y1) - float(y0))):
             raise InvalidInputError("grid region must have finite bounds and a positive finite extent")
+        xs, ys = np.linspace(x0, x1, self.nx), np.linspace(y0, y1, self.ny, endpoint=False)
+        cells = tuple(_cell_table(xs, ys, size) for size in _CELL_SIZES)
+        for array in (xs, ys, *sum(cells, ())):
+            array.setflags(write=False)
+        for name, value in ("xs", xs), ("ys", ys), ("cells", cells):
+            object.__setattr__(self, name, value)
 
     @property
     def spacing(self) -> float:
         """The coarser of the two axis spacings."""
         (x0, x1), (y0, y1) = self.region
         return max((x1 - x0) / (self.nx - 1), (y1 - y0) / self.ny)
-
-    def axes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The nx x coordinates and the ny y coordinates of the grid."""
-        (x0, x1), (y0, y1) = self.region
-        return np.linspace(x0, x1, self.nx), np.linspace(y0, y1, self.ny, endpoint=False)
-
-    def cells(self, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The centre nodes of the size x size cells, as x and y indices, and each cell's reach along x and y.
-
-        Cell (a, b) holds the nodes size*a ... size*a + size - 1 along x and
-        likewise along y, cut at the grid's edge; its centre is its node
-        (size - 1) // 2 along each axis, or its last one in a cell cut
-        shorter.  Its reach along an axis is the largest distance from the
-        centre to a node of the cell along it; its radius, the largest
-        angle-space distance from the centre to a node of the cell, is the
-        hypot of its two reaches, and :meth:`live_nodes` adds ``_ROUNDING``
-        for the rounding of the bounds it enters.
-        """
-        centres, reach = [], []
-        for axis in self.axes():
-            starts = np.arange(0, axis.size, size)
-            c = np.minimum(starts + (size - 1) // 2, axis.size - 1)
-            centres.append(c)
-            reach.append(np.maximum.reduceat(np.abs(axis - axis[c.repeat(size)[: axis.size]]), starts))
-        return centres[0], centres[1], reach[0], reach[1]
 
     def split(self, a: np.ndarray, b: np.ndarray, size: int, fine: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """The fine x fine cells that make up the size x size cells (a[k], b[k]): their nodes when fine is 1.
@@ -165,7 +180,7 @@ class GridSpec:
         """The x and y indices of the nodes of the cells still live after a coarse-to-fine walk.
 
         The one place cells are walked.  ``bound(i, j, radius)`` is called on
-        the centres and radii (:meth:`cells`) of the live cells of each size
+        the centres and radii (:attr:`cells`) of the live cells of each size
         in ``_CELL_SIZES``, from all cells of the first size.  A cell whose
         bound is greater than ``threshold`` is skipped (a NaN keeps it); each
         other is split (:meth:`split`) into the cells of the next size, or at
@@ -175,8 +190,7 @@ class GridSpec:
         """
         sizes = _CELL_SIZES + (1,)
         a, b = np.indices((-(-self.nx // sizes[0]), -(-self.ny // sizes[0]))).reshape(2, -1)
-        for size, fine in zip(sizes, sizes[1:]):
-            ci, cj, reach_x, reach_y = self.cells(size)
+        for size, fine, (ci, cj, reach_x, reach_y) in zip(sizes, sizes[1:], self.cells):
             live = ~(bound(ci[a], cj[b], np.hypot(reach_x[a], reach_y[b]) + _ROUNDING) > threshold)
             a, b = self.split(a[live], b[live], size, fine)
         return a, b
@@ -200,10 +214,9 @@ class _NodeDeviations:
     def __init__(self, op: GeneralLinearOp, anchor: AngleState, grid: GridSpec):
         self.m, self.e = unit_scaled(op)
         self._anchor_entries = reduced_entries(apply_matrix(self.m, anchor.x, anchor.y))[:, None]
-        xs, ys = grid.axes()
         # complex, as the products would cast them in every block
-        self._cos_x, self._sin_x = np.cos(xs / 2.0).astype(complex), np.sin(xs / 2.0).astype(complex)
-        self._phase_y = np.exp(1j * ys)
+        self._cos_x, self._sin_x = np.cos(grid.xs / 2.0).astype(complex), np.sin(grid.xs / 2.0).astype(complex)
+        self._phase_y = np.exp(1j * grid.ys)
         self._workspace = np.empty(_WORKSPACE_ROWS * min(_BLOCK_NODES, grid.nx * grid.ny))
 
     def __call__(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -271,8 +284,7 @@ def grid_scan(
 ) -> list[AngleState]:
     """All grid states whose raw reduced pair matches the anchor's within tol, a positive finite number."""
     i, j = np.divmod(np.flatnonzero(grid_flags(op, anchor, grid, tol)), grid.ny)
-    xs, ys = grid.axes()
-    return list(map(AngleState, xs[i].tolist(), ys[j].tolist()))
+    return list(map(AngleState, grid.xs[i].tolist(), grid.ys[j].tolist()))
 
 
 def default_kappa(op: GeneralLinearOp) -> float:
@@ -317,9 +329,5 @@ def masked_fraction_scaling(
     for n, grid in zip(resolutions, grids):
         # kappa * h can over- or underflow where kappa does not; the error names the kappa the caller gave
         check_positive_finite(kappa * grid.spacing, f"kappa={kappa} times the spacing at resolution {n}")
-    out = []
-    for n, grid in zip(resolutions, grids):
-        flags = grid_flags(op, anchor, grid, kappa * grid.spacing)
-        fraction = float(np.count_nonzero(flags)) / flags.size
-        out.append((n, fraction))
-    return out
+    flags = (grid_flags(op, anchor, grid, kappa * grid.spacing) for grid in grids)
+    return [(n, float(np.count_nonzero(f)) / f.size) for n, f in zip(resolutions, flags)]

@@ -20,7 +20,7 @@ def sphere_state(rng):
 
 def grid_points(grid):
     """Flattened x and y coordinates of all nx*ny nodes of a GridSpec, x-major: the tests' reference grid."""
-    gx, gy = np.meshgrid(*grid.axes(), indexing="ij")
+    gx, gy = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     return gx.ravel(), gy.ravel()
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -383,6 +384,15 @@ def test_sample_circle_needs_a_sample():
     circle = SphericalCircle(np.array([0.0, 0.0, 1.0]), 0.5)
     with pytest.raises(InvalidInputError, match="at least one sample"):
         sample_circle(circle, 0)
+
+
+@pytest.mark.parametrize("k", [2.5, 3.0, np.float64(3.0), "3", None])
+def test_sample_circle_needs_an_integer_count(k):
+    # k = 2.5 gave 3 points at 0, 0.8 pi and 1.6 pi, not uniformly spaced; k = "3" a bare TypeError
+    circle = SphericalCircle(np.array([0.0, 0.0, 1.0]), 0.5)
+    with pytest.raises(InvalidInputError, match=re.escape(f"integer count of them, got k={k!r}")):
+        sample_circle(circle, k)
+    assert len(sample_circle(circle, np.int64(3))) == 3
 
 
 # --- intersections ------------------------------------------------------------

@@ -1,20 +1,22 @@
 import contextlib
 import io
 import json
+import math
 import re
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmask import GeneralLinearOp, GridSpec, MaskerParams, SphericalCircle, build_masker, operator_scale
+from qmask import AngleState, GeneralLinearOp, GridSpec, MaskerParams, SphericalCircle, build_masker, operator_scale
 from qmask import documents as docs
 from qmask import protocol
 from qmask.cli import main
-from _helpers import identity_embedding, random_op, rank_two_op
+from _helpers import identity_embedding, planted_product_op, random_op, rank_two_op
 
 
 def run(capsys, *argv):
@@ -822,3 +824,157 @@ def test_numeric_flags_keep_the_cli_contract(command, alpha, theta, x, y):
     else:
         assert out == "" and re.fullmatch(r"qmask: error: [^\n]*\n", err)
     assert _main_captured(argv) == first
+
+
+# --- the CLI contract over generated input files and flags --------------------
+
+# operator coefficients: plain values and magnitudes near 2**+-1022, the square roots of those (so the
+# operator scale |M|_F^2 lands there), the least subnormal, the largest float, NaN and inf
+COEFFS = [0.0, 1.0, -0.5, 2.0**1022, -(2.0**1022), 2.0**-1022, 2.0**511, 2.0**-511, 5e-324, 1.7976931348623157e308,
+          math.nan, math.inf]
+SCALES = [1.0, 2.0**511, 2.0**-511, 2.0**510.4, 2.0**-537, 2.0**1022, 2.0**-1022, math.inf]
+_reals = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(COEFFS))
+_angles = st.one_of(st.sampled_from(EDGE_ANGLES + [math.nan, math.inf, -math.inf]), st.floats(-1.0, 7.0))
+_valid_angles = st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi, exclude_max=True))
+_angle_pairs = st.one_of(_valid_angles, st.tuples(_angles, _angles))
+_small_ints = st.integers(-1, 9).map(str)
+# file contents that are no document of any kind: truncated, not an object, not UTF-8
+_BROKEN = [b'{"x": 1.0,', b"[1.0, 2.0]", b"", b"\xff\xfe{\x00}\x00", b'{"a0": {"re": 1e999999, "im": 0}}']
+_PRESETS = ["fig1_axes", "fig1_axes:3", "fig3_pole:3", "fig3_pole:6", "fig2_vertical:4", "fig2_vertical:7",
+            "general:5", "general:8", "general:2", "nope:3", "general"]
+
+
+def _document(draw, good: dict) -> bytes:
+    """``good`` written with NaN and Infinity allowed, or a broken file now and then."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(_BROKEN))
+    return json.dumps(good).encode("utf-8")
+
+
+@st.composite
+def _operator_file(draw) -> bytes:
+    kind = draw(st.sampled_from(["coefficients", "masker", "rank_two", "product"]))
+    rng = np.random.default_rng(draw(st.integers(0, 3)))
+    if kind == "coefficients":
+        coeffs = [complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))) for _ in range(8)]
+        if draw(st.booleans()):
+            coeffs[draw(st.integers(0, 7))] = complex(draw(_reals), draw(_reals))
+    elif kind == "masker":
+        alpha, theta = draw(_valid_angles)
+        coeffs = build_masker(MaskerParams(alpha % np.pi, theta)).coefficients.tolist()
+    else:
+        coeffs = (rank_two_op(rng) if kind == "rank_two" else planted_product_op(rng)[0]).coefficients.tolist()
+    # on Python floats, so a product past the float range is inf, without a warning
+    scale = draw(st.one_of(st.just(1.0), st.sampled_from(SCALES)))
+    doc = {k: {"re": c.real * scale, "im": c.imag * scale} for k, c in zip(docs.OPERATOR_KEYS, coeffs)}
+    return _document(draw, doc)
+
+
+@st.composite
+def _state_args(draw, files: dict) -> list[str]:
+    x, y = draw(_angle_pairs)
+    if draw(st.booleans()):
+        files["state.json"] = _document(draw, {"x": x, "y": y})
+        return ["--state", "{d}/state.json"]
+    return ["--x", repr(x), "--y", repr(y)]
+
+
+@st.composite
+def _share_args(draw, files: dict) -> list[str]:
+    message = AngleState(*draw(_valid_angles))
+    scheme = protocol.preset_scheme(draw(st.sampled_from(["fig1_axes", "fig3_pole:4", "fig2_vertical:5", "general:6"])))
+    shares = protocol.encode(message, scheme)[: draw(st.integers(1, 5))]
+    flawed = draw(st.integers(-1, len(shares) - 1))  # the one share that may be flawed, if any
+    names = []
+    for k, share in enumerate(shares):
+        doc = docs.share_to_doc(share)
+        flaw = draw(st.sampled_from(["noise", "corrupt", "3x3", "1x2", "nan", "alpha"])) if k == flawed else None
+        if flaw == "noise":
+            doc["rho_b"][0][1][0] += draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+        elif flaw == "corrupt":
+            doc["rho_b"][0][0][0] = 0.9
+        elif flaw in ("3x3", "1x2"):
+            doc["rho_b"] = _3X3 if flaw == "3x3" else [[[0.5, 0.0], [0.0, 0.0]]]
+        elif flaw == "nan":
+            doc["rho_b"][1][0][1] = math.nan
+        elif flaw == "alpha":
+            doc["alpha"] = draw(_angles)
+        names.append(f"share_{k}.json")
+        files[names[-1]] = _document(draw, doc)
+    return [f"{{d}}/{name}" for name in names]
+
+
+@st.composite
+def cli_cases(draw) -> tuple[list[str], dict]:
+    """An argv, with ``{d}`` for a fresh directory, and the files to write there first."""
+    files: dict[str, bytes] = {}
+    command = draw(st.sampled_from(["mask", "circle", "analyze", "scan", "share", "decode", "presets"]))
+    alpha, theta = draw(_angle_pairs)
+    masker = ["--alpha", repr(alpha), "--theta", repr(theta)]
+    if command in ("analyze", "scan"):
+        files["op.json"] = draw(_operator_file())
+    if command == "mask":
+        argv = [command, *masker, *draw(_state_args(files))]
+    elif command == "circle":
+        argv = [command, *masker, *draw(_state_args(files)), "--samples", draw(st.integers(-1, 12).map(str))]
+        argv += draw(st.sampled_from([[], ["--csv", "{d}/circle.csv"]]))
+    elif command == "analyze":
+        argv = [command, "--operator", "{d}/op.json", *draw(_state_args(files))]
+        if draw(st.booleans()):
+            argv += ["--scan", draw(_small_ints)]
+    elif command == "scan":
+        argv = [command, "--operator", "{d}/op.json", *draw(_state_args(files))]
+        fractions = draw(st.booleans())
+        if fractions:
+            argv += ["--fractions", ",".join(map(str, draw(st.lists(st.integers(-1, 12), min_size=1, max_size=4))))]
+        for flag, values, mode in (("--nx", _small_ints, False), ("--ny", _small_ints, False),
+                                   ("--tol", _reals.map(repr), False), ("--csv", st.just("{d}/scan.csv"), False),
+                                   ("--kappa", _reals.map(repr), True)):
+            # a flag of the other mode now and then, which is invalid input
+            if draw(st.integers(0, 9)) < (5 if mode == fractions else 1):
+                argv += [flag, draw(values)]
+    elif command == "share":
+        scheme = draw(st.sampled_from(_PRESETS + ["{d}/scheme.json"]))
+        if scheme.endswith(".json"):
+            maskers = [{"alpha": draw(_angles), "theta": draw(_angles)} for _ in range(draw(st.integers(0, 5)))]
+            files["scheme.json"] = _document(draw, {"label": "custom", "maskers": maskers})
+        argv = [command, "--scheme", scheme, *draw(_state_args(files)), "--out", "{d}/shares"]
+    elif command == "decode":
+        argv = [command, *draw(_share_args(files))]
+        if draw(st.booleans()):
+            argv += ["--tol", repr(draw(_reals))]
+    else:
+        argv = [command]
+    return argv, files
+
+
+def _run_in(directory, argv):
+    """main(argv) with ``{d}`` put for the directory: the exit code (a usage error's too), stdout, stderr and
+    every file in the directory afterwards, by name."""
+    argv = [a.format(d=directory) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    written = {str(p.relative_to(directory)): p.read_bytes() for p in sorted(Path(directory).rglob("*")) if p.is_file()}
+    return code, out.getvalue(), err.getvalue(), written
+
+
+@settings(max_examples=150)
+@given(cli_cases())
+def test_generated_commands_keep_the_cli_contract(case):
+    # files and flags at the edges: exit 0, 1 or 2, never a traceback, a warning (the suite makes a
+    # RuntimeWarning an error) or a non-JSON stdout, and a second run gives the same bytes
+    argv, files = case
+    with tempfile.TemporaryDirectory() as directory:
+        for name, content in files.items():
+            Path(directory, name).write_bytes(content)
+        code, out, err, _ = first = _run_in(directory, argv)
+        assert code in (0, 1, 2) and "Traceback" not in err
+        if code == 0:
+            assert err == "" and (out == "" or isinstance(_strict_json(out), dict))
+        else:
+            assert out == "" and re.fullmatch(r"qmask( \w+)?: (i/o )?error: [^\n]*\n", err), err
+        assert _run_in(directory, argv) == first

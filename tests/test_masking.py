@@ -201,6 +201,14 @@ def test_verify_mask_rejects_empty():
         verify_mask(build_masker(MaskerParams(1.0, 1.0)), [])
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_verify_mask_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    # a NaN tol reported ok=False with no witness, and an infinite one passed any states
+    states = [AngleState(0.5, 0.5), AngleState(2.0, 1.0)]
+    with pytest.raises(InvalidInputError, match=f"tol={tol} must be a positive finite number"):
+        verify_mask(build_masker(MaskerParams(0.0, 0.0)), states, tol=tol)
+
+
 def test_verify_mask_separation_scales_with_invariant_gap():
     params = MaskerParams(0.7, 1.3)
     s1, s2 = AngleState(0.4, 2.0), AngleState(2.0, 5.0)

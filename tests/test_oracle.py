@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -53,7 +54,7 @@ def test_grid_spec_validation():
     for region in (((0.0, np.inf), (0.0, 1.0)), ((0.0, 1.0), (-np.inf, 1.0)), ((0.0, np.nan), (0.0, 1.0))):
         with pytest.raises(InvalidInputError, match="finite"):
             GridSpec(10, 10, region=region)
-    assert GridSpec(np.int64(10), np.int64(20)).axes()[1].size == 20
+    assert GridSpec(np.int64(10), np.int64(20)).ys.size == 20
     # finite bounds whose extent overflows, also as numpy scalars, which must not warn
     op, anchor = random_op(np.random.default_rng(0)), AngleState(1.0, 1.0)
     for bound in (1e308, np.float64(1e308)):
@@ -75,7 +76,7 @@ def test_grid_spec_points_layout():
 
 def test_grid_spec_axes_build_the_points():
     grid = GridSpec(5, 7, region=((0.2, 1.0), (0.5, 3.0)))
-    xs, ys = grid.axes()
+    xs, ys = grid.xs, grid.ys
     gx, gy = grid_points(grid)
     assert np.array_equal(gx, np.repeat(xs, 7)) and np.array_equal(gy, np.tile(ys, 5))
     points = bloch_points(xs[:, None], ys).reshape(-1, 3)
@@ -108,6 +109,65 @@ BLOCK_EDGE_GRIDS = [
     GridSpec(3, 9000),  # rows longer than a block
     GridSpec(60, 90, region=((0.3, 0.9), (1.0, 2.5))),
 ]
+
+
+def test_grid_spec_makes_its_geometry_once(monkeypatch):
+    # building a grid makes both axes and one cell table per size; a report or a flag pass on a built
+    # grid makes neither, where a report on 200 x 400 made 12 linspace calls and 4 cell tables
+    linspaces, tables = [], []
+    linspace, cell_table = np.linspace, oracle._cell_table
+    monkeypatch.setattr(np, "linspace", lambda *args, **kw: linspaces.append(args) or linspace(*args, **kw))
+    monkeypatch.setattr(oracle, "_cell_table", lambda xs, ys, size: tables.append(size) or cell_table(xs, ys, size))
+    grid = GridSpec(200, 400)
+    assert (len(linspaces), tables) == (2, list(oracle._CELL_SIZES))
+    linspaces.clear(), tables.clear()
+    op, anchor = masker_op(1.1, 0.7), AngleState(1.0, 1.0)
+    agreement_report(op, anchor, grid)
+    grid_flags(op, anchor, grid, default_kappa(op) * grid.spacing)
+    grid_scan(op, anchor, grid, default_kappa(op) * grid.spacing)
+    assert (linspaces, tables) == ([], [])
+
+
+def _reference_cells(axis, size):
+    """Each size-node cell's centre node along one axis, and its largest distance to a node of the cell."""
+    centres, reach = [], []
+    for start in range(0, axis.size, size):
+        c = min(start + (size - 1) // 2, axis.size - 1)
+        centres.append(c)
+        reach.append(max(abs(axis[k] - axis[c]) for k in range(start, min(start + size, axis.size))))
+    return np.array(centres), np.array(reach)
+
+
+@pytest.mark.parametrize("grid", BLOCK_EDGE_GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
+def test_grid_spec_fields_are_its_axes_and_cell_tables(grid):
+    (x0, x1), (y0, y1) = grid.region
+    xs, ys = np.linspace(x0, x1, grid.nx), np.linspace(y0, y1, grid.ny, endpoint=False)
+    assert np.array_equal(grid.xs.view(np.int64), xs.view(np.int64))
+    assert np.array_equal(grid.ys.view(np.int64), ys.view(np.int64)) and grid.ys[-1] < y1
+    assert len(grid.cells) == len(oracle._CELL_SIZES)
+    for size, (ci, cj, reach_x, reach_y) in zip(oracle._CELL_SIZES, grid.cells):
+        for got, want in zip((ci, reach_x, cj, reach_y), (*_reference_cells(xs, size), *_reference_cells(ys, size))):
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+    # read-only: no element, field or table can be written
+    for array in (grid.xs, grid.ys, *sum(grid.cells, ())):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.xs = xs
+    with pytest.raises(TypeError):
+        grid.cells[0] = grid.cells[0]
+
+
+def test_grid_spec_equality_hash_repr_and_replace_ignore_the_geometry():
+    grid = GridSpec(5, 7, region=((0.2, 1.0), (0.5, 3.0)))
+    assert [f.name for f in dataclasses.fields(GridSpec) if f.compare] == ["nx", "ny", "region"]
+    assert repr(grid) == "GridSpec(nx=5, ny=7, region=((0.2, 1.0), (0.5, 3.0)))"
+    assert grid == GridSpec(5, 7, region=((0.2, 1.0), (0.5, 3.0))) != GridSpec(5, 8, region=grid.region)
+    assert hash(grid) == hash((5, 7, ((0.2, 1.0), (0.5, 3.0))))
+    # replace builds a new grid, with the geometry of its own sizes
+    wider = dataclasses.replace(grid, ny=9)
+    assert wider == GridSpec(5, 9, region=grid.region) and wider.ys.size == 9 and wider.xs is not grid.xs
+    assert np.array_equal(wider.ys, GridSpec(5, 9, region=grid.region).ys)
 
 
 @pytest.mark.parametrize("grid", BLOCK_EDGE_GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
@@ -164,9 +224,8 @@ def test_pruned_flags_equal_the_dense_flags(grid):
 def test_cells_cover_the_grid_within_their_radius():
     grid = GridSpec(40, 23, region=((0.3, 0.9), (1.0, 2.5)))
     centres = {4: ([1, 5, 9, 13, 17, 21, 25, 29, 33, 37], [1, 5, 9, 13, 17, 21]), 16: ([7, 23, 39], [7, 22])}
-    xs, ys = grid.axes()
-    for size in oracle._CELL_SIZES:
-        ci, cj, reach_x, reach_y = grid.cells(size)
+    xs, ys = grid.xs, grid.ys
+    for size, (ci, cj, reach_x, reach_y) in zip(oracle._CELL_SIZES, grid.cells):
         radius = np.hypot.outer(reach_x, reach_y) + oracle._ROUNDING
         assert (list(ci), list(cj)) == centres[size]
         i, j = grid.split(*np.indices(radius.shape).reshape(2, -1), size)
@@ -200,7 +259,7 @@ def test_live_nodes_keeps_every_node_within_the_threshold(grid):
     # |centre - q| - r is at most the angle-space distance from q to every node of the cell, so every
     # node within the threshold of q is returned; -inf and NaN keep every cell live, +inf none
     rng = np.random.default_rng(grid.nx * grid.ny)
-    xs, ys = grid.axes()
+    xs, ys = grid.xs, grid.ys
     (x0, x1), (y0, y1) = grid.region
     for _ in range(5):
         qx, qy, threshold = rng.uniform(x0, x1), rng.uniform(y0, y1), rng.uniform(0, 4) * grid.spacing
@@ -272,7 +331,7 @@ def dense_report(op, anchor, grid, band_bound):
     """
     tol = default_kappa(op) * grid.spacing
     flagged = grid_deviations(op, anchor, grid) <= tol
-    xs, ys = grid.axes()
+    xs, ys = grid.xs, grid.ys
     dist = class_distance(maskable_set(op, anchor), bloch_points(xs[:, None], ys).reshape(-1, 3))
     complete = np.all(flagged[dist <= grid.spacing * (1 - 1e-9)])
     max_dist = float(dist[flagged].max()) if flagged.any() else 0.0
@@ -322,7 +381,7 @@ def test_agreement_report_sees_every_node_within_one_spacing(monkeypatch, op, an
     # completeness is decided on the nodes of the cells near the class only, yet unflagging
     # any one node within one spacing of the class must turn the verdict
     grid = GridSpec(24, 48)
-    xs, ys = grid.axes()
+    xs, ys = grid.xs, grid.ys
     dist = class_distance(maskable_set(op, anchor), bloch_points(xs[:, None], ys).reshape(-1, 3))
     near = dist <= grid.spacing * (1 - 1e-9)
     flags = near.copy()
@@ -342,7 +401,7 @@ def test_node_points_are_bloch_points_bit_for_bit():
         grid = GridSpec(int(rng.integers(2, 90)), int(rng.integers(2, 90)),
                         region=((x0, x0 + rng.uniform(1e-3, 4)), (y0, y0 + rng.uniform(1e-3, 8))))
         i, j = rng.integers(0, grid.nx, 300), rng.integers(0, grid.ny, 300)
-        xs, ys = grid.axes()
+        xs, ys = grid.xs, grid.ys
         points, ref = crosscheck.node_points(grid)(i, j), bloch_points(xs[i], ys[j])
         assert np.array_equal(points.view(np.int64), ref.view(np.int64)) and points.strides == ref.strides
 
