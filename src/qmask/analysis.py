@@ -78,6 +78,14 @@ class GeneralLinearOp:
     The eight coefficient fields are stored once more, at construction, as the
     read-only 4x2 :attr:`matrix` that every array path reads; maskers are the
     operators whose :attr:`is_isometry` holds.
+
+    The maskable set does not change when the operator is scaled, so it is
+    decided at unit scale: the read-only :attr:`unit` is ``matrix / 2**exponent``,
+    with 2**exponent the largest power of two not above the largest coefficient
+    modulus.  The division is exact, and it keeps the quadratic reduced-matrix
+    entries clear of under- and overflow.  A modulus that overflows, from parts
+    that do not, is at least 2**1024, so the exponent is then taken from |m/2|.
+    Like :attr:`matrix`, both take no part in equality, hashing or ``repr``.
     """
 
     a0: complex
@@ -89,6 +97,8 @@ class GeneralLinearOp:
     d0: complex
     d1: complex
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    unit: np.ndarray = field(init=False, repr=False, compare=False)
+    exponent: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.array([self.a0, self.b0, self.a1, self.b1, self.c0, self.d0, self.c1, self.d1], complex).reshape(4, 2)
@@ -97,8 +107,12 @@ class GeneralLinearOp:
             raise InvalidInputError("operator coefficients must be finite")
         if peak == 0.0:
             raise InvalidInputError("the zero operator has no maskable-set analysis")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        modulus = np.abs(m).max()
+        e = math.frexp(modulus)[1] - 1 if math.isfinite(modulus) else math.frexp(np.abs(m / 2).max())[1]
+        for name, value in ("matrix", m), ("unit", np.ldexp(m.view(float), -e).view(complex)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "exponent", e)
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -108,9 +122,13 @@ class GeneralLinearOp:
 
     @property
     def is_isometry(self) -> bool:
-        """Whether the Gram matrix m^dagger m is the identity within ISOMETRY_TOL in every entry."""
+        """Whether the Gram matrix m^dagger m is the identity within ISOMETRY_TOL in every entry.
+
+        An exponent of 1 or more means an entry of modulus 2 or more, whose column's squared norm, at least 4,
+        fails the test; the Gram matrix, which could overflow, is formed only otherwise.
+        """
         m = self.matrix
-        return bool(np.abs(m.conj().T @ m - np.eye(2)).max() <= ISOMETRY_TOL)
+        return self.exponent < 1 and bool(np.abs(m.conj().T @ m - np.eye(2)).max() <= ISOMETRY_TOL)
 
     def apply(self, x, y) -> np.ndarray:
         """Image of the state |(x, y)>; see :func:`apply_matrix`."""
@@ -151,18 +169,6 @@ def operator_scale(op: GeneralLinearOp) -> float:
     return scale
 
 
-def unit_scaled(op: GeneralLinearOp) -> tuple[np.ndarray, int]:
-    """``(op.matrix / 2**e, e)`` with 2**e the largest power of two not above the largest coefficient magnitude.
-
-    Exact; it keeps the quadratic reduced-matrix entries clear of under- and overflow.  A modulus
-    that overflows, from parts that do not, is at least 2**1024, so e is then taken from |m/2|.
-    """
-    m = op.matrix
-    peak = np.abs(m).max()
-    e = math.frexp(peak)[1] - 1 if math.isfinite(peak) else math.frexp(np.abs(m / 2).max())[1]
-    return np.ldexp(m.view(float), -e).view(complex), e
-
-
 @dataclass(frozen=True, eq=False)
 class AffineConstraint:
     """One real entry function as n . (X, Y, Z) + r over the Bloch sphere."""
@@ -198,12 +204,12 @@ def maskable_set(op: GeneralLinearOp, anchor: AngleState) -> MaskableClass:
     """Classify the largest state set sharing the anchor's raw reduced pair.
 
     The set does not change when the operator is scaled, so it is computed
-    from the matrix of :func:`unit_scaled`.  The anchored planes n_i . p = n_i . p0
+    from the operator's :attr:`~GeneralLinearOp.unit` matrix.  The anchored planes n_i . p = n_i . p0
     (rows normalized, rows below the noise floor dropped) cut the sphere at
     RANK_TOL, and a Circle or PointPair cut is the set.  Anything else, a cut
     within sqrt(2 * RANK_TOL) of a single point included, is the anchor alone.
     """
-    m, _ = unit_scaled(op)
+    m = op.unit
     normals = constraint_planes(m)[0]
     p0 = angles_to_bloch(anchor)
     row_norms = np.linalg.norm(normals, axis=1)
@@ -251,11 +257,11 @@ class ProductFormReport:
 
 
 def product_form_diagnosis(op: GeneralLinearOp) -> ProductFormReport:
-    """Decided on the matrix of :func:`unit_scaled`; the residuals are scaled back by 4**e exactly.
+    """Decided on the :attr:`~GeneralLinearOp.unit` matrix; the residuals are scaled back by 4**exponent exactly.
 
     Raises InvalidInputError when a residual overflows as it is scaled back.
     """
-    m, e = unit_scaled(op)
+    m, e = op.unit, op.exponent
     (mu0, nu0), (mu1, nu1) = _blocks(m)
     cross = [
         np.vdot(nu0, mu0),

@@ -382,12 +382,15 @@ def cut_sphere(normals, offsets, tol: float) -> MaskableClass | Empty:
 def sample_circle(circle: SphericalCircle, k: int) -> list[AngleState]:
     """k points uniformly spaced by central angle around the circle.
 
-    ``k`` must be an integer of at least 1.  Every sample satisfies the
-    plane equation to within 1e-10.  Point circles (radius 0) return k
-    copies of their single point.
+    ``k`` must be an integer of at least 1 whose (k, 3) points, 24 * k
+    bytes, numpy can size: past that it is InvalidInputError, before any
+    array is made.  Every sample satisfies the plane equation to within
+    1e-10.  Point circles (radius 0) return k copies of their single point.
     """
     if not (isinstance(k, Integral) and k >= 1):
         raise InvalidInputError(f"need at least one sample, and an integer count of them, got k={k!r}")
+    if 24 * int(k) > np.iinfo(np.intp).max:  # the bytes of the (k, 3) points
+        raise InvalidInputError(f"too many samples: k={k!r} points exceed an array's size limit")
     n = circle.normal
     r = circle.radius
     # orthonormal frame in the circle's plane, seeded off the smallest normal component

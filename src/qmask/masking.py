@@ -49,7 +49,7 @@ from .bloch import (
     circle_from_mask_params,
     circle_through_three,
 )
-from .analysis import GeneralLinearOp
+from .analysis import GeneralLinearOp, apply_matrix
 from .errors import InvalidInputError, check_positive_finite
 from .linalg import TOL_EQUALITY, frobenius_distances, reduced_entries
 
@@ -138,15 +138,20 @@ def verify_mask(op: GeneralLinearOp, states: list[AngleState], tol: float = TOL_
 
     Every state is compared against the first (identity of marginals is
     transitive, so O(n) comparisons suffice); deviations are Frobenius
-    distances.  Raises InvalidInputError unless tol is a positive finite number.
+    distances, computed on the operator's ``unit`` matrix and scaled back by
+    4**exponent exactly.  Raises InvalidInputError unless tol is a positive
+    finite number, and when a deviation overflows as it is scaled back.
     """
     check_positive_finite(tol, f"tol={tol}")
     if not states:
         raise InvalidInputError("verify_mask needs at least one state")
     xs, ys = (np.fromiter(map(attrgetter(c), states), float, len(states)) for c in "xy")
-    entries = reduced_entries(op.apply(xs, ys))
-    dev_a, dev_b = frobenius_distances((entries - entries[0]).T)
+    entries = reduced_entries(apply_matrix(op.unit, xs, ys))
+    with np.errstate(over="ignore"):
+        dev_a, dev_b = np.ldexp(frobenius_distances((entries - entries[0]).T), 2 * op.exponent)
     max_a, max_b = float(dev_a.max()), float(dev_b.max())
+    if not math.isfinite(max(max_a, max_b)):
+        raise InvalidInputError("operator too large: its reduced-state deviations overflow")
     ok = max_a <= tol and max_b <= tol
     offenders = np.flatnonzero((dev_a[1:] > tol) | (dev_b[1:] > tol))
     witness = (states[0], states[1 + int(offenders[0])]) if offenders.size else None

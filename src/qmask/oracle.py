@@ -81,7 +81,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .analysis import GeneralLinearOp, apply_matrix, operator_scale, unit_scaled
+from .analysis import GeneralLinearOp, apply_matrix, operator_scale
 from .bloch import AngleState
 from .errors import InvalidInputError, check_positive_finite
 from .linalg import frobenius_distances, reduced_entries, trace_into
@@ -128,8 +128,10 @@ class GridSpec:
     x runs through ``nx`` points including both region endpoints; y runs
     through ``ny`` points with the upper endpoint excluded (the default
     region is periodic in y).  The region's extent along each axis must
-    be positive and finite.  The read-only fields ``xs`` and ``ys`` are the
-    nx x coordinates and the ny y coordinates, and ``cells`` holds the
+    be positive and finite, and 8 * nx * ny bytes, the node indices of
+    :func:`grid_deviations`, within the size numpy can give an array.  The
+    read-only fields ``xs`` and ``ys`` are the nx x coordinates and the ny
+    y coordinates, and ``cells`` holds the
     :func:`_cell_table` of each size in ``_CELL_SIZES``, in that order; like
     ``GeneralLinearOp.matrix`` they take no part in equality, hashing or
     ``repr``, which see ``nx``, ``ny`` and ``region`` only.
@@ -147,6 +149,9 @@ class GridSpec:
             raise InvalidInputError(f"grid sizes must be integers, got nx={self.nx!r}, ny={self.ny!r}")
         if self.nx < 2 or self.ny < 2:
             raise InvalidInputError("grid needs at least 2 points per axis")
+        # the largest array a grid makes is grid_deviations' x-major node indices, 8 bytes a node
+        if 8 * int(self.nx) * int(self.ny) > np.iinfo(np.intp).max:
+            raise InvalidInputError(f"grid too large: nx={self.nx!r} by ny={self.ny!r} nodes exceed an array's size limit")
         (x0, x1), (y0, y1) = self.region
         # on Python floats, so numpy-scalar bounds cannot warn; an infinite or NaN bound gives no finite extent
         if not all(0.0 < extent < inf for extent in (float(x1) - float(x0), float(y1) - float(y0))):
@@ -197,11 +202,11 @@ class GridSpec:
 
 
 class _NodeDeviations:
-    """Deviations at grid nodes (xs[i], ys[j]) on the :func:`unit_scaled` matrix ``m``: 4**e times each
+    """Deviations at grid nodes (xs[i], ys[j]) on the operator's ``unit`` matrix: 4**exponent times each
     value is the node's deviation.
 
-    The one place a node's deviation is computed.  The matrix, the anchor's
-    entries, the trig of each axis and one workspace are set up once, for
+    The one place a node's deviation is computed.  The anchor's entries, the
+    trig of each axis and one workspace are set up once, for
     one call of :func:`grid_flags` or :func:`grid_deviations`; the nodes of
     each call go through in blocks of at most ``_BLOCK_NODES``, each computed
     in the buffers of that workspace: one allocation serves every block,
@@ -212,8 +217,8 @@ class _NodeDeviations:
     """
 
     def __init__(self, op: GeneralLinearOp, anchor: AngleState, grid: GridSpec):
-        self.m, self.e = unit_scaled(op)
-        self._anchor_entries = reduced_entries(apply_matrix(self.m, anchor.x, anchor.y))[:, None]
+        self._m = op.unit
+        self._anchor_entries = reduced_entries(apply_matrix(self._m, anchor.x, anchor.y))[:, None]
         # complex, as the products would cast them in every block
         self._cos_x, self._sin_x = np.cos(grid.xs / 2.0).astype(complex), np.sin(grid.xs / 2.0).astype(complex)
         self._phase_y = np.exp(1j * grid.ys)
@@ -237,8 +242,8 @@ class _NodeDeviations:
             self._cos_x.take(i[k : k + n], out=cos_x, mode="clip")
             self._sin_x.take(i[k : k + n], out=sin_x, mode="clip")
             self._phase_y.take(j[k : k + n], out=phase_y, mode="clip")
-            np.multiply(cos_x, self.m[:, 0, None], out=w0m)
-            np.multiply(np.multiply(phase_y, sin_x, out=w1), self.m[:, 1, None], out=w1m)
+            np.multiply(cos_x, self._m[:, 0, None], out=w0m)
+            np.multiply(np.multiply(phase_y, sin_x, out=w1), self._m[:, 1, None], out=w1m)
             # the amplitudes as the kernel reads them: parts[l] holds the real, then the imaginary parts of psi[l]
             np.add(*(w.view(float).reshape(4, n, 2).transpose(0, 2, 1) for w in (w0m, w1m)), out=parts)
             trace_into(parts.reshape(8, n), entries, work)
@@ -253,12 +258,11 @@ def grid_deviations(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec):
     Returns dev flattened over the grid in x-major order,
     the larger of the two Frobenius distances.  The anchor itself is
     evaluated exactly, not snapped to the grid.  The distances are computed
-    from the :func:`unit_scaled` matrix and scaled back exactly, so only
+    from the operator's ``unit`` matrix and scaled back exactly, so only
     distances outside the float range over- or underflow.
     """
-    deviations = _NodeDeviations(op, anchor, grid)
-    dev = deviations(*np.indices((grid.nx, grid.ny), dtype=np.int32).reshape(2, -1))
-    return np.ldexp(dev, 2 * deviations.e, out=dev)
+    dev = _NodeDeviations(op, anchor, grid)(*np.indices((grid.nx, grid.ny), dtype=np.int32).reshape(2, -1))
+    return np.ldexp(dev, 2 * op.exponent, out=dev)
 
 
 def grid_flags(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec, tol: float) -> np.ndarray:
@@ -269,13 +273,13 @@ def grid_flags(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec, tol: flo
     """
     check_positive_finite(tol, f"tol={tol}")
     operator_scale(op)  # so an operator whose squared norm over- or underflows raises
-    deviations = _NodeDeviations(op, anchor, grid)
-    lipschitz = np.linalg.norm(deviations.m.conj().T @ deviations.m) / 2
+    deviations, m, e = _NodeDeviations(op, anchor, grid), op.unit, op.exponent
+    lipschitz = np.linalg.norm(m.conj().T @ m) / 2
     # An L * r that overflows is +inf: the bound is then -inf and keeps the cell live, as it should.
     with np.errstate(over="ignore"):
-        i, j = grid.live_nodes(lambda ci, cj, r: np.ldexp(deviations(ci, cj) - lipschitz * r, 2 * deviations.e), tol)
+        i, j = grid.live_nodes(lambda ci, cj, r: np.ldexp(deviations(ci, cj) - lipschitz * r, 2 * e), tol)
     flags = np.zeros((grid.nx, grid.ny), dtype=bool)
-    flags[i, j] = np.ldexp(deviations(i, j), 2 * deviations.e) <= tol
+    flags[i, j] = np.ldexp(deviations(i, j), 2 * e) <= tol
     return flags.ravel()
 
 

@@ -24,6 +24,14 @@ def grid_points(grid):
     return gx.ravel(), gy.ravel()
 
 
+def reference_unit_scaled(m):
+    """``(m / 2**e, e)`` with 2**e the largest power of two not above the largest modulus of the 4x2 matrix m
+    (taken from |m/2| when that modulus overflows): GeneralLinearOp's unit-scale rule, as a function of m."""
+    peak = np.abs(m).max()
+    e = math.frexp(peak)[1] - 1 if math.isfinite(peak) else math.frexp(np.abs(m / 2).max())[1]
+    return np.ldexp(m.view(float), -e).view(complex), e
+
+
 def random_params(rng):
     return MaskerParams(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2 * np.pi))
 

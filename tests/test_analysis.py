@@ -1,3 +1,5 @@
+import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,11 +9,13 @@ from qmask import (
     AngleState,
     Circle,
     GeneralLinearOp,
+    GridSpec,
     InvalidInputError,
     MaskerParams,
     PointPair,
     SinglePoint,
     SphericalCircle,
+    agreement_report,
     angles_to_bloch,
     bloch_points,
     build_masker,
@@ -19,12 +23,15 @@ from qmask import (
     class_distance,
     constraint_planes,
     extract_constraints,
+    grid_flags,
     maskable_circle,
     maskable_set,
     operator_scale,
     predicted_reduced,
     product_form_diagnosis,
     reduced_pair,
+    sample_circle,
+    verify_mask,
 )
 from _helpers import (
     f01_symbolic,
@@ -34,6 +41,7 @@ from _helpers import (
     random_params,
     random_state,
     rank_two_op,
+    reference_unit_scaled,
 )
 
 
@@ -53,6 +61,66 @@ def test_operator_matrix_is_built_once_and_read_only():
     assert np.array_equal(op.matrix, [[1, 3], [2j, 4], [5, 7], [6, 8]])
     assert np.array_equal(op.coefficients, [1, 2j, 3, 4, 5, 6, 7, 8])
     assert np.array_equal(op.apply(0.0, 0.0), op.matrix[:, 0]) and np.allclose(op.apply(np.pi, 0.0), op.matrix[:, 1])
+
+
+# operators across the float range: ordinary, a masker, tiny and huge, subnormal, and one whose modulus overflows
+UNIT_SCALE_OPS = [
+    random_op(np.random.default_rng(31)),
+    build_masker(MaskerParams(1.1, 0.7)),
+    random_op(np.random.default_rng(32), scale=1e-200),
+    random_op(np.random.default_rng(33), scale=1e200),
+    GeneralLinearOp(3e-310, 0, 0, 1e-310j, 0, 2e-310, -1e-310, 0),
+    GeneralLinearOp(1.5e308 * (1 + 1j), 0, 0, 0, 0, 0, 0, 0),
+]
+
+
+@pytest.mark.parametrize("op", UNIT_SCALE_OPS, ids=range(len(UNIT_SCALE_OPS)))
+def test_operator_unit_scale_is_built_once_and_read_only(op):
+    unit, exponent = reference_unit_scaled(op.matrix)
+    assert type(op.exponent) is int and op.exponent == exponent
+    assert op.unit.dtype == complex and np.array_equal(op.unit.view(np.int64), unit.view(np.int64))
+    assert op.unit is op.unit and not op.unit.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        op.unit[0, 0] = 0.0
+    for name in ("unit", "exponent"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(op, name, getattr(op, name))
+
+
+def test_operator_equality_hash_repr_and_replace_ignore_the_unit_scale():
+    op = GeneralLinearOp(1, 2j, 3, 4, 5, 6, 7, 8)
+    assert [f.name for f in dataclasses.fields(GeneralLinearOp) if f.compare] == ["a0", "a1", "b0", "b1", "c0", "c1", "d0", "d1"]
+    assert repr(op) == "GeneralLinearOp(a0=1, a1=2j, b0=3, b1=4, c0=5, c1=6, d0=7, d1=8)"
+    # a twin whose unit scale is made to differ is still equal, with the same hash
+    twin = GeneralLinearOp(1, 2j, 3, 4, 5, 6, 7, 8)
+    object.__setattr__(twin, "unit", 2 * op.unit)
+    object.__setattr__(twin, "exponent", op.exponent + 1)
+    assert twin == op and hash(twin) == hash(op)
+    # replace builds a new operator, with the unit scale of its own coefficients
+    bigger = dataclasses.replace(op, d1=16)
+    assert (bigger.exponent, bigger.unit[3, 1]) == (4, 1.0) and op.exponent == 3
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(op, exponent=0)
+
+
+def test_the_unit_scale_is_derived_once_per_operator(monkeypatch):
+    # building an operator takes one frexp; classifying it, diagnosing it, scanning, cross-checking and
+    # verifying take none, where a crosscheck op derived the unit-scaled matrix 4 times and a classify op twice
+    calls = []
+    frexp = math.frexp
+    monkeypatch.setattr(math, "frexp", lambda v: calls.append(v) or frexp(v))
+    params, anchor = MaskerParams(1.1, 0.7), AngleState(1.0, 1.0)
+    for build in (lambda: build_masker(params), lambda: GeneralLinearOp(1, 2j, 3, 4, 5, 6, 7, 8)):
+        op = build()
+        assert len(calls) == 1
+        calls.clear()
+        grid = GridSpec(20, 40)
+        maskable_set(op, anchor)
+        product_form_diagnosis(op)
+        grid_flags(op, anchor, grid, 0.1)
+        agreement_report(op, anchor, grid)
+        verify_mask(op, sample_circle(maskable_circle(params, anchor), 36))
+        assert calls == []
 
 
 def test_operator_from_matrix_round_trip():

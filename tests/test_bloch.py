@@ -386,6 +386,14 @@ def test_sample_circle_needs_a_sample():
         sample_circle(circle, 0)
 
 
+@pytest.mark.parametrize("k", [10**20, 2**62, np.int64(2**62)])
+def test_sample_circle_rejects_a_count_numpy_cannot_represent(k):
+    # 24 * k bytes of (k, 3) points past the largest array size: invalid input before any array is made
+    circle = SphericalCircle(np.array([0.0, 0.0, 1.0]), 0.5)
+    with pytest.raises(InvalidInputError, match=re.escape(f"too many samples: k={k!r} points exceed")):
+        sample_circle(circle, k)
+
+
 @pytest.mark.parametrize("k", [2.5, 3.0, np.float64(3.0), "3", None])
 def test_sample_circle_needs_an_integer_count(k):
     # k = 2.5 gave 3 points at 0, 0.8 pi and 1.6 pi, not uniformly spaced; k = "3" a bare TypeError

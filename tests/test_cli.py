@@ -2,10 +2,12 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -259,6 +261,21 @@ def test_scan_fractions_kappa_whose_tolerance_overflows(tmp_path, capsys):
     code, out, err = run(capsys, *argv)
     message = "kappa=1e+308 times the spacing at resolution 2 must be a positive finite number"
     assert (code, out, err) == (1, "", f"qmask: error: {message}\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["circle", "--alpha", "1", "--theta", "1", "--x", "1", "--y", "1", "--samples", str(10**20), "--csv", "{d}/c.csv"],
+    ["scan", "--operator", "{op}", "--x", "1", "--y", "1", "--nx", str(10**20)],
+    ["scan", "--operator", "{op}", "--x", "1", "--y", "1", "--nx", str(2**62), "--ny", "3"],
+    ["analyze", "--operator", "{op}", "--x", "1", "--y", "1", "--scan", str(10**20)],
+    ["scan", "--operator", "{op}", "--x", "1", "--y", "1", "--fractions", f"2,{10**20}"],
+], ids=["circle_samples", "scan_nx", "scan_nx_2_62", "analyze_scan", "scan_fractions"])
+def test_a_size_numpy_cannot_represent_is_invalid_input(tmp_path, capsys, args):
+    # each ended in numpy's "Maximum allowed size exceeded" or "array is too big" and a traceback
+    op_path = write_operator(tmp_path / "op.json", build_masker(MaskerParams(1.1, 0.7)))
+    code, out, err = run(capsys, *(a.format(d=tmp_path, op=op_path) for a in args))
+    assert (code, out) == (1, "") and re.fullmatch(r"qmask: error: (grid too large|too many samples): [^\n]*\n", err)
+    assert not (tmp_path / "c.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -837,7 +854,19 @@ _reals = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(COEFFS))
 _angles = st.one_of(st.sampled_from(EDGE_ANGLES + [math.nan, math.inf, -math.inf]), st.floats(-1.0, 7.0))
 _valid_angles = st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi, exclude_max=True))
 _angle_pairs = st.one_of(_valid_angles, st.tuples(_angles, _angles))
-_small_ints = st.integers(-1, 9).map(str)
+# now and then a size numpy cannot represent, which is invalid input before any array is made; never a size
+# between those and the small ones, which would really be allocated
+_HUGE_SIZES = [10**20, 2**62]
+
+
+def _sizes(top):
+    """Integers from -1 to ``top`` and, one time in four, a size from _HUGE_SIZES."""
+    return st.integers(0, 3).flatmap(lambda k: st.sampled_from(_HUGE_SIZES) if k == 0 else st.integers(-1, top))
+
+
+_small_ints = _sizes(9).map(str)
+# QMASK_TOL as decode reads it: unset, valid, not positive, not finite, underflowing to 0, not a number
+_QMASK_TOLS = [None, "1e-6", "0", "-1", "nan", "inf", "1e-400", "banana", ""]
 # file contents that are no document of any kind: truncated, not an object, not UTF-8
 _BROKEN = [b'{"x": 1.0,', b"[1.0, 2.0]", b"", b"\xff\xfe{\x00}\x00", b'{"a0": {"re": 1e999999, "im": 0}}']
 _PRESETS = ["fig1_axes", "fig1_axes:3", "fig3_pole:3", "fig3_pole:6", "fig2_vertical:4", "fig2_vertical:7",
@@ -905,9 +934,11 @@ def _share_args(draw, files: dict) -> list[str]:
 
 
 @st.composite
-def cli_cases(draw) -> tuple[list[str], dict]:
-    """An argv, with ``{d}`` for a fresh directory, and the files to write there first."""
+def cli_cases(draw) -> tuple[list[str], dict, str | None]:
+    """An argv, with ``{d}`` for a fresh directory, the files to write there first and the QMASK_TOL to set,
+    None for unset."""
     files: dict[str, bytes] = {}
+    qmask_tol = None
     command = draw(st.sampled_from(["mask", "circle", "analyze", "scan", "share", "decode", "presets"]))
     alpha, theta = draw(_angle_pairs)
     masker = ["--alpha", repr(alpha), "--theta", repr(theta)]
@@ -916,7 +947,7 @@ def cli_cases(draw) -> tuple[list[str], dict]:
     if command == "mask":
         argv = [command, *masker, *draw(_state_args(files))]
     elif command == "circle":
-        argv = [command, *masker, *draw(_state_args(files)), "--samples", draw(st.integers(-1, 12).map(str))]
+        argv = [command, *masker, *draw(_state_args(files)), "--samples", draw(_sizes(12).map(str))]
         argv += draw(st.sampled_from([[], ["--csv", "{d}/circle.csv"]]))
     elif command == "analyze":
         argv = [command, "--operator", "{d}/op.json", *draw(_state_args(files))]
@@ -926,7 +957,7 @@ def cli_cases(draw) -> tuple[list[str], dict]:
         argv = [command, "--operator", "{d}/op.json", *draw(_state_args(files))]
         fractions = draw(st.booleans())
         if fractions:
-            argv += ["--fractions", ",".join(map(str, draw(st.lists(st.integers(-1, 12), min_size=1, max_size=4))))]
+            argv += ["--fractions", ",".join(map(str, draw(st.lists(_sizes(12), min_size=1, max_size=4))))]
         for flag, values, mode in (("--nx", _small_ints, False), ("--ny", _small_ints, False),
                                    ("--tol", _reals.map(repr), False), ("--csv", st.just("{d}/scan.csv"), False),
                                    ("--kappa", _reals.map(repr), True)):
@@ -943,9 +974,10 @@ def cli_cases(draw) -> tuple[list[str], dict]:
         argv = [command, *draw(_share_args(files))]
         if draw(st.booleans()):
             argv += ["--tol", repr(draw(_reals))]
+        qmask_tol = draw(st.sampled_from(_QMASK_TOLS))
     else:
         argv = [command]
-    return argv, files
+    return argv, files, qmask_tol
 
 
 def _run_in(directory, argv):
@@ -965,10 +997,15 @@ def _run_in(directory, argv):
 @settings(max_examples=150)
 @given(cli_cases())
 def test_generated_commands_keep_the_cli_contract(case):
-    # files and flags at the edges: exit 0, 1 or 2, never a traceback, a warning (the suite makes a
-    # RuntimeWarning an error) or a non-JSON stdout, and a second run gives the same bytes
-    argv, files = case
-    with tempfile.TemporaryDirectory() as directory:
+    # files, flags and QMASK_TOL at the edges: exit 0, 1 or 2, never a traceback, a warning of any kind or a
+    # non-JSON stdout, and a second run gives the same bytes
+    argv, files, qmask_tol = case
+    with tempfile.TemporaryDirectory() as directory, mock.patch.dict(os.environ), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        os.environ.pop("QMASK_TOL", None)
+        if qmask_tol is not None:
+            os.environ["QMASK_TOL"] = qmask_tol
         for name, content in files.items():
             Path(directory, name).write_bytes(content)
         code, out, err, _ = first = _run_in(directory, argv)
@@ -978,3 +1015,4 @@ def test_generated_commands_keep_the_cli_contract(case):
         else:
             assert out == "" and re.fullmatch(r"qmask( \w+)?: (i/o )?error: [^\n]*\n", err), err
         assert _run_in(directory, argv) == first
+    assert not caught, [str(w.message) for w in caught]

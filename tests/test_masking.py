@@ -132,6 +132,17 @@ def test_isometry42_rejects_non_isometry():
     assert op.is_isometry is False
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("build", [
+    lambda: GeneralLinearOp.from_matrix(1e160 * build_masker(MaskerParams(1.1, 0.7)).matrix),
+    lambda: GeneralLinearOp(1.5e308 * (1 + 1j), 0, 0, 0, 0, 0, 0, 0),
+], ids=["masker_1e160", "modulus_overflows"])
+def test_isometry_test_rejects_a_large_operator_without_forming_its_gram_matrix(build):
+    # the Gram matrix of 1e160 times a masker overflowed with a warning; an entry of modulus 2 or more fails anyway
+    op = build()
+    assert op.exponent >= 1 and op.is_isometry is False
+
+
 def test_apply_masker_basis_and_superposition():
     iso = build_masker(MaskerParams(1.0, 2.0))
     assert np.allclose(iso.apply(0.0, 0.0), iso.matrix[:, 0])
@@ -178,6 +189,28 @@ def test_verify_mask_on_circle_samples():
     report = verify_mask(build_masker(params), sample_circle(circle, 50), tol=1e-10)
     assert report.ok and report.witness is None
     assert report.max_deviation_a < 1e-12 and report.max_deviation_b < 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("j", [-530, -500, 250, 500, 530])
+def test_verify_mask_scales_its_deviations_exactly(j):
+    # computed at unit scale and scaled back by 4**j: the exact deviations, where at raw scale the entries
+    # under- or overflowed (1e150 times the masker gave inf with an overflow warning)
+    params = MaskerParams(1.1, 0.7)
+    states = sample_circle(maskable_circle(params, AngleState(1.0, 1.0)), 360)
+    base = verify_mask(build_masker(params), states)
+    report = verify_mask(GeneralLinearOp.from_matrix(2.0**j * build_masker(params).matrix), states)
+    assert report.max_deviation_a == np.ldexp(base.max_deviation_a, 2 * j)
+    assert report.max_deviation_b == np.ldexp(base.max_deviation_b, 2 * j)
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_mask_rejects_deviations_that_overflow():
+    params = MaskerParams(1.1, 0.7)
+    states = sample_circle(maskable_circle(params, AngleState(1.0, 1.0)), 360)
+    op = GeneralLinearOp.from_matrix(2.0**1000 * build_masker(params).matrix)
+    with pytest.raises(InvalidInputError, match="^operator too large: its reduced-state deviations overflow$"):
+        verify_mask(op, states)
 
 
 def test_verify_mask_detects_mismatch():

@@ -66,6 +66,20 @@ def test_grid_spec_validation():
         assert np.array_equal(grid_flags(op, anchor, grid, tol), grid_deviations(op, anchor, grid) <= tol)
 
 
+@pytest.mark.parametrize("nx, ny", [(10**20, 400), (2**62, 3), (3, 10**20), (2**62, 2**62), (np.int64(2**62), 3)])
+def test_grid_spec_rejects_a_size_numpy_cannot_represent(nx, ny):
+    # 8 * nx * ny bytes of node indices past the largest array size: invalid input before any array is made,
+    # where linspace or the cell tables raised numpy's own ValueError
+    with pytest.raises(InvalidInputError, match="^grid too large: nx=.* exceed an array's size limit$"):
+        GridSpec(nx, ny)
+
+
+@pytest.mark.parametrize("n", [10**20, 2**62])
+def test_fraction_ladder_rejects_a_resolution_numpy_cannot_represent(n):
+    with pytest.raises(InvalidInputError, match=f"^grid too large: nx={n} by ny={2 * n} nodes"):
+        masked_fraction_scaling(masker_op(1.1, 0.7), AngleState(1.0, 1.0), [2, n])
+
+
 def test_grid_spec_points_layout():
     grid = GridSpec(3, 4, region=((0.0, 1.0), (0.0, 2.0)))
     xs, ys = grid_points(grid)
