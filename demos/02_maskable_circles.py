@@ -16,7 +16,7 @@ from qmask import (
     MaskerParams,
     angles_to_bloch,
     canonical_mask_params,
-    circle_through_three,
+    circle_through_points,
     maskable_circle,
     masker_for_states,
     sample_circle,
@@ -41,12 +41,12 @@ for s in sample_circle(circle, 6):
     p = angles_to_bloch(s)
     print(f"  {s.x:7.4f} {s.y:7.4f}   {p[0]:+7.4f} {p[1]:+7.4f} {p[2]:+7.4f}")
 
-# any three distinct states sit on one circle, hence share a masker
+# any three states sit on one circle, hence share a masker; the margin is the fit's worst plane distance
 s1, s2, s3 = AngleState(0.0, 0.0), AngleState(np.pi, 0.0), AngleState(np.pi / 2, 0.0)
-params, level = masker_for_states(s1, s2, s3)
+params, level, _ = masker_for_states([s1, s2, s3])
 print(f"\n|0>, |1>, |+> share the masker (alpha, theta) = ({params.alpha:.4f}, {params.theta:.4f})"
       f" at level {level:+.4f}")
 
-plane = circle_through_three(*(angles_to_bloch(s) for s in (s1, s2, s3)))
+plane, _ = circle_through_points([angles_to_bloch(s) for s in (s1, s2, s3)])
 alpha, theta, cval = canonical_mask_params(plane)
 print(f"same thing through the plane fit: ({alpha:.4f}, {theta:.4f}), level {cval:+.4f}")

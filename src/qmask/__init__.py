@@ -34,7 +34,7 @@ from .bloch import (
     bloch_to_angles,
     canonical_mask_params,
     circle_from_mask_params,
-    circle_through_three,
+    circle_through_points,
     circles_equal,
     cut_sphere,
     distance_to_circle,
@@ -42,7 +42,6 @@ from .bloch import (
 )
 from .errors import (
     CorruptShareError,
-    DegenerateInputError,
     EmptyCircleError,
     InvalidInputError,
     InvalidSchemeError,

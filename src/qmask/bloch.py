@@ -23,7 +23,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import DegenerateInputError, EmptyCircleError, InvalidInputError
+from .errors import EmptyCircleError, InvalidInputError
 
 TWO_PI = 2.0 * np.pi
 
@@ -262,19 +262,28 @@ def canonical_mask_params(circle: SphericalCircle) -> tuple[float, float, float]
     return alpha, theta, float(c) + 0.0
 
 
-def circle_through_three(p1, p2, p3) -> SphericalCircle:
-    """The unique spherical circle through three distinct unit points."""
-    pts = [np.asarray(p, dtype=float) for p in (p1, p2, p3)]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if np.linalg.norm(pts[i] - pts[j]) <= 1e-8:
-                raise DegenerateInputError("need three pairwise-distinct points on the sphere")
-    n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-    if np.linalg.norm(n) < 1e-14:
-        raise DegenerateInputError("points are numerically collinear")
-    n /= np.linalg.norm(n)
-    c = float(n @ (pts[0] + pts[1] + pts[2]) / 3.0)
-    return SphericalCircle(n, c)
+def circle_through_points(points) -> tuple[SphericalCircle, float]:
+    """The least-squares circle of a (k, 3) stack of unit points, k >= 1, and its margin.
+
+    The fitted plane ``n . p = c`` passes through the points' centroid, and its normal is the last
+    right-singular vector of the centred points; the margin is the largest |n . p - c|, and the circle is that
+    plane as :class:`SphericalCircle` orients it.  Points on one circle, and so any one, two or three points,
+    give a margin of rounding size; the margin is reported, not decided on.  Anything but a finite stack, or
+    points whose centring overflows, is InvalidInputError.
+    """
+    try:
+        p = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"expected a (k, 3) stack of points: {exc}") from exc
+    if p.ndim != 2 or p.shape[1] != 3 or not len(p):
+        raise InvalidInputError(f"expected a (k, 3) stack of points with k >= 1, got shape {p.shape}")
+    with np.errstate(all="ignore"):  # a non-finite point, or a centring that overflows, is caught below
+        centroid = p.mean(axis=0)
+        centred = p - centroid
+    if not np.isfinite(centred).all():
+        raise InvalidInputError("points must be finite, and so must their differences from their centroid")
+    normal = np.linalg.svd(centred)[2][-1]
+    return SphericalCircle(normal, normal @ centroid), float(np.abs(centred @ normal).max())
 
 
 # --- the sphere cut by a stack of planes -------------------------------------

@@ -15,10 +15,6 @@ class InvalidInputError(MaskingError, ValueError):
     """Malformed or out-of-domain input (non-finite values, bad ranges, parse failures)."""
 
 
-class DegenerateInputError(InvalidInputError):
-    """Geometrically collapsed input, e.g. coincident states where three distinct ones are needed."""
-
-
 class EmptyCircleError(InvalidInputError):
     """Requested plane offset |c| > 1: the plane misses the unit sphere."""
 

@@ -20,8 +20,11 @@ the scalar invariant
 namely rho_A = diag(1/2 + hbar/2, 1/2 - hbar/2) and rho_B = I/2 +
 (hbar/2)(|0><1| + |1><0|).  The set where hbar is constant is a
 spherical circle, so every spherical circle on the Bloch sphere is
-masked by the member of the family sharing its plane normal; any three
-distinct states determine such a circle and hence a common masker.
+masked by the member of the family sharing its plane normal.  A finite
+set of states can be masked exactly when its Bloch points lie on one
+circle, that is, are coplanar; any one, two or three states are.
+:func:`masker_for_states` fits that plane to any number of states and
+reports how far the worst point lies from it.
 
 The masker is represented by its 4x2 isometry matrix, whose columns
 are the images of |0> and |1>, not by a unitary dilation on the full
@@ -47,7 +50,7 @@ from .bloch import (
     angles_to_bloch,
     canonical_mask_params,
     circle_from_mask_params,
-    circle_through_three,
+    circle_through_points,
 )
 from .analysis import GeneralLinearOp, apply_matrix
 from .errors import InvalidInputError, check_positive_finite
@@ -158,15 +161,15 @@ def verify_mask(op: GeneralLinearOp, states: list[AngleState], tol: float = TOL_
     return MaskReport(ok=ok, max_deviation_a=max_a, max_deviation_b=max_b, witness=witness)
 
 
-def masker_for_states(s1: AngleState, s2: AngleState, s3: AngleState) -> tuple[MaskerParams, float]:
-    """A masker hiding three distinct states, plus its invariant level.
+def masker_for_states(states: list[AngleState]) -> tuple[MaskerParams, float, float]:
+    """A masker for a non-empty list of states, its invariant level and the margin of its plane fit.
 
-    The three Bloch points fix a spherical circle; the masker sharing
-    that circle's plane normal masks all three.  Returns the parameters
-    and the circle's canonical offset.
+    The masker shares the normal of the least-squares circle of the states' Bloch points
+    (:func:`~qmask.bloch.circle_through_points`) and the level is that circle's canonical offset.  A set of
+    states can be masked exactly when its points lie on one circle: two points' invariants differ by at most
+    twice the margin, so each deviation :func:`verify_mask` reports is at most sqrt(2) times it.  An empty
+    list is InvalidInputError, from the fit.
     """
-    circle = circle_through_three(
-        angles_to_bloch(s1), angles_to_bloch(s2), angles_to_bloch(s3)
-    )
+    circle, margin = circle_through_points([angles_to_bloch(s) for s in states])
     alpha, theta, cval = canonical_mask_params(circle)
-    return MaskerParams(alpha, theta), cval
+    return MaskerParams(alpha, theta), cval, margin

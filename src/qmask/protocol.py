@@ -15,9 +15,10 @@ point (the message), a point pair that no number of further shares can
 split (all-vertical schemes), or the whole circle when every share
 repeats one constraint.
 
-Honest shares whose entries carry noise within the decode tolerance
-still decode: it bounds both the share-structure check and every
-candidate's distance to each share plane.
+The decode tolerance bounds what is checked: each share's structure
+must hold within it, and a candidate must lie within it of every share
+plane.  Noise on an entry of rho_B moves that share's level by up to
+twice the noise, so noise within the tolerance need not decode.
 """
 
 from __future__ import annotations
@@ -154,11 +155,13 @@ def decode(shares: list[Share], tol: float = DECODE_TOL) -> DecodeResult:
     """Check the shares as one array, cut the sphere by all their planes at once, classify what survives.
 
     One :func:`~qmask.bloch.cut_sphere` call makes the result independent
-    of the share order; a candidate survives within ``tol`` of every
-    share plane, so noise within ``tol`` still decodes; a cut within
+    of the share order.  Each share's structure is checked within
+    ``tol``, and a candidate survives within ``tol`` of every share
+    plane; noise on an entry of a share moves its level by up to twice
+    that noise, so noise within ``tol`` need not decode.  A cut within
     sqrt(2 * tol) of one point, such as noisy tangent share circles,
-    decodes Unique.  Inconsistent is a result, not an error: only corrupt
-    shares (or noise beyond ``tol``) give it.
+    decodes Unique.  Inconsistent is a result, not an error: shares
+    whose planes meet on the sphere nowhere within ``tol`` give it.
     """
     if not shares:
         raise InvalidInputError("decode needs at least one share")
@@ -192,16 +195,22 @@ def fig1_axes() -> Scheme:
     )
 
 
+def _family(label: str, least: int, n: int, maskers) -> Scheme:
+    """The scheme ``label:n`` of a lazy iterable of maskers, made only once n is at least ``least`` and its
+    (n, 4, 2) complex stack, 128 * n bytes, is one numpy can size; InvalidSchemeError otherwise, naming the
+    family by the label's last word."""
+    if n < least:
+        raise InvalidSchemeError(f"the {label.rpartition('_')[2]} family needs n >= {least}")
+    if 128 * int(n) > np.iinfo(np.intp).max:
+        raise InvalidSchemeError(f"scheme too large: n={n!r} maskers exceed an array's size limit")
+    return Scheme(maskers, label=f"{label}:{n}")
+
+
 def fig3_pole(n: int) -> Scheme:
     """Maskers (k*pi/n, 0) for k = 1..n-1; their circles through the north
     pole are pairwise tangent there, so any two shares of the message
     (0, 0) decode it uniquely."""
-    if n < 3:
-        raise InvalidSchemeError("the pole family needs n >= 3")
-    return Scheme(
-        tuple(MaskerParams(k * np.pi / n, 0.0) for k in range(1, n)),
-        label=f"fig3_pole:{n}",
-    )
+    return _family("fig3_pole", 3, n, (MaskerParams(k * np.pi / n, 0.0) for k in range(1, n)))
 
 
 def fig2_vertical(n: int) -> Scheme:
@@ -211,12 +220,7 @@ def fig2_vertical(n: int) -> Scheme:
     message and its Z-reflection, so no number of shares can decide
     between them.
     """
-    if n < 4:
-        raise InvalidSchemeError("the vertical family needs n >= 4")
-    return Scheme(
-        tuple(MaskerParams(np.pi / 2, k * np.pi / n) for k in range(n)),
-        label=f"fig2_vertical:{n}",
-    )
+    return _family("fig2_vertical", 4, n, (MaskerParams(np.pi / 2, k * np.pi / n) for k in range(n)))
 
 
 def general(n: int) -> Scheme:
@@ -229,12 +233,7 @@ def general(n: int) -> Scheme:
     is the only triple (n1 - n2 + n3 = 0).  A check of every n up to 41
     finds no other rank-deficient triple.
     """
-    if n < 4:
-        raise InvalidSchemeError("the general family needs n >= 4")
-    return Scheme(
-        tuple(MaskerParams(k * np.pi / n, k * np.pi / n) for k in range(1, n)),
-        label=f"general:{n}",
-    )
+    return _family("general", 4, n, (MaskerParams(k * np.pi / n, k * np.pi / n) for k in range(1, n)))
 
 
 def preset_schemes() -> dict[str, str]:

@@ -95,7 +95,7 @@ def test_criterion_3_any_three_states_maskable():
     rng = np.random.default_rng(30)
     for _ in range(1000):
         states = well_separated_triple(rng)
-        params, _ = masker_for_states(*states)
+        params, _, _ = masker_for_states(states)
         result = verify_mask(build_masker(params), states, tol=1e-10)
         assert result.ok, (states, result)
     report(3, "1000 random well-separated state triples masked by their common masker at 1e-10")

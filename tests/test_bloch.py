@@ -5,13 +5,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmask import (
     AngleState,
     Circle,
-    DegenerateInputError,
     Empty,
     EmptyCircleError,
     InvalidInputError,
@@ -25,7 +24,7 @@ from qmask import (
     bloch_to_angles,
     canonical_mask_params,
     circle_from_mask_params,
-    circle_through_three,
+    circle_through_points,
     circles_equal,
     cut_sphere,
     distance_to_circle,
@@ -37,6 +36,12 @@ from _helpers import EDGE_ARGS, edge_or_any, field_bits, reference_angle_fields
 
 angles_x = st.floats(min_value=0.0, max_value=np.pi)
 angles_y = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True)
+# circles with |c| <= 0.95, about unit normals drawn far from zero
+_circles = st.builds(
+    SphericalCircle,
+    st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3).map(lambda v: v / np.linalg.norm(v)),
+    st.floats(-0.95, 0.95),
+)
 
 
 # --- angle state and conversions -------------------------------------------
@@ -293,25 +298,27 @@ def test_canonical_mask_params_round_trip():
         assert circles_equal(circle, again, tol=1e-9)
 
 
-def test_circle_through_three_great_circle():
-    circle = circle_through_three(
-        np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]), np.array([1.0, 0.0, 0.0])
+def test_circle_through_points_great_circle():
+    circle, margin = circle_through_points(
+        [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]), np.array([1.0, 0.0, 0.0])]
     )
     assert np.allclose(np.abs(circle.normal), [0, 1, 0])
     assert circle.offset == 0.0
+    assert margin < 1e-15
 
 
-def test_circle_through_three_shared_latitude():
+def test_circle_through_points_shared_latitude():
     z = np.cos(1.1)
     r = np.sin(1.1)
     pts = [np.array([r * np.cos(t), r * np.sin(t), z]) for t in (0.3, 2.0, 4.0)]
-    circle = circle_through_three(*pts)
+    circle, margin = circle_through_points(pts)
     alpha, theta, cval = canonical_mask_params(circle)
     assert abs(alpha) < 1e-12
     assert abs(cval - z) < 1e-12
+    assert margin < 1e-15
 
 
-def test_circle_through_three_recovers_planted():
+def test_circle_through_points_recovers_planted():
     rng = np.random.default_rng(3)
     for _ in range(300):
         n = rng.normal(size=3)
@@ -323,8 +330,9 @@ def test_circle_through_three_recovers_planted():
             for b in samples[i + 1 :]
         ) < 1e-6:
             continue
-        rebuilt = circle_through_three(*(angles_to_bloch(s) for s in samples))
+        rebuilt, margin = circle_through_points([angles_to_bloch(s) for s in samples])
         assert circles_equal(circle, rebuilt, tol=1e-9)
+        assert margin < 1e-13
 
 
 def test_empty_circle_messages_print_plain_floats():
@@ -333,14 +341,49 @@ def test_empty_circle_messages_print_plain_floats():
     with pytest.raises(EmptyCircleError, match=r"level value 1\.5 outside"):
         circle_from_mask_params(0.1, 0.2, np.float64(1.5))
 
-def test_circle_through_three_degenerate():
-    p = np.array([0.0, 0.0, 1.0])
-    with pytest.raises(DegenerateInputError):
-        circle_through_three(p, p, np.array([1.0, 0.0, 0.0]))
-    # pairwise distinct (2e-8 apart) but on one great circle within rounding
-    a, b, c = (np.array([np.cos(phi), np.sin(phi), 0.0]) for phi in (0.0, 2e-8, 4e-8))
-    with pytest.raises(DegenerateInputError, match="collinear"):
-        circle_through_three(a, b, c)
+def test_circle_through_points_degenerate():
+    # coincident points, and points 2e-8 apart on one great circle, lie on many circles: the fit returns one of
+    # them, with a margin of rounding size, where the three-point rule raised
+    p, q = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    near = [np.array([np.cos(phi), np.sin(phi), 0.0]) for phi in (0.0, 2e-8, 4e-8)]
+    for points in ([p, p, q], [p, p, p], near):
+        circle, margin = circle_through_points(points)
+        assert margin <= 1e-15
+
+
+@settings(max_examples=300)
+@given(_circles, st.integers(3, 60))
+def test_sampled_circle_points_fit_within_rounding(circle, k):
+    points = np.array([angles_to_bloch(s) for s in sample_circle(circle, k)])
+    _, margin = circle_through_points(points)
+    # a sample within 1e-12 of a pole is snapped to it, off its circle's plane by as much; the least-squares plane's
+    # worst distance is at most sqrt(k) times the samples' own worst distance from the plane they came from
+    assert margin <= 1e-14 + np.sqrt(k) * np.abs(points @ circle.normal - circle.offset).max()
+
+
+@settings(max_examples=300)
+@given(_circles, st.integers(4, 60), st.data(), st.floats(1e-6, 0.1))
+def test_a_sample_moved_off_its_circle_shows_in_the_margin(circle, k, data, d):
+    # one of k evenly spaced samples moved along the sphere to plane distance d, towards the equator
+    points = np.array([angles_to_bloch(s) for s in sample_circle(circle, k)])
+    n, c = circle.normal, circle.offset
+    i = data.draw(st.integers(0, k - 1))
+    u = points[i] - (points[i] @ n) * n
+    height = c - d if c > 0 else c + d
+    points[i] = height * n + np.sqrt(1.0 - height**2) * u / np.linalg.norm(u)
+    _, margin = circle_through_points(points)
+    assert margin >= d / 5
+
+
+@pytest.mark.parametrize("points", [
+    [], np.zeros((0, 3)), np.zeros(3), np.zeros((2, 2)), np.zeros((2, 4)), np.zeros((2, 3, 1)), [[0, 0, 1], [1, 0]],
+    [[0.0, 0.0, np.nan]], [[0.0, 0.0, np.inf]], [[1.5e308, 0, 0], [1.5e308, 0, 0]], [[1.7e308, 0, 0], [-1.7e308, 0, 0], [-1.7e308, 0, 0]],
+    "abc", [[None, 0, 1]], None,
+])
+def test_circle_through_points_needs_a_finite_stack(points):
+    # never numpy's LinAlgError or its conversion errors, and never a warning
+    with pytest.raises(InvalidInputError):
+        circle_through_points(points)
 
 
 @pytest.mark.parametrize("shape", [(), (2,), (4,), (2, 2), (2, 3, 3)])

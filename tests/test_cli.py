@@ -269,13 +269,19 @@ def test_scan_fractions_kappa_whose_tolerance_overflows(tmp_path, capsys):
     ["scan", "--operator", "{op}", "--x", "1", "--y", "1", "--nx", str(2**62), "--ny", "3"],
     ["analyze", "--operator", "{op}", "--x", "1", "--y", "1", "--scan", str(10**20)],
     ["scan", "--operator", "{op}", "--x", "1", "--y", "1", "--fractions", f"2,{10**20}"],
-], ids=["circle_samples", "scan_nx", "scan_nx_2_62", "analyze_scan", "scan_fractions"])
+    ["share", "--scheme", f"general:{10**20}", "--x", "1", "--y", "1", "--out", "{d}/shares"],
+    ["share", "--scheme", f"fig3_pole:{2**62}", "--x", "1", "--y", "1", "--out", "{d}/shares"],
+    ["share", "--scheme", f"fig2_vertical:{10**20}", "--x", "1", "--y", "1", "--out", "{d}/shares"],
+], ids=["circle_samples", "scan_nx", "scan_nx_2_62", "analyze_scan", "scan_fractions", "share_general",
+        "share_fig3_pole_2_62", "share_fig2_vertical"])
 def test_a_size_numpy_cannot_represent_is_invalid_input(tmp_path, capsys, args):
-    # each ended in numpy's "Maximum allowed size exceeded" or "array is too big" and a traceback
+    # each ended in numpy's "Maximum allowed size exceeded" or "array is too big" and a traceback, and each share
+    # made maskers one by one until memory ran out
     op_path = write_operator(tmp_path / "op.json", build_masker(MaskerParams(1.1, 0.7)))
     code, out, err = run(capsys, *(a.format(d=tmp_path, op=op_path) for a in args))
-    assert (code, out) == (1, "") and re.fullmatch(r"qmask: error: (grid too large|too many samples): [^\n]*\n", err)
-    assert not (tmp_path / "c.csv").exists()
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"qmask: error: (grid too large|too many samples|scheme too large): [^\n]*\n", err)
+    assert not (tmp_path / "c.csv").exists() and not (tmp_path / "shares").exists()
 
 
 @pytest.mark.parametrize(
@@ -870,7 +876,7 @@ _QMASK_TOLS = [None, "1e-6", "0", "-1", "nan", "inf", "1e-400", "banana", ""]
 # file contents that are no document of any kind: truncated, not an object, not UTF-8
 _BROKEN = [b'{"x": 1.0,', b"[1.0, 2.0]", b"", b"\xff\xfe{\x00}\x00", b'{"a0": {"re": 1e999999, "im": 0}}']
 _PRESETS = ["fig1_axes", "fig1_axes:3", "fig3_pole:3", "fig3_pole:6", "fig2_vertical:4", "fig2_vertical:7",
-            "general:5", "general:8", "general:2", "nope:3", "general"]
+            "general:5", "general:8", "general:2", "nope:3", "general", f"general:{10**20}", f"fig3_pole:{2**62}"]
 
 
 def _document(draw, good: dict) -> bytes:

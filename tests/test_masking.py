@@ -3,11 +3,11 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmask import (
     AngleState,
-    DegenerateInputError,
     GeneralLinearOp,
     InvalidInputError,
     MaskerParams,
@@ -253,31 +253,65 @@ def test_verify_mask_separation_scales_with_invariant_gap():
 
 def test_masker_for_states_axes():
     states = [AngleState(0.0, 0.0), AngleState(np.pi, 0.0), AngleState(np.pi / 2, 0.0)]
-    params, cval = masker_for_states(*states)
+    params, cval, margin = masker_for_states(states)
     assert abs(cval) < 1e-12
+    assert margin < 1e-15
     assert verify_mask(build_masker(params), states, tol=1e-10).ok
 
 
 def test_masker_for_states_shared_latitude():
     x = 1.234
     states = [AngleState(x, y) for y in (0.2, 2.5, 5.0)]
-    params, cval = masker_for_states(*states)
+    params, cval, margin = masker_for_states(states)
     assert abs(params.alpha) < 1e-12
     assert abs(cval - np.cos(x)) < 1e-12
+    assert margin < 1e-15
 
 
 def test_masker_for_states_random_triples():
     rng = np.random.default_rng(2)
     for _ in range(200):
         states = well_separated_triple(rng)
-        params, _ = masker_for_states(*states)
+        params, _, margin = masker_for_states(states)
         assert verify_mask(build_masker(params), states, tol=1e-10).ok
+        assert margin < 1e-13
 
 
 def test_masker_for_states_degenerate():
+    # coincident states, and states 2e-8 apart on the equator, lie on many circles: the returned masker masks them
     s = AngleState(0.3, 0.4)
-    with pytest.raises(DegenerateInputError):
-        masker_for_states(s, s, AngleState(1.0, 1.0))
+    near = [AngleState(np.pi / 2, y) for y in (0.0, 2e-8, 4e-8)]
+    for states in ([s, s, AngleState(1.0, 1.0)], [s, s, s], near):
+        params, _, margin = masker_for_states(states)
+        assert margin <= 1e-15
+        assert verify_mask(build_masker(params), states, tol=1e-10).ok
+
+
+def test_masker_for_states_needs_a_state():
+    with pytest.raises(InvalidInputError, match="k >= 1"):
+        masker_for_states([])
+
+
+_states = st.builds(
+    AngleState,
+    st.floats(min_value=0.0, max_value=np.pi),
+    st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(_states, min_size=1, max_size=30))
+def test_masker_for_states_deviations_are_bounded_by_the_margin(states):
+    # two points' invariants differ by at most twice the margin, and a deviation is that difference over sqrt(2)
+    params, _, margin = masker_for_states(states)
+    report = verify_mask(build_masker(params), states)
+    assert max(report.max_deviation_a, report.max_deviation_b) <= np.sqrt(2) * margin + 1e-13
+
+
+@settings(max_examples=300)
+@given(st.lists(_states, min_size=1, max_size=3))
+def test_any_three_states_fit_one_circle(states):
+    assert masker_for_states(states)[2] < 1e-13
 
 
 def test_verify_mask_witness_is_first_offender():

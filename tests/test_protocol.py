@@ -406,6 +406,27 @@ def test_preset_minimums():
         Scheme(())
 
 
+_PRESET_SIZE_ERRORS = {
+    "fig3_pole:2": "the pole family needs n >= 3",
+    "fig2_vertical:3": "the vertical family needs n >= 4",
+    "general:3": "the general family needs n >= 4",
+    **{f"{name}:{n}": f"scheme too large: n={n} maskers exceed an array's size limit"
+       for name in ("fig3_pole", "fig2_vertical", "general") for n in (10**20, 2**62)},
+}
+
+
+@pytest.mark.parametrize("spec, message", _PRESET_SIZE_ERRORS.items(), ids=list(_PRESET_SIZE_ERRORS))
+def test_preset_sizes_are_checked_before_any_masker_is_made(monkeypatch, spec, message):
+    # a size whose (n, 4, 2) stack, 128 * n bytes, numpy cannot hold used to make maskers one by one until
+    # memory ran out; the first one made fails the test here instead
+    def made(*args):
+        raise AssertionError("a masker was made")
+
+    monkeypatch.setattr(protocol, "MaskerParams", made)
+    with pytest.raises(InvalidSchemeError, match=f"^{re.escape(message)}$"):
+        preset_scheme(spec)
+
+
 def test_general_five_decodes_from_any_three():
     message = AngleState(1.1, 2.2)
     shares = encode(message, general(5))
