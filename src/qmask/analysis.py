@@ -39,7 +39,7 @@ import numpy as np
 
 from .bloch import (
     AngleState, Circle, MaskableClass, PointPair, SinglePoint,
-    angles_to_bloch, cut_sphere, distance_to_circle, point_distances,
+    angles_to_bloch, cut_sphere, distance_to_circle, point_distances, real_array,
 )
 from .errors import InvalidInputError, InvariantViolationError
 from .linalg import ENTRY_IMAG, ENTRY_LABELS, ENTRY_PAIRS
@@ -225,7 +225,7 @@ def maskable_set(op: GeneralLinearOp, anchor: AngleState) -> MaskableClass:
 
 def class_distance(mask_class: MaskableClass, points) -> np.ndarray:
     """Euclidean distance from Bloch points (..., 3) to a classified maskable set, shape (...)."""
-    p = np.asarray(points, dtype=float)
+    p = real_array(points)
     if isinstance(mask_class, SinglePoint):
         return point_distances(p, mask_class.point)
     if isinstance(mask_class, PointPair):

@@ -72,6 +72,21 @@ class AngleState:
         self.__dict__["y"] = y
 
 
+def real_array(values) -> np.ndarray:
+    """``values`` as a float array: the one reading rule for the real stacks the public functions take.
+
+    InvalidInputError unless numpy reads them as one array of bool, integer or float numbers, so a
+    complex array is rejected rather than cut to its real parts.  A float64 array comes back as itself.
+    """
+    try:
+        a = np.asarray(values)
+    except (TypeError, ValueError) as exc:  # a ragged stack, say
+        raise InvalidInputError(f"expected an array of real numbers: {exc}") from exc
+    if a.dtype.kind not in "biuf":
+        raise InvalidInputError(f"expected real numbers, got an array of {a.dtype}")
+    return a.astype(float, copy=False)
+
+
 def _norms(p: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis, rounded as the 1-D ``np.linalg.norm`` rounds them."""
     return np.sqrt(p[..., None, :] @ p[..., :, None])[..., 0, 0]
@@ -106,7 +121,7 @@ def bloch_angles(points) -> tuple[np.ndarray, np.ndarray]:
     Every point must be unit within 1e-9.  ys is mapped into [0, 2pi), and
     points within 1e-12 of a pole come back as the exact pole with y = 0.
     """
-    p = np.asarray(points, dtype=float)
+    p = real_array(points)
     if p.ndim not in (1, 2) or p.shape[-1] != 3:
         raise InvalidInputError("expected a 3-vector or an (N, 3) stack of them")
     norms = _norms(p)
@@ -136,7 +151,8 @@ def bloch_to_angles(p) -> AngleState:
 
 def canonical_planes(normals: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Planes ``n . p = c`` ((k, 3) normals) as unit normals and offsets in [-1, 1], in the canonical
-    orientation of the module docstring; for |c| <= CANON_EPS only the normal is flipped."""
+    orientation of the module docstring; a plane is flipped as a whole, normal and offset, so each keeps its
+    point set, also where |c| <= CANON_EPS and the normal decides."""
     norms = _norms(normals)
     if np.count_nonzero(norms < 1e-12):
         raise InvalidInputError("circle normal must be nonzero")
@@ -146,12 +162,11 @@ def canonical_planes(normals: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarr
     if np.count_nonzero(off):
         raise EmptyCircleError(f"plane offset {float(np.extract(off, c)[0])} misses the unit sphere")
     c = np.minimum(np.maximum(c, -1.0), 1.0)
-    size = np.abs(c)
-    tie = size <= CANON_EPS
+    tie = np.abs(c) <= CANON_EPS
     # 4 s0 + 2 s1 + s2 has the sign of the first nonzero s_i in {-1, 0, 1}
     first = (np.sign(n) * (np.abs(n) > CANON_EPS)) @ [4.0, 2.0, 1.0]
     flip = np.where(tie, first, c) < 0.0
-    return np.where(flip[:, None], -n, n) + 0.0, np.where(tie, c, size)  # + 0.0 clears -0.0
+    return np.where(flip[:, None], -n, n) + 0.0, np.where(flip, -c, c) + 0.0  # + 0.0 clears -0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +183,7 @@ class SphericalCircle:
     offset: float
 
     def __post_init__(self):
-        n = np.asarray(self.normal, dtype=float)
+        n = real_array(self.normal)
         c = float(self.offset)
         if n.shape != (3,) or not np.isfinite(n).all() or not np.isfinite(c):
             raise InvalidInputError("circle requires a finite 3-vector normal and finite offset")
@@ -188,7 +203,7 @@ class SphericalCircle:
 
     def plane_residual(self, p):
         """|n . p - c| for a 3-vector or an (N, 3) stack of them."""
-        p = np.asarray(p, dtype=float)
+        p = real_array(p)
         return np.abs(p @ self.normal - self.offset)
 
     def __repr__(self):
@@ -209,7 +224,7 @@ def distance_to_circle(circle: SphericalCircle, p) -> np.ndarray:
 
     A degenerate point circle reduces to plain point distance.
     """
-    p = np.asarray(p, dtype=float)
+    p = real_array(p)
     height = p @ circle.normal
     rho = column_norms(*(p[..., k] - height * circle.normal[k] for k in range(3)))
     return np.sqrt((height - circle.offset) ** 2 + (rho - circle.radius) ** 2)
@@ -271,10 +286,7 @@ def circle_through_points(points) -> tuple[SphericalCircle, float]:
     give a margin of rounding size; the margin is reported, not decided on.  Anything but a finite stack, or
     points whose centring overflows, is InvalidInputError.
     """
-    try:
-        p = np.asarray(points, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"expected a (k, 3) stack of points: {exc}") from exc
+    p = real_array(points)
     if p.ndim != 2 or p.shape[1] != 3 or not len(p):
         raise InvalidInputError(f"expected a (k, 3) stack of points with k >= 1, got shape {p.shape}")
     with np.errstate(all="ignore"):  # a non-finite point, or a centring that overflows, is caught below
@@ -347,8 +359,8 @@ def cut_sphere(normals, offsets, tol: float) -> MaskableClass | Empty:
     tol move either by at most 2 |q| tol <= 2 tol.  Two points are
     ordered by (X, Y, Z), coordinates within 1e-9 counting as equal.
     """
-    normals = np.asarray(normals, dtype=float).reshape(-1, 3)
-    offsets = np.asarray(offsets, dtype=float).reshape(-1)
+    normals = real_array(normals).reshape(-1, 3)
+    offsets = real_array(offsets).reshape(-1)
     # a canonical row order makes every rounding error independent of the input order
     order = np.lexsort((offsets, normals[:, 2], normals[:, 1], normals[:, 0]))
     normals, offsets = normals[order], offsets[order]

@@ -7,13 +7,16 @@ outputs.
 
 Exit codes: 0 success, 1 invalid input (a request too large for the
 machine's memory too), 2 I/O error, 3 internal invariant violation.
-QMASK_TOL overrides the default verification tolerance used when
-checking shares and filtering decode candidates.
-Every tolerance, QMASK_TOL and the --tol and --kappa options alike, must
-be a positive finite number.  scan takes --kappa only with --fractions, and
---tol, --csv, --nx and --ny only without it.
+Every value has one way in, a command-line option: no command reads
+an environment variable.  A state is given by --x and --y.  decode checks
+shares and filters candidates within --tol, by default DECODE_TOL.  Every
+scan's tolerance is tied to the grid spacing h, tol = kappa * h, whether
+one scan or a --fractions ladder; --kappa sets kappa in both modes, by
+default default_kappa of the operator.  --csv, --nx and --ny apply only
+without --fractions.  Both tolerances, and kappa times each spacing, must
+be positive finite numbers.
 
-Every error from an input file (a state, operator, scheme or share file)
+Every error from an input file (an operator, scheme or share file)
 begins with that file's path, once.  decode reads every share file first,
 then checks all shares at once and names the file of the first corrupt one.
 
@@ -64,18 +67,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _verification_tol() -> float:
-    raw = os.environ.get("QMASK_TOL")
-    if raw is None:
-        return DECODE_TOL
-    try:
-        tol = float(raw)
-    except ValueError as exc:
-        raise InvalidInputError(f"QMASK_TOL={raw!r} is not a number") from exc
-    check_positive_finite(tol, f"QMASK_TOL={raw!r}")
-    return tol
-
-
 def _read(path: str, kind: str, from_doc):
     """A ``kind`` file's UTF-8 text, parsed and converted by ``from_doc``: the one place an input file is
     named, each InvalidInputError raised again, of its type, with the path in front.  OSError propagates."""
@@ -87,20 +78,9 @@ def _read(path: str, kind: str, from_doc):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _state_from_args(args) -> AngleState:
-    if args.state is not None:
-        if args.x is not None or args.y is not None:
-            raise InvalidInputError("give either --state FILE or --x/--y, not both")
-        return _read(args.state, "state", docs.state_from_doc)
-    if args.x is None or args.y is None:
-        raise InvalidInputError("state required: --state FILE or both --x and --y (radians)")
-    return AngleState(args.x, args.y)
-
-
 def _add_state_args(p: argparse.ArgumentParser):
-    p.add_argument("--state", metavar="FILE", help="state document {x, y} (radians)")
-    p.add_argument("--x", type=float, help="polar angle x in radians")
-    p.add_argument("--y", type=float, help="azimuthal angle y in radians")
+    p.add_argument("--x", type=float, required=True, help="polar angle x in radians")
+    p.add_argument("--y", type=float, required=True, help="azimuthal angle y in radians")
 
 
 def _write(path, text: str) -> None:
@@ -120,7 +100,7 @@ def _csv_rows(states) -> str:
 
 def _cmd_mask(args) -> dict:
     params = MaskerParams(args.alpha, args.theta)
-    state = _state_from_args(args)
+    state = AngleState(args.x, args.y)
     psi = build_masker(params).apply(state.x, state.y)
     rho_a, rho_b = reduced_pair(psi)
     return {
@@ -135,7 +115,7 @@ def _cmd_mask(args) -> dict:
 
 def _cmd_circle(args) -> dict:
     params = MaskerParams(args.alpha, args.theta)
-    anchor = _state_from_args(args)
+    anchor = AngleState(args.x, args.y)
     if args.samples < 1:
         raise InvalidInputError("--samples must be at least 1")
     circle = maskable_circle(params, anchor)
@@ -152,7 +132,7 @@ def _cmd_circle(args) -> dict:
 
 def _cmd_analyze(args) -> dict:
     op = _read(args.operator, "operator", docs.operator_from_doc)
-    anchor = _state_from_args(args)
+    anchor = AngleState(args.x, args.y)
     mask_class = maskable_set(op, anchor)
     operator_scale(op)  # rejects an operator whose squared norm over- or underflows
     doc = {
@@ -168,26 +148,28 @@ def _cmd_analyze(args) -> dict:
 
 def _cmd_scan(args) -> dict:
     fractions = args.fractions is not None
-    options = (("--kappa", args.kappa, "with"), ("--tol", args.tol, "without"), ("--csv", args.csv, "without"),
-               ("--nx", args.nx, "without"), ("--ny", args.ny, "without"))
-    for option, value, mode in options:
-        if value is not None and (mode == "with") != fractions:
-            raise InvalidInputError(f"{option} applies only {mode} --fractions")
+    for option, value in ("--csv", args.csv), ("--nx", args.nx), ("--ny", args.ny):
+        if fractions and value is not None:
+            raise InvalidInputError(f"{option} applies only without --fractions")
     op = _read(args.operator, "operator", docs.operator_from_doc)
-    anchor = _state_from_args(args)
+    anchor = AngleState(args.x, args.y)
     if fractions:
         try:
             resolutions = [int(v) for v in args.fractions.split(",")]
         except ValueError as exc:
             raise InvalidInputError("--fractions must be comma-separated integers") from exc
-        rows = masked_fraction_scaling(op, anchor, resolutions, kappa=args.kappa)
+        kappa = args.kappa if args.kappa is not None else default_kappa(op)
+        rows = masked_fraction_scaling(op, anchor, resolutions, kappa)
         return {
             "anchor": docs.state_to_doc(anchor),
-            "kappa": args.kappa if args.kappa is not None else default_kappa(op),
+            "kappa": kappa,
             "fractions": [{"resolution": n, "fraction": f} for n, f in rows],
         }
     grid = GridSpec(nx=200 if args.nx is None else args.nx, ny=400 if args.ny is None else args.ny)
-    tol = args.tol if args.tol is not None else default_kappa(op) * grid.spacing
+    kappa = args.kappa if args.kappa is not None else default_kappa(op)
+    check_positive_finite(kappa, f"kappa={kappa}")
+    tol = kappa * grid.spacing  # can over- or underflow where kappa does not; the error names the kappa given
+    check_positive_finite(tol, f"kappa={kappa} times the spacing")
     states = grid_scan(op, anchor, grid, tol)
     if args.csv:
         _write(args.csv, _csv_rows(states))
@@ -208,7 +190,7 @@ def _load_scheme(spec: str) -> Scheme:
 
 def _cmd_share(args) -> dict:
     scheme = _load_scheme(args.scheme)
-    message = _state_from_args(args)
+    message = AngleState(args.x, args.y)
     shares = encode(message, scheme)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -220,10 +202,9 @@ def _cmd_share(args) -> dict:
 
 
 def _cmd_decode(args) -> dict:
-    tol = args.tol if args.tol is not None else _verification_tol()
     shares = [_read(path, "share", docs.share_from_doc) for path in args.shares]
     try:
-        result = decode(shares, tol=tol)
+        result = decode(shares, tol=args.tol)
     except CorruptShareError as exc:
         raise CorruptShareError(f"{args.shares[exc.index]}: {exc}") from exc
     return docs.decode_to_doc(result)
@@ -265,8 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_args(p)
     p.add_argument("--nx", type=int, help="grid points along x without --fractions (default 200)")
     p.add_argument("--ny", type=int, help="grid points along y without --fractions (default 400)")
-    p.add_argument("--tol", type=float, help="override the spacing-derived tolerance")
-    p.add_argument("--kappa", type=float, help="tolerance factor for --fractions mode")
+    p.add_argument("--kappa", type=float, help="tol = kappa * grid spacing (default 2x the operator scale)")
     p.add_argument("--fractions", metavar="N1,N2,...", help="fraction-scaling ladder instead of one scan")
     p.add_argument("--csv", metavar="FILE", help="write matching x,y,X,Y,Z rows here")
     p.set_defaults(func=_cmd_scan)
@@ -279,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="intersect share constraints and report the candidates")
     p.add_argument("shares", nargs="+", metavar="SHARE.json")
-    p.add_argument("--tol", type=float, help="candidate filter tolerance (default QMASK_TOL or 1e-8)")
+    p.add_argument("--tol", type=float, default=DECODE_TOL, help="share and candidate tolerance (default %(default)g)")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=_cmd_decode)
 

@@ -1,6 +1,7 @@
 """JSON document formats: states, maskers, operators, shares, circles and schemes, and the
-maskable-class, constraint, product-form and decode reports that the cli composes.  Circles
-are written, not read: no command takes one as input.
+maskable-class, constraint, product-form and decode reports that the cli composes.  States
+and circles are written, not read: no command takes one as a document (a state is given
+by the --x and --y options).
 
 Structured data travels as JSON; plot point streams travel as CSV (see
 the cli module).  Floats are emitted with Python's shortest round-trip
@@ -68,10 +69,6 @@ def _complex(doc: dict, key: str, where: str) -> complex:
 
 def state_to_doc(s: AngleState) -> dict:
     return {"x": s.x, "y": s.y}
-
-
-def state_from_doc(doc: dict, where: str = "state") -> AngleState:
-    return AngleState(_real(doc, "x", where), _real(doc, "y", where))
 
 
 def masker_to_doc(m: MaskerParams) -> dict:

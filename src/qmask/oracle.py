@@ -311,15 +311,11 @@ def default_kappa(op: GeneralLinearOp) -> float:
 
 
 def masked_fraction_scaling(
-    op: GeneralLinearOp,
-    anchor: AngleState,
-    resolutions: list[int],
-    kappa: float | None = None,
-    region: tuple[tuple[float, float], tuple[float, float]] = DEFAULT_REGION,
+    op: GeneralLinearOp, anchor: AngleState, resolutions: list[int], kappa: float | None = None
 ) -> list[tuple[int, float]]:
     """Masked-grid fraction at a ladder of resolutions with tol = kappa * h.
 
-    Resolution n means an (n x 2n) grid over the region.  For operators
+    Resolution n means an (n x 2n) grid over the default region.  For operators
     whose masked set is a circle the fraction decays like 1/n, for
     point-like sets like 1/n^2; it never converges to a positive
     constant.
@@ -329,7 +325,7 @@ def masked_fraction_scaling(
     check_positive_finite(kappa, f"kappa={kappa}")
     if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
         raise InvalidInputError("resolutions must be strictly increasing")
-    grids = [GridSpec(nx=n, ny=2 * n, region=region) for n in resolutions]
+    grids = [GridSpec(nx=n, ny=2 * n) for n in resolutions]
     for n, grid in zip(resolutions, grids):
         # kappa * h can over- or underflow where kappa does not; the error names the kappa the caller gave
         check_positive_finite(kappa * grid.spacing, f"kappa={kappa} times the spacing at resolution {n}")

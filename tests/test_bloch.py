@@ -26,12 +26,13 @@ from qmask import (
     circle_from_mask_params,
     circle_through_points,
     circles_equal,
+    class_distance,
     cut_sphere,
     distance_to_circle,
     maskable_circle,
     sample_circle,
 )
-from qmask.bloch import TWO_PI, column_norms, point_distances
+from qmask.bloch import CANON_EPS, TWO_PI, column_norms, point_distances, real_array
 from _helpers import EDGE_ARGS, edge_or_any, field_bits, reference_angle_fields
 
 angles_x = st.floats(min_value=0.0, max_value=np.pi)
@@ -223,6 +224,57 @@ def test_circle_canonicalization():
     # near-zero offset ties break on the first nonzero normal component
     c = SphericalCircle(np.array([0.0, -1.0, 0.0]), 0.0)
     assert np.allclose(c.normal, [0, 1, 0]) and c.offset == 0.0
+
+
+@pytest.mark.parametrize("c", [1e-12, -1e-12, 5e-13, -5e-13, 0.0, -0.0, 0.3, -0.3])
+def test_flipping_a_plane_keeps_its_point_set(c):
+    # (-n, -c) and (n, c) are one plane; in the tie zone |c| <= CANON_EPS the normal decides the
+    # orientation, and the offset must flip with it, or the stored plane moves by 2|c|
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        a, b = SphericalCircle(-n, -c), SphericalCircle(n, c)
+        assert np.array_equal(a.normal, b.normal) and a.offset == b.offset, (n, c)
+        back = circle_from_mask_params(*canonical_mask_params(b))
+        assert circles_equal(back, b, tol=1e-15), (n, c)
+        if abs(c) < CANON_EPS:  # inside the tie zone, so rounding cannot carry |c| past its edge: the same fields
+            assert np.abs(back.normal - b.normal).max() <= 1e-15 and abs(back.offset - b.offset) <= 1e-15, (n, c)
+
+
+_Z = np.array([0.0, 0.6, 0.8]) + 1e-3j  # a complex 3-vector: its real parts are a unit point
+
+
+@pytest.mark.parametrize("read", [
+    bloch_angles,
+    bloch_to_angles,
+    lambda z: circle_through_points(np.stack([z, z.conj()])),
+    lambda z: SphericalCircle(z, 0.5),
+    lambda z: SphericalCircle(z.tolist(), 0.5),
+    lambda z: SphericalCircle([0.0, 0.0, 1.0], 0.5).plane_residual(z),
+    lambda z: distance_to_circle(SphericalCircle([0.0, 0.0, 1.0], 0.5), z),
+    lambda z: class_distance(SinglePoint(np.array([0.0, 0.0, 1.0])), z),
+    lambda z: cut_sphere(z[None], [0.5], 1e-8),
+    lambda z: cut_sphere([[0.0, 0.0, 1.0]], z[:1], 1e-8),
+], ids=["bloch_angles", "bloch_to_angles", "circle_through_points", "circle", "circle_list", "plane_residual",
+        "distance_to_circle", "class_distance", "cut_sphere_normals", "cut_sphere_offsets"])
+def test_complex_input_is_invalid_input(read):
+    # numpy cuts a complex array to its real parts with a ComplexWarning (an error under the suite's
+    # filter) and raises a bare TypeError on a list of complex numbers: both are invalid input instead
+    for z in (_Z, np.array([0.0, 0.0, 1.0j])):
+        with pytest.raises(InvalidInputError, match="^expected real numbers, got an array of complex128$"):
+            read(z)
+
+
+def test_real_arrays_are_read_without_a_copy():
+    points = np.array([[0.0, 0.6, 0.8]])
+    assert real_array(points) is points
+    for values in ([[0, 1, 0]], np.array([[False, True, False]]), np.array([[0, 1, 0]], dtype=np.float32)):
+        got = real_array(values)
+        assert got.dtype == np.float64 and np.array_equal(got, [[0.0, 1.0, 0.0]])
+    for values in (["a", "b"], [None], [[0.0, 1.0], [0.0]]):
+        with pytest.raises(InvalidInputError, match="^expected "):
+            real_array(values)
 
 
 def test_circle_offset_bound():

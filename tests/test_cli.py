@@ -51,21 +51,6 @@ def test_mask_command_pole(capsys):
     assert json.loads(out)["hbar"] == 1.0
 
 
-def test_mask_state_file(tmp_path, capsys):
-    state = tmp_path / "state.json"
-    state.write_text(docs.dump({"x": 0.5, "y": 0.25}), encoding="utf-8")
-    code, out, _ = run(capsys, "mask", "--alpha", "0.5", "--theta", "1.5", "--state", str(state))
-    assert code == 0
-    assert json.loads(out)["state"] == {"x": 0.5, "y": 0.25}
-
-
-def test_mask_rejects_both_state_forms(tmp_path, capsys):
-    state = tmp_path / "state.json"
-    state.write_text(docs.dump({"x": 0.5, "y": 0.25}), encoding="utf-8")
-    code, _, err = run(capsys, "mask", "--alpha", "0", "--theta", "0", "--state", str(state), "--x", "1", "--y", "1")
-    assert code == 1 and "not both" in err
-
-
 def test_circle_command_csv(tmp_path, capsys):
     csv_path = tmp_path / "circle.csv"
     code, out, _ = run(
@@ -180,14 +165,14 @@ def test_analyze_rejects_zero_operator(tmp_path, capsys):
         ["analyze", "--scan", "40"],
         ["scan", "--fractions", "10,20,40"],
         ["scan"],
-        ["scan", "--tol", "1"],
+        ["scan", "--kappa", "1"],
         ["scan", "--fractions", "10,20", "--kappa", "1"],
     ],
 )
 def test_overflowing_operator_is_invalid_input(tmp_path, capsys, argv):
     # the squared norm of a 1e160-scale operator overflows and that of a 1e-165-scale one
     # underflows; neither may reach stdout as NaN, Infinity or a verdict at tolerance 0,
-    # also where --tol or --kappa is given and the default tolerance is not needed.  The
+    # also where --kappa is given and the default tolerance is not needed.  The
     # modulus of a0 = 1.5e308 (1 + i) overflows too, and a 1e-310-scale operator is subnormal
     rng = np.random.default_rng(3)
     z = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -237,21 +222,44 @@ def test_scan_fractions_mode(tmp_path, capsys):
         (["analyze", "--x", "1.2", "--y", "2.5", "--scan", "0"], "grid needs at least 2 points per axis"),
         (["scan", "--x", "1.2", "--y", "2.5", "--fractions", ""], "--fractions must be comma-separated integers"),
         (["scan", "--x", "1.2", "--y", "2.5", "--fractions", "10,a"], "--fractions must be comma-separated integers"),
-        (["analyze", "--x", "1.2"], "state required: --state FILE or both --x and --y (radians)"),
-        (["scan", "--x", "1.2", "--y", "2.5", "--kappa", "1000"], "--kappa applies only with --fractions"),
-        (["scan", "--x", "1.2", "--y", "2.5", "--fractions", "10,20", "--tol", "1"], "--tol applies only without --fractions"),
         (["scan", "--x", "1.2", "--y", "2.5", "--fractions", "10,20", "--nx", "5", "--ny", "3"], "--nx applies only without --fractions"),
         (["scan", "--x", "1.2", "--y", "2.5", "--fractions", "10,20", "--ny", "3"], "--ny applies only without --fractions"),
     ],
     ids=[
-        "scan_zero", "fractions_empty", "fractions_not_integers", "x_without_y",
-        "kappa_without_fractions", "tol_with_fractions", "nx_with_fractions", "ny_with_fractions",
+        "scan_zero", "fractions_empty", "fractions_not_integers", "nx_with_fractions", "ny_with_fractions",
     ],
 )
 def test_operator_command_option_errors(tmp_path, capsys, argv, message):
     op_path = write_operator(tmp_path / "op.json", identity_embedding())
     code, out, err = run(capsys, *argv, "--operator", op_path)
     assert (code, out, err) == (1, "", f"qmask: error: {message}\n")
+
+
+def test_a_state_needs_both_x_and_y(tmp_path, capsys):
+    # --x and --y are required options: one without the other is a usage error, exit 1, before any file is read
+    op_path = write_operator(tmp_path / "op.json", identity_embedding())
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--x", "1.2", "--operator", op_path])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out, err) == (1, "", "qmask analyze: error: the following arguments are required: --y\n")
+
+
+@pytest.mark.parametrize("kappa, nx, ny", [("0.5", "30", "7"), ("3", "5", "40"), ("1e-3", "200", "400")])
+def test_scan_kappa_sets_the_single_scan_tolerance(tmp_path, capsys, kappa, nx, ny):
+    # one rule for every scan, tol = kappa * h: the tolerance printed is exactly K times the grid's spacing
+    op_path = write_operator(tmp_path / "op.json", identity_embedding())
+    argv = ["scan", "--operator", op_path, "--x", "1.2", "--y", "2.5", "--kappa", kappa, "--nx", nx, "--ny", ny]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["tolerance"] == float(kappa) * GridSpec(int(nx), int(ny)).spacing
+
+
+def test_scan_kappa_whose_tolerance_overflows(tmp_path, capsys):
+    # as in the --fractions ladder: kappa is finite, kappa * h is not, and the message names --kappa's value
+    op_path = write_operator(tmp_path / "op.json", identity_embedding())
+    argv = ["scan", "--operator", op_path, "--x", "1.2", "--y", "2.5", "--nx", "2", "--ny", "4", "--kappa", "1e308"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "qmask: error: kappa=1e+308 times the spacing must be a positive finite number\n")
 
 
 def test_scan_fractions_kappa_whose_tolerance_overflows(tmp_path, capsys):
@@ -340,11 +348,9 @@ def test_scheme_label_defaults_to_the_file_stem(tmp_path, capsys):
     assert code == 0 and json.loads(out)["scheme"] == "my_scheme"
 
 
-def test_state_and_share_documents_must_be_objects(tmp_path, capsys):
+def test_share_documents_must_be_objects(tmp_path, capsys):
     path = tmp_path / "array.json"
     path.write_text("[1.0, 2.0]", encoding="utf-8")
-    code, out, err = run(capsys, "mask", "--alpha", "0", "--theta", "0", "--state", str(path))
-    assert (code, out, err) == (1, "", f"qmask: error: {path}: state: expected a JSON object, got list\n")
     code, out, err = run(capsys, "decode", str(path))
     assert (code, out, err) == (1, "", f"qmask: error: {path}: share: expected a JSON object, got list\n")
 
@@ -532,23 +538,6 @@ def test_invariant_violation_exit_code(tmp_path, capsys, monkeypatch):
     assert "invariant" in err
 
 
-def test_qmask_tol_env_override(tmp_path, capsys, monkeypatch):
-    slightly_off = tmp_path / "off.json"
-    slightly_off.write_text(
-        docs.dump({"alpha": 0.0, "theta": 0.0, "rho_b": [[[0.52, 0], [0.1, 0]], [[0.1, 0], [0.48, 0]]]}),
-        encoding="utf-8",
-    )
-    code, _, err = run(capsys, "decode", str(slightly_off))
-    assert code == 1  # default tolerance rejects it
-    monkeypatch.setenv("QMASK_TOL", "0.1")
-    code, out, _ = run(capsys, "decode", str(slightly_off))
-    assert code == 0
-    assert json.loads(out)["result"] == "ambiguous_circle"
-    monkeypatch.setenv("QMASK_TOL", "banana")
-    code, _, err = run(capsys, "decode", str(slightly_off))
-    assert code == 1 and "QMASK_TOL" in err
-
-
 # no comparison with NaN holds, every one with inf does, and no honest share is within 0 or less
 @pytest.mark.parametrize(
     "argv, shown",
@@ -557,7 +546,7 @@ def test_qmask_tol_env_override(tmp_path, capsys, monkeypatch):
         (["decode", "--tol", "inf"], "tol=inf"),
         (["decode", "--tol", "-1"], "tol=-1.0"),
         (["decode", "--tol", "0"], "tol=0.0"),
-        (["scan", "--tol", "nan"], "tol=nan"),
+        (["scan", "--kappa", "nan"], "kappa=nan"),
         (["scan", "--fractions", "10,20", "--kappa", "nan"], "kappa=nan"),
     ],
     ids=["decode_nan", "decode_inf", "decode_negative", "decode_zero", "scan_nan", "fractions_kappa_nan"],
@@ -572,14 +561,6 @@ def test_tolerance_options_must_be_positive_and_finite(tmp_path, capsys, argv, s
             argv += ["--nx", "10", "--ny", "20"]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"qmask: error: {shown} must be a positive finite number\n")
-
-
-@pytest.mark.parametrize("raw", ["nan", "inf", "-1", "0"])
-def test_qmask_tol_must_be_positive_and_finite(tmp_path, capsys, monkeypatch, raw):
-    paths = _share_files(tmp_path, capsys, "fig1_axes")
-    monkeypatch.setenv("QMASK_TOL", raw)
-    code, out, err = run(capsys, "decode", *paths)
-    assert (code, out, err) == (1, "", f"qmask: error: QMASK_TOL={raw!r} must be a positive finite number\n")
 
 
 def test_presets_command(capsys):
@@ -703,13 +684,6 @@ def test_decode_share_with_huge_integer_alpha(tmp_path, capsys):
     assert len(err) <= len(prefix) + 41  # the echoed value is cut to 40 characters, then the newline
 
 
-def test_mask_state_file_with_huge_integer(tmp_path, capsys):
-    state = tmp_path / "state.json"
-    state.write_text(json.dumps({"x": 1.0, "y": -HUGE}), encoding="utf-8")
-    code, out, err = run(capsys, "mask", "--alpha", "0", "--theta", "0", "--state", str(state))
-    _assert_clean_error(code, out, err, "state: field 'y' must be a number")
-
-
 def test_analyze_operator_file_with_huge_integer(tmp_path, capsys):
     op_path = write_operator(tmp_path / "op.json", identity_embedding())
     doc = json.loads(Path(op_path).read_text(encoding="utf-8"))
@@ -725,7 +699,6 @@ def test_analyze_operator_file_with_huge_integer(tmp_path, capsys):
         ("share", ["decode", "{file}"]),
         ("operator", ["analyze", "--operator", "{file}", "--x", "1.0", "--y", "2.0"]),
         ("scheme", ["share", "--scheme", "{file}", "--x", "1.0", "--y", "2.0", "--out", "{dir}"]),
-        ("state", ["mask", "--alpha", "0", "--theta", "0", "--state", "{file}"]),
     ],
 )
 def test_a_file_that_is_not_utf8_is_invalid_input(tmp_path, capsys, reader, argv):
@@ -740,7 +713,6 @@ def test_a_file_that_is_not_utf8_is_invalid_input(tmp_path, capsys, reader, argv
 _OPERATOR = docs.operator_to_doc(identity_embedding())
 _3X3 = [[[0.5, 0.0]] * 3] * 3
 INPUT_ARGV = {
-    "state": ["mask", "--alpha", "0", "--theta", "0", "--state", "{file}"],
     "operator": ["analyze", "--operator", "{file}", "--x", "1.0", "--y", "2.0"],
     "scheme": ["share", "--scheme", "{file}", "--x", "1.0", "--y", "2.0", "--out", "{dir}"],
     "share": ["decode", "{file}"],
@@ -750,10 +722,6 @@ INPUT_ARGV = {
 @pytest.mark.parametrize(
     "kind, content, message",
     [
-        ("state", '{"x": 1.0,', "state: line 1, column 11: Expecting property name enclosed in double quotes"),
-        ("state", "[1.0, 2.0]", "state: expected a JSON object, got list"),
-        ("state", '{"x": "a", "y": 0.3}', "state: field 'x' must be a number, got 'a'"),
-        ("state", '{"x": 5.0, "y": 0.3}', "x=5.0 outside [0, pi]"),
         ("operator", json.dumps({k: v for k, v in _OPERATOR.items() if k != "c1"}), "operator: missing field 'c1'"),
         ("operator", json.dumps(dict.fromkeys(_OPERATOR, {"re": 0.0, "im": 0.0})),
          "the zero operator has no maskable-set analysis"),
@@ -767,8 +735,7 @@ INPUT_ARGV = {
         ("share", b'\xff\xfe{\x00}\x00',
          "share: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
     ],
-    ids=["state_syntax", "state_not_object", "state_bad_field", "state_x_out_of_range", "operator_missing_field",
-         "operator_zero", "scheme_no_maskers", "scheme_bad_masker_field", "scheme_masker_out_of_range",
+    ids=["operator_missing_field", "operator_zero", "scheme_no_maskers", "scheme_bad_masker_field", "scheme_masker_out_of_range",
          "scheme_label_not_string", "share_syntax", "share_3x3", "share_not_utf8"],
 )
 def test_every_input_file_error_names_the_file_once(tmp_path, capsys, kind, content, message):
@@ -871,8 +838,8 @@ def _sizes(top):
 
 
 _small_ints = _sizes(9).map(str)
-# QMASK_TOL as decode reads it: unset, valid, not positive, not finite, underflowing to 0, not a number
-_QMASK_TOLS = [None, "1e-6", "0", "-1", "nan", "inf", "1e-400", "banana", ""]
+# QMASK_TOL values of every kind, valid, not positive, not finite, underflowing to 0, not a number: no command reads it
+_QMASK_TOLS = ["1e-6", "0", "-1", "nan", "inf", "1e-400", "banana", ""]
 # file contents that are no document of any kind: truncated, not an object, not UTF-8
 _BROKEN = [b'{"x": 1.0,', b"[1.0, 2.0]", b"", b"\xff\xfe{\x00}\x00", b'{"a0": {"re": 1e999999, "im": 0}}']
 _PRESETS = ["fig1_axes", "fig1_axes:3", "fig3_pole:3", "fig3_pole:6", "fig2_vertical:4", "fig2_vertical:7",
@@ -906,11 +873,8 @@ def _operator_file(draw) -> bytes:
 
 
 @st.composite
-def _state_args(draw, files: dict) -> list[str]:
+def _state_args(draw) -> list[str]:
     x, y = draw(_angle_pairs)
-    if draw(st.booleans()):
-        files["state.json"] = _document(draw, {"x": x, "y": y})
-        return ["--state", "{d}/state.json"]
     return ["--x", repr(x), "--y", repr(y)]
 
 
@@ -941,49 +905,46 @@ def _share_args(draw, files: dict) -> list[str]:
 
 @st.composite
 def cli_cases(draw) -> tuple[list[str], dict, str | None]:
-    """An argv, with ``{d}`` for a fresh directory, the files to write there first and the QMASK_TOL to set,
-    None for unset."""
+    """An argv, with ``{d}`` for a fresh directory, the files to write there first and a QMASK_TOL value."""
     files: dict[str, bytes] = {}
-    qmask_tol = None
     command = draw(st.sampled_from(["mask", "circle", "analyze", "scan", "share", "decode", "presets"]))
     alpha, theta = draw(_angle_pairs)
     masker = ["--alpha", repr(alpha), "--theta", repr(theta)]
     if command in ("analyze", "scan"):
         files["op.json"] = draw(_operator_file())
     if command == "mask":
-        argv = [command, *masker, *draw(_state_args(files))]
+        argv = [command, *masker, *draw(_state_args())]
     elif command == "circle":
-        argv = [command, *masker, *draw(_state_args(files)), "--samples", draw(_sizes(12).map(str))]
+        argv = [command, *masker, *draw(_state_args()), "--samples", draw(_sizes(12).map(str))]
         argv += draw(st.sampled_from([[], ["--csv", "{d}/circle.csv"]]))
     elif command == "analyze":
-        argv = [command, "--operator", "{d}/op.json", *draw(_state_args(files))]
+        argv = [command, "--operator", "{d}/op.json", *draw(_state_args())]
         if draw(st.booleans()):
             argv += ["--scan", draw(_small_ints)]
     elif command == "scan":
-        argv = [command, "--operator", "{d}/op.json", *draw(_state_args(files))]
+        argv = [command, "--operator", "{d}/op.json", *draw(_state_args())]
         fractions = draw(st.booleans())
         if fractions:
             argv += ["--fractions", ",".join(map(str, draw(st.lists(_sizes(12), min_size=1, max_size=4))))]
-        for flag, values, mode in (("--nx", _small_ints, False), ("--ny", _small_ints, False),
-                                   ("--tol", _reals.map(repr), False), ("--csv", st.just("{d}/scan.csv"), False),
-                                   ("--kappa", _reals.map(repr), True)):
-            # a flag of the other mode now and then, which is invalid input
-            if draw(st.integers(0, 9)) < (5 if mode == fractions else 1):
+        for flag, values in ("--nx", _small_ints), ("--ny", _small_ints), ("--csv", st.just("{d}/scan.csv")):
+            # a single-scan flag with --fractions now and then, which is invalid input
+            if draw(st.integers(0, 9)) < (1 if fractions else 5):
                 argv += [flag, draw(values)]
+        if draw(st.booleans()):  # kappa sets the tolerance of both modes
+            argv += ["--kappa", repr(draw(_reals))]
     elif command == "share":
         scheme = draw(st.sampled_from(_PRESETS + ["{d}/scheme.json"]))
         if scheme.endswith(".json"):
             maskers = [{"alpha": draw(_angles), "theta": draw(_angles)} for _ in range(draw(st.integers(0, 5)))]
             files["scheme.json"] = _document(draw, {"label": "custom", "maskers": maskers})
-        argv = [command, "--scheme", scheme, *draw(_state_args(files)), "--out", "{d}/shares"]
+        argv = [command, "--scheme", scheme, *draw(_state_args()), "--out", "{d}/shares"]
     elif command == "decode":
         argv = [command, *draw(_share_args(files))]
         if draw(st.booleans()):
             argv += ["--tol", repr(draw(_reals))]
-        qmask_tol = draw(st.sampled_from(_QMASK_TOLS))
     else:
         argv = [command]
-    return argv, files, qmask_tol
+    return argv, files, draw(st.sampled_from(_QMASK_TOLS))
 
 
 def _run_in(directory, argv):
@@ -1003,15 +964,13 @@ def _run_in(directory, argv):
 @settings(max_examples=150)
 @given(cli_cases())
 def test_generated_commands_keep_the_cli_contract(case):
-    # files, flags and QMASK_TOL at the edges: exit 0, 1 or 2, never a traceback, a warning of any kind or a
-    # non-JSON stdout, and a second run gives the same bytes
+    # files and flags at the edges: exit 0, 1 or 2, never a traceback, a warning of any kind or a non-JSON
+    # stdout, and a second run, with QMASK_TOL set to any value, gives the same bytes: no command reads it
     argv, files, qmask_tol = case
     with tempfile.TemporaryDirectory() as directory, mock.patch.dict(os.environ), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         os.environ.pop("QMASK_TOL", None)
-        if qmask_tol is not None:
-            os.environ["QMASK_TOL"] = qmask_tol
         for name, content in files.items():
             Path(directory, name).write_bytes(content)
         code, out, err, _ = first = _run_in(directory, argv)
@@ -1020,5 +979,6 @@ def test_generated_commands_keep_the_cli_contract(case):
             assert err == "" and (out == "" or isinstance(_strict_json(out), dict))
         else:
             assert out == "" and re.fullmatch(r"qmask( \w+)?: (i/o )?error: [^\n]*\n", err), err
+        os.environ["QMASK_TOL"] = qmask_tol
         assert _run_in(directory, argv) == first
     assert not caught, [str(w.message) for w in caught]

@@ -36,14 +36,6 @@ from qmask.linalg import ENTRY_LABELS
 from _helpers import planted_product_op, random_op, random_params, random_state, rank_two_op
 
 
-def test_state_round_trip_exact():
-    for x, y in [(0.1, 0.2), (np.pi / 3, np.pi / 4), (1 / 3, 2 / 3), (3.14159, 6.28318)]:
-        s = AngleState(x, y)
-        text = docs.dump(docs.state_to_doc(s))
-        back = docs.state_from_doc(docs.load_text(text))
-        assert back.x == s.x and back.y == s.y
-
-
 def test_masker_round_trip_exact():
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -173,10 +165,10 @@ def test_float_arrays_enter_documents_as_their_float_view():
 
 
 def test_missing_field_diagnostics():
-    with pytest.raises(InvalidInputError, match="missing field 'y'"):
-        docs.state_from_doc({"x": 1.0})
+    with pytest.raises(InvalidInputError, match="missing field 'theta'"):
+        docs.masker_from_doc({"alpha": 1.0})
     with pytest.raises(InvalidInputError, match="must be a number"):
-        docs.state_from_doc({"x": "1.0", "y": 2.0})
+        docs.masker_from_doc({"alpha": "1.0", "theta": 2.0})
     with pytest.raises(InvalidInputError, match="operator.*missing field 'd1'"):
         docs.operator_from_doc({k: {"re": 1.0, "im": 0.0} for k in docs.OPERATOR_KEYS[:-1]})
     with pytest.raises(InvalidInputError, match="rho_b"):
@@ -238,7 +230,7 @@ HUGE = 10**400  # a JSON integer literal that json.loads keeps as an int no floa
 @pytest.mark.parametrize(
     "read, doc, message",
     [
-        (docs.state_from_doc, {"x": HUGE, "y": 0.0}, "^state: field 'x' must be a number"),
+        (docs.masker_from_doc, {"alpha": HUGE, "theta": 0.0}, "^masker: field 'alpha' must be a number"),
         (docs.masker_from_doc, {"alpha": 0.1, "theta": -HUGE}, "^masker: field 'theta' must be a number"),
         (
             docs.operator_from_doc,
@@ -277,8 +269,8 @@ def test_readers_take_every_integer_a_float_holds():
 
 @pytest.mark.parametrize("literal", ["1e400", "NaN", "-Infinity"])
 def test_readers_keep_the_downstream_message_for_nan_and_infinity(literal):
-    with pytest.raises(InvalidInputError, match="^angle coordinates must be finite$"):
-        docs.state_from_doc(docs.load_text(f'{{"x": {literal}, "y": 0}}'))
+    with pytest.raises(InvalidInputError, match="^masker parameters must be finite$"):
+        docs.masker_from_doc(docs.load_text(f'{{"alpha": {literal}, "theta": 0}}'))
 
 
 @pytest.mark.parametrize(

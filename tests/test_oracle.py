@@ -59,7 +59,7 @@ def test_grid_spec_validation():
     op, anchor = random_op(np.random.default_rng(0)), AngleState(1.0, 1.0)
     for bound in (1e308, np.float64(1e308)):
         with pytest.raises(InvalidInputError, match="finite"):
-            masked_fraction_scaling(op, anchor, [10], region=((-bound, bound), (0.0, 1.0)))
+            grid_flags(op, anchor, GridSpec(10, 20, region=((-bound, bound), (0.0, 1.0))), default_kappa(op))
     # a finite extent whose cell radii times L overflow: those cells stay live, without a warning
     grid = GridSpec(10, 20, region=((0.0, 1e308), (0.0, 1.0)))
     for tol in (1.0, 1e300):
@@ -594,10 +594,9 @@ def test_no_neighborhood_is_masked():
         x0 = rng.uniform(0.5, np.pi - 0.5)
         y0 = rng.uniform(0.5, 2 * np.pi - 0.5)
         region = ((x0 - delta, x0 + delta), (y0 - delta, y0 + delta))
-        rows = masked_fraction_scaling(
-            op, AngleState(x0, y0), [10, 160], region=region
-        )
-        (_, coarse), (_, fine) = rows
+        grids = [GridSpec(n, 2 * n, region=region) for n in (10, 160)]
+        flags = [grid_flags(op, AngleState(x0, y0), grid, default_kappa(op) * grid.spacing) for grid in grids]
+        coarse, fine = (float(np.count_nonzero(f)) / f.size for f in flags)
         assert fine <= 0.25 * coarse + 1e-12, (trial, coarse, fine)
         assert fine < 0.1, (trial, coarse, fine)
 
