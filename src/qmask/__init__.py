@@ -26,6 +26,7 @@ from .analysis import (
 )
 from .bloch import (
     AngleState,
+    AngleStates,
     Empty,
     SphericalCircle,
     angles_to_bloch,

@@ -18,6 +18,7 @@ component positive.  All circle-equality tests compare canonical forms.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -47,8 +48,8 @@ class AngleState:
     y: float
 
     def __init__(self, x: float, y: float):
-        x = float(x) + 0.0  # clears negative zeros
-        y = float(y) + 0.0
+        x = (x if type(x) is float else real_number(x)) + 0.0  # clears negative zeros
+        y = (y if type(y) is float else real_number(y)) + 0.0
         if not (0.0 <= x <= np.pi and 0.0 <= y < TWO_PI):  # NaN fails too
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise InvalidInputError("angle coordinates must be finite")
@@ -70,6 +71,46 @@ class AngleState:
         # frozen: the fields are set once, past the dataclass's __setattr__
         self.__dict__["x"] = x
         self.__dict__["y"] = y
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class AngleStates(Sequence):
+    """A read-only sequence of states held as two float arrays, ``xs`` and ``ys``, with no object per state.
+    Every pair gets the fields :class:`AngleState` gives it: pairs inside x in [0, pi], y in [0, 2pi) take one
+    vectorized test and only the others go through ``AngleState``, in index order, for its absorptions and its
+    errors; then exact poles get y = 0.  An index gives an ``AngleState``, a slice an ``AngleStates``."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+
+    def __init__(self, xs, ys):
+        x, y = (real_array(v).reshape(-1) + 0.0 for v in (xs, ys))  # fresh arrays, negative zeros cleared
+        if x.shape != y.shape:
+            raise InvalidInputError(f"expected as many x as y coordinates, got {x.size} and {y.size}")
+        for k in np.flatnonzero(~((0.0 <= x) & (x <= np.pi) & (0.0 <= y) & (y < TWO_PI))).tolist():  # NaN too
+            s = AngleState(x[k], y[k])
+            x[k], y[k] = s.x, s.y
+        y[(x == 0.0) | (x == np.pi)] = 0.0
+        for a in (x, y):
+            a.setflags(write=False)
+        self.__dict__.update(xs=x, ys=y)
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def __getitem__(self, index):
+        return (AngleStates if isinstance(index, slice) else AngleState)(self.xs[index], self.ys[index])
+
+    def __iter__(self):
+        return map(AngleState, self.xs.tolist(), self.ys.tolist())
+
+
+def real_number(value) -> float:
+    """``float(value)``, the one reading rule for the real scalars the public functions take; a complex number,
+    Python's or numpy's, is InvalidInputError, as :func:`real_array` rejects a complex array."""
+    if isinstance(value, float) or not isinstance(value, (complex, np.complexfloating)):
+        return float(value)
+    raise InvalidInputError(f"expected a real number, got {type(value).__name__}")
 
 
 def real_array(values) -> np.ndarray:
@@ -184,7 +225,7 @@ class SphericalCircle:
 
     def __post_init__(self):
         n = real_array(self.normal)
-        c = float(self.offset)
+        c = real_number(self.offset)
         if n.shape != (3,) or not np.isfinite(n).all() or not np.isfinite(c):
             raise InvalidInputError("circle requires a finite 3-vector normal and finite offset")
         (n,), (c,) = canonical_planes(n[None], np.array([c]))
@@ -236,11 +277,12 @@ def circle_from_mask_params(alpha: float, theta: float, cval: float) -> Spherica
     This is the spherical circle carved out by holding the masking
     invariant of the (alpha, theta) family at the value ``cval``.
     """
-    if not (np.isfinite(alpha) and np.isfinite(theta) and np.isfinite(cval)):
+    alpha, theta, cval = real_number(alpha), real_number(theta), real_number(cval)
+    if not (math.isfinite(alpha) and math.isfinite(theta) and math.isfinite(cval)):
         raise InvalidInputError("mask parameters must be finite")
     if abs(cval) > 1.0 + 1e-12:
-        raise EmptyCircleError(f"level value {float(cval)} outside [-1, 1]: empty circle")
-    return SphericalCircle(mask_normals(alpha, theta), float(np.clip(cval, -1.0, 1.0)))
+        raise EmptyCircleError(f"level value {cval} outside [-1, 1]: empty circle")
+    return SphericalCircle(mask_normals(alpha, theta), min(max(cval, -1.0), 1.0))
 
 
 def mask_normals(alpha, theta) -> np.ndarray:
@@ -400,8 +442,8 @@ def cut_sphere(normals, offsets, tol: float) -> MaskableClass | Empty:
     return PointPair(pa, pb) if pa[i] < pb[i] else PointPair(pb, pa)
 
 
-def sample_circle(circle: SphericalCircle, k: int) -> list[AngleState]:
-    """k points uniformly spaced by central angle around the circle.
+def sample_circle(circle: SphericalCircle, k: int) -> AngleStates:
+    """k points uniformly spaced by central angle around the circle, as one :class:`AngleStates`.
 
     ``k`` must be an integer of at least 1 whose (k, 3) points, 24 * k
     bytes, numpy can size: past that it is InvalidInputError, before any
@@ -419,9 +461,9 @@ def sample_circle(circle: SphericalCircle, k: int) -> list[AngleState]:
     axis[int(np.argmin(np.abs(n)))] = 1.0
     e1 = axis - (axis @ n) * n
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
+    (n0, n1, n2), (a0, a1, a2) = n.tolist(), e1.tolist()
+    e2 = np.array([n1 * a2 - n2 * a1, n2 * a0 - n0 * a2, n0 * a1 - n1 * a0])  # n x e1, as np.cross rounds it
     phi = TWO_PI * np.arange(k) / k
     p = circle.center + r * (np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2)
     p /= _norms(p)[:, None]
-    xs, ys = bloch_angles(p)
-    return list(map(AngleState, xs.tolist(), ys.tolist()))
+    return AngleStates(*bloch_angles(p))

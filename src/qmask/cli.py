@@ -39,7 +39,7 @@ import numpy as np
 
 from . import documents as docs
 from .analysis import constraint_planes, maskable_set, operator_scale, product_form_diagnosis
-from .bloch import AngleState, bloch_points, sample_circle
+from .bloch import AngleState, AngleStates, bloch_points, sample_circle
 from .crosscheck import agreement_report
 from .errors import CorruptShareError, InvalidInputError, InvariantViolationError, check_positive_finite
 from .linalg import reduced_pair
@@ -88,10 +88,8 @@ def _write(path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _csv_rows(states) -> str:
-    xs = np.array([s.x for s in states])
-    ys = np.array([s.y for s in states])
-    rows = np.column_stack([xs, ys, bloch_points(xs, ys)]).tolist()
+def _csv_rows(states: AngleStates) -> str:
+    rows = np.column_stack([states.xs, states.ys, bloch_points(states.xs, states.ys)]).tolist()
     return "x,y,X,Y,Z\n" + "".join("{:.17g},{:.17g},{:.17g},{:.17g},{:.17g}\n".format(*r) for r in rows)
 
 

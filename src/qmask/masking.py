@@ -38,19 +38,21 @@ of those matrices by :func:`masker_matrices`.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
 from .bloch import (
     TWO_PI,
     AngleState,
+    AngleStates,
     SphericalCircle,
     angles_to_bloch,
     canonical_mask_params,
     circle_from_mask_params,
     circle_through_points,
+    real_number,
 )
 from .analysis import GeneralLinearOp, apply_matrix
 from .errors import InvalidInputError, check_positive_finite
@@ -65,7 +67,8 @@ class MaskerParams:
     theta: float
 
     def __init__(self, alpha: float, theta: float):
-        a, t = float(alpha), float(theta)
+        a = alpha if type(alpha) is float else real_number(alpha)
+        t = theta if type(theta) is float else real_number(theta)
         if not (0.0 <= a < np.pi and 0.0 <= t < TWO_PI):  # NaN fails too
             if not (math.isfinite(a) and math.isfinite(t)):
                 raise InvalidInputError("masker parameters must be finite")
@@ -136,8 +139,9 @@ def maskable_circle(params: MaskerParams, anchor: AngleState) -> SphericalCircle
     return circle_from_mask_params(params.alpha, params.theta, hbar(params, anchor))
 
 
-def verify_mask(op: GeneralLinearOp, states: list[AngleState], tol: float = TOL_EQUALITY) -> MaskReport:
-    """Check that all states produce identical reduced pairs under the operator.
+def verify_mask(op: GeneralLinearOp, states: Sequence[AngleState], tol: float = TOL_EQUALITY) -> MaskReport:
+    """Check that all states produce identical reduced pairs under the operator, read as the ``xs`` and ``ys``
+    of an :class:`~qmask.bloch.AngleStates`, into which any other sequence of states is read first.
 
     Every state is compared against the first (identity of marginals is
     transitive, so O(n) comparisons suffice); deviations are Frobenius
@@ -148,8 +152,9 @@ def verify_mask(op: GeneralLinearOp, states: list[AngleState], tol: float = TOL_
     check_positive_finite(tol, f"tol={tol}")
     if not states:
         raise InvalidInputError("verify_mask needs at least one state")
-    xs, ys = (np.fromiter(map(attrgetter(c), states), float, len(states)) for c in "xy")
-    entries = reduced_entries(apply_matrix(op.unit, xs, ys))
+    if not isinstance(states, AngleStates):
+        states = AngleStates([s.x for s in states], [s.y for s in states])
+    entries = reduced_entries(apply_matrix(op.unit, states.xs, states.ys))
     with np.errstate(over="ignore"):
         dev_a, dev_b = np.ldexp(frobenius_distances((entries - entries[0]).T), 2 * op.exponent)
     max_a, max_b = float(dev_a.max()), float(dev_b.max())

@@ -82,7 +82,7 @@ from numbers import Integral
 import numpy as np
 
 from .analysis import GeneralLinearOp, apply_matrix, operator_scale
-from .bloch import AngleState
+from .bloch import AngleState, AngleStates
 from .errors import InvalidInputError, check_positive_finite
 from .linalg import frobenius_distances, reduced_entries, trace_into
 
@@ -283,12 +283,10 @@ def grid_flags(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec, tol: flo
     return flags.ravel()
 
 
-def grid_scan(
-    op: GeneralLinearOp, anchor: AngleState, grid: GridSpec, tol: float
-) -> list[AngleState]:
-    """All grid states whose raw reduced pair matches the anchor's within tol, a positive finite number."""
+def grid_scan(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec, tol: float) -> AngleStates:
+    """The grid states whose raw reduced pair matches the anchor's within tol, positive and finite, x-major."""
     i, j = np.divmod(np.flatnonzero(grid_flags(op, anchor, grid, tol)), grid.ny)
-    return list(map(AngleState, grid.xs[i].tolist(), grid.ys[j].tolist()))
+    return AngleStates(grid.xs[i], grid.ys[j])
 
 
 def default_kappa(op: GeneralLinearOp) -> float:

@@ -2,6 +2,8 @@ import dataclasses
 import math
 import pickle
 import re
+import warnings
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from qmask import (
     AngleState,
+    AngleStates,
     Circle,
     Empty,
     EmptyCircleError,
@@ -33,7 +36,7 @@ from qmask import (
     sample_circle,
 )
 from qmask.bloch import CANON_EPS, TWO_PI, column_norms, point_distances, real_array
-from _helpers import EDGE_ARGS, edge_or_any, field_bits, reference_angle_fields
+from _helpers import EDGE_ARGS, EDGE_FLOATS, edge_or_any, field_bits, reference_angle_fields
 
 angles_x = st.floats(min_value=0.0, max_value=np.pi)
 angles_y = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True)
@@ -135,6 +138,84 @@ def test_angle_state_clears_negative_zeros():
     assert math.copysign(1.0, s.x) == 1.0 and math.copysign(1.0, s.y) == 1.0
     assert math.copysign(1.0, AngleState(0.5, -0.0).y) == 1.0
     assert math.copysign(1.0, bloch_to_angles([0.6, -0.0, 0.8]).y) == 1.0
+
+
+@pytest.mark.parametrize("read, kind", [
+    (lambda: AngleState(1j, 0), "complex"),
+    (lambda: AngleState(np.complex128(1 + 1j), 0), "complex128"),
+    (lambda: AngleState(0.5, np.complex64(0.25)), "complex64"),
+    (lambda: MaskerParams(np.complex128(0.5), 0.1), "complex128"),
+    (lambda: circle_from_mask_params(0.3, 0.2, 0.1j), "complex"),
+    (lambda: SphericalCircle([0, 0, 1], 0.5j), "complex"),
+], ids=["angle_state", "angle_state_numpy", "angle_state_complex64", "masker_params", "mask_params", "circle"])
+def test_complex_scalars_are_invalid_input(read, kind):
+    # the scalar readers reject a complex number as real_array rejects a complex array, where they raised a
+    # bare TypeError or cut a numpy complex to its real part with a ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=f"^expected a real number, got {kind}$"):
+            read()
+
+
+def _angle_states_fields(x, y):
+    s = AngleStates([x], [y])
+    return s.xs.item(0), s.ys.item(0)
+
+
+def test_angle_states_rules_at_the_edges():
+    # the arrays hold, for every pair of edge floats, the fields AngleState gives it, or raise its error
+    for x in EDGE_FLOATS + [math.nan, math.inf, -math.inf]:
+        for y in EDGE_FLOATS + [math.nan, -math.inf]:
+            assert field_bits(_angle_states_fields, x, y) == field_bits(angle_fields, x, y), (x, y)
+
+
+_near_edges = st.sampled_from([0.0, np.pi, TWO_PI]).flatmap(lambda e: st.floats(-2e-12, 2e-12).map(lambda d: e + d))
+_x_coords = st.floats(0.0, np.pi) | st.sampled_from([-0.0, 0.0, np.pi]) | _near_edges | st.sampled_from(EDGE_FLOATS)
+_y_coords = st.floats(0.0, TWO_PI, exclude_max=True) | st.sampled_from([-0.0, 0.0]) | _near_edges | st.just(math.nan)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(_x_coords, _y_coords), max_size=10))
+def test_angle_states_are_the_states_of_each_pair(pairs):
+    # element by element the bits of [AngleState(x, y), ...], or the error of the first pair that raises
+    xs, ys = np.array(pairs).reshape(-1, 2).T
+    try:
+        want = [(s.x.hex(), s.y.hex()) for s in (AngleState(x, y) for x, y in pairs)]
+    except InvalidInputError as exc:
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(str(exc))}$"):
+            AngleStates(xs, ys)
+        return
+    got = AngleStates(xs, ys)
+    assert [(x.hex(), y.hex()) for x, y in zip(got.xs.tolist(), got.ys.tolist())] == want
+    assert [(s.x.hex(), s.y.hex()) for s in got] == want and got.xs.dtype == got.ys.dtype == np.float64
+
+
+def test_angle_states_is_a_read_only_sequence():
+    # the poles at 0 and 2 are one state, whose first index is 0
+    xs, ys = np.array([0.0, 1.0, -0.0, np.pi, 2.0]), np.array([1.0, 2.0, 3.0, 4.0, -1e-13])
+    states = AngleStates(xs, ys)
+    want = [AngleState(x, y) for x, y in zip(xs, ys)]
+    assert isinstance(states, Sequence) and len(states) == 5 and states
+    assert list(states) == want and all(type(s.x) is type(s.y) is float for s in states)
+    assert [states[k] for k in range(-5, 5)] == want + want
+    with pytest.raises(IndexError):
+        states[5]
+    for part in (states[1:4], states[::-2], states[7:]):
+        assert isinstance(part, AngleStates)
+    assert list(states[1:4]) == want[1:4] and list(states[::-2]) == want[::-2] and len(states[7:]) == 0
+    assert list(reversed(states)) == want[::-1] and AngleState(np.pi, 0.0) in states and states.index(want[2]) == 0
+    # the arrays are the states' own: read-only, and copies that leave the caller's arrays as they were
+    for array in (states.xs, states.ys):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        states.xs = xs
+    assert math.copysign(1.0, xs[2]) == -1.0 and ys[0] == 1.0 and ys[4] == -1e-13
+    assert states == states and states != AngleStates(xs, ys)  # identity, as for the other array holders
+    with pytest.raises(InvalidInputError, match="^expected as many x as y coordinates, got 2 and 3$"):
+        AngleStates([1.0, 1.0], [1.0, 1.0, 1.0])
+    with pytest.raises(InvalidInputError, match="^expected real numbers, got an array of complex128$"):
+        AngleStates([1.0j], [1.0])
 
 
 def test_angles_to_bloch_poles():

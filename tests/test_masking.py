@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qmask import (
     AngleState,
+    AngleStates,
     GeneralLinearOp,
     InvalidInputError,
     MaskerParams,
@@ -230,8 +231,27 @@ def test_verify_mask_single_state():
 
 
 def test_verify_mask_rejects_empty():
-    with pytest.raises(InvalidInputError):
-        verify_mask(build_masker(MaskerParams(1.0, 1.0)), [])
+    for states in ([], AngleStates([], [])):
+        with pytest.raises(InvalidInputError, match="^verify_mask needs at least one state$"):
+            verify_mask(build_masker(MaskerParams(1.0, 1.0)), states)
+
+
+def test_verify_mask_reads_a_list_as_its_angle_states():
+    # every field of the report, the witness included, is the same for an AngleStates and the list of its states
+    rng = np.random.default_rng(5)
+    params = random_params(rng)
+    circle = sample_circle(maskable_circle(params, random_state(rng)), 40)
+    scattered = AngleStates(rng.uniform(0.0, np.pi, 30), rng.uniform(0.0, 2 * np.pi, 30))
+    mixed = AngleStates(np.r_[circle.xs[:5], scattered.xs], np.r_[circle.ys[:5], scattered.ys])
+    witnesses = 0
+    for op in (build_masker(params), GeneralLinearOp(*(rng.normal(size=8) + 1j * rng.normal(size=8)))):
+        for states in (circle, scattered, mixed, circle[:1]):
+            for tol in (1e-10, 0.3):
+                got, want = verify_mask(op, states, tol), verify_mask(op, list(states), tol)
+                assert got == want and got.max_deviation_a.hex() == want.max_deviation_a.hex()
+                assert got.max_deviation_b.hex() == want.max_deviation_b.hex()
+                witnesses += got.witness is not None
+    assert witnesses >= 6
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])

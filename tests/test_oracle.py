@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from qmask import (
     AngleState,
+    AngleStates,
     Circle,
     GeneralLinearOp,
     GridSpec,
@@ -26,6 +28,8 @@ from qmask import (
     masked_fraction_scaling,
     operator_scale,
     reduced_pair,
+    sample_circle,
+    verify_mask,
 )
 from qmask import crosscheck, oracle
 from _helpers import (
@@ -338,6 +342,21 @@ def test_grid_flags_evaluates_few_nodes(monkeypatch):
     assert np.array_equal(flags, grid_deviations(op, anchor, grid) <= tol)
 
 
+def test_the_circle_and_scan_paths_make_no_state_objects(monkeypatch):
+    # sampling a circle, verifying the samples and scanning a grid hold their states as arrays: no
+    # AngleState is made, where each made one per sample, read back by verify_mask, or per flagged node
+    made = []
+    init = AngleState.__init__
+    params, anchor, grid = MaskerParams(1.1, 0.7), AngleState(1.0, 1.0), GridSpec(200, 400)
+    op = build_masker(params)
+    monkeypatch.setattr(AngleState, "__init__", lambda self, x, y: made.append((x, y)) or init(self, x, y))
+    report = verify_mask(op, sample_circle(maskable_circle(params, anchor), 360))
+    hits = grid_scan(op, anchor, grid, default_kappa(op) * grid.spacing)
+    assert report.ok and len(hits) > 1000 and made == []
+    AngleState(0.5, 0.5)  # the count does see a state made
+    assert made == [(0.5, 0.5)]
+
+
 def dense_report(op, anchor, grid, band_bound):
     """agreement_report by definition, from grid_deviations and class_distance at every node.
 
@@ -460,6 +479,30 @@ def test_grid_scan_hugs_the_circle():
 
     for s in hits[:: max(1, len(hits) // 50)]:
         assert distance_to_circle(circle, angles_to_bloch(s)) < 1e-5
+
+
+@pytest.mark.parametrize("grid", BLOCK_EDGE_GRIDS + [GridSpec(7, 9, region=((-1e-13, np.pi + 1e-13), (-1e-13, 6.0)))],
+                         ids=lambda g: f"{g.nx}x{g.ny}")
+def test_grid_scan_is_the_states_of_the_flagged_nodes(grid):
+    # bit for bit the states made one flagged node at a time, on a spacing-tied and on a vacuous tolerance
+    # (every node, the poles with y != 0 among them), and on a region whose edges AngleState absorbs
+    op, anchor = masker_op(1.1, 0.7), AngleState(1.0, 1.0)
+    for tol in (default_kappa(op) * grid.spacing, np.finfo(float).max):
+        i, j = np.divmod(np.flatnonzero(grid_flags(op, anchor, grid, tol)), grid.ny)
+        want = list(map(AngleState, grid.xs[i].tolist(), grid.ys[j].tolist()))
+        got = grid_scan(op, anchor, grid, tol)
+        assert isinstance(got, AngleStates) and len(got) == len(want)
+        assert [(s.x.hex(), s.y.hex()) for s in got] == [(s.x.hex(), s.y.hex()) for s in want]
+
+
+@pytest.mark.parametrize("region", [((-0.5, 1.0), (0.0, 1.0)), ((0.0, 3.5), (0.0, 1.0)), ((0.0, 1.0), (6.0, 7.0))])
+def test_grid_scan_outside_the_angle_ranges_raises_the_state_error(region):
+    # a vacuous tolerance flags every node: the error is that of the first node, x-major, as a state
+    grid = GridSpec(6, 4, region=region)
+    with pytest.raises(InvalidInputError) as old:
+        list(map(AngleState, *(axis.tolist() for axis in grid_points(grid))))
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(str(old.value))}$"):
+        grid_scan(masker_op(1.1, 0.7), AngleState(1.0, 1.0), grid, np.finfo(float).max)
 
 
 def test_grid_scan_identity_embedding_isolated():
