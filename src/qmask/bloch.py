@@ -78,7 +78,8 @@ class AngleStates(Sequence):
     """A read-only sequence of states held as two float arrays, ``xs`` and ``ys``, with no object per state.
     Every pair gets the fields :class:`AngleState` gives it: pairs inside x in [0, pi], y in [0, 2pi) take one
     vectorized test and only the others go through ``AngleState``, in index order, for its absorptions and its
-    errors; then exact poles get y = 0.  An index gives an ``AngleState``, a slice an ``AngleStates``."""
+    errors; then exact poles get y = 0.  An index gives an ``AngleState``, a slice an ``AngleStates``.  A pickle
+    rebuilds the set through ``__init__``, so the loaded arrays are read-only too."""
 
     xs: np.ndarray
     ys: np.ndarray
@@ -95,6 +96,9 @@ class AngleStates(Sequence):
             a.setflags(write=False)
         self.__dict__.update(xs=x, ys=y)
 
+    def __reduce__(self):
+        return AngleStates, (self.xs, self.ys)
+
     def __len__(self) -> int:
         return len(self.xs)
 
@@ -107,10 +111,13 @@ class AngleStates(Sequence):
 
 def real_number(value) -> float:
     """``float(value)``, the one reading rule for the real scalars the public functions take; a complex number,
-    Python's or numpy's, is InvalidInputError, as :func:`real_array` rejects a complex array."""
-    if isinstance(value, float) or not isinstance(value, (complex, np.complexfloating)):
+    Python's or numpy's, a 0-d complex array too, is InvalidInputError, as :func:`real_array` rejects a complex
+    array."""
+    if isinstance(value, float):
         return float(value)
-    raise InvalidInputError(f"expected a real number, got {type(value).__name__}")
+    if isinstance(value, complex) or getattr(getattr(value, "dtype", None), "kind", None) == "c":
+        raise InvalidInputError(f"expected a real number, got {getattr(value, 'dtype', type(value).__name__)}")
+    return float(value)
 
 
 def real_array(values) -> np.ndarray:

@@ -14,10 +14,15 @@ comparison between the two lives here.  Agreement holds when
 
 The flags come from :func:`qmask.oracle.grid_flags`, and distances to the
 class are taken only where the two tests need them: at the flagged nodes,
-and at the nodes :meth:`qmask.oracle.GridSpec.live_nodes` keeps on the bound
-class_distance(centre) - r with one spacing as threshold.  The distance to
-a set is 1-Lipschitz, and Bloch distance at most angle distance, so the
-bound holds at every node of the cell.  Both take their Bloch points from
+and at the near nodes, those :meth:`qmask.oracle.GridSpec.live_nodes`
+accepts or leaves undecided for the value class_distance(centre), the
+slope 1 and one spacing as threshold.  The distance to a set is
+1-Lipschitz in the Bloch point, and a cell's radius is at least the Bloch
+distance from its centre to each of its nodes, so no node within one
+spacing of the class is skipped.  The nodes of an accepted cell join the
+near ones too; only a cell whose radius is under one spacing can be
+accepted, such as an edge cell one node wide at a pole.  Both take their
+Bloch points from
 :func:`node_points`: the sine and cosine of each axis of the grid's
 coordinates once per report, not four per node.  The coordinates and the
 cell tables are the grid's own fields, made when the grid is, so a report
@@ -58,8 +63,8 @@ def agreement_report(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec) ->
     flagged = grid_flags(op, anchor, grid, tol)
     points = node_points(grid)
     seen = flagged.copy()
-    near = grid.live_nodes(lambda ci, cj, r: class_distance(mask_class, points(ci, cj)) - r, grid.spacing)
-    seen.reshape(grid.nx, grid.ny)[near] = True
+    for near in grid.live_nodes(lambda i, j: class_distance(mask_class, points(i, j)), 1.0, grid.spacing):
+        seen.reshape(grid.nx, grid.ny)[near] = True
     nodes = np.flatnonzero(seen)
     i, j = np.divmod(nodes, grid.ny)
     dist = class_distance(mask_class, points(i, j))
@@ -91,7 +96,7 @@ def agreement_report(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec) ->
     return {
         "resolution": grid.nx,
         "tolerance": float(tol),
-        "flagged": int(flagged.sum()),
+        "flagged": int(np.count_nonzero(flagged)),
         "max_distance_to_class": max_dist,
         "band_bound": float(outer),
         "agreement": "OK" if (complete and sound) else "MISMATCH",

@@ -28,13 +28,18 @@ reads, so no call on a grid remakes them.
 
 :func:`grid_flags` gives the same flags from a fraction of the nodes.  By
 the paper's first theorem no nonzero operator masks a set of nonzero
-measure, so almost every node lies far from the masked set.  It walks the
-cells with :meth:`GridSpec.live_nodes` on the bound dev(centre) - L * r,
-r being a cell's angle-space radius: at most the deviation at every node
-of the cell, with L = |M^dagger M|_F / 2, half the Frobenius norm of the
-2x2 Gram matrix of M:
+measure, so almost every node lies far from the masked set, and by its
+second a masker's maskable set is a circle, so at tol = kappa * h its
+flags fill a band around that circle.  It walks the cells with
+:meth:`GridSpec.live_nodes` on the two bounds dev(centre) -+ L * r, r
+being a cell's radius in Bloch distance: at most and at least the
+deviation at every node of the cell, with L = |M^dagger M|_F / 2, half the
+Frobenius norm of the 2x2 Gram matrix of M.  A cell whose lower bound
+exceeds tol holds no flag and is skipped; a cell whose upper bound is at
+most tol is all flags and is accepted whole, unevaluated; only the nodes
+of the cells left undecided at the finest size are evaluated.
 
-* the deviation is Lipschitz in the Bloch point with constant L.  With
+* The deviation is Lipschitz in the Bloch point with constant L.  With
   rho(p) = (1 + p . sigma)/2, rho(p) - rho(q) = |p - q| (u u^dagger -
   v v^dagger)/2 for an orthonormal basis u, v of C^2.  With a = M u and
   b = M v, rho_A(p) - rho_A(q) = |p - q| (P - Q)/2, where P = Tr_B(a a^dagger)
@@ -42,9 +47,16 @@ of the cell, with L = |M^dagger M|_F / 2, half the Frobenius norm of the
   |b|^2.  So |P - Q|_F^2 <= tr P^2 + tr Q^2 <= |a|^4 + |b|^4, and |a|^2 and
   |b|^2 are the diagonal of M^dagger M in the basis u, v, so their squares
   sum to at most |M^dagger M|_F^2.  The difference is at most L |p - q|;
-  likewise for rho_B;
-* the Bloch distance |p - q| is at most the angle-space distance, since
-  ds^2 = dx^2 + sin^2 x dy^2.
+  likewise for rho_B.
+* The cap lemma: a cell's radius hypot(reach_x, cap * reach_y) is at
+  least the Bloch distance from its centre to each of its nodes, where
+  cap is the largest |sin x| over the cell's x range.  The Bloch distance
+  |p - q| is a chord, at most the length of any path on the sphere
+  between the points, and the straight (x, y) segment from the centre to
+  a node is one.  Under ds^2 = dx^2 + sin^2 x dy^2 its length is at most
+  sqrt(dx^2 + cap^2 dy^2), since the segment's x stays in the cell's x
+  range.  Near the poles cap is small, so a cell there is far smaller on
+  the sphere than in angle space.
 
 L = sqrt(sigma_1^4 + sigma_2^4)/2 in the singular values of M, at most
 sigma_1^2 / sqrt(2) and at most half the operator scale |M|_F^2.  It is
@@ -52,12 +64,13 @@ sharp: for a masker L = 1/sqrt(2), and pairs of nearby points reach
 slopes above 0.99 L.
 
 Each radius carries an allowance ``_ROUNDING`` for rounding, so a
-skipped cell clears tol by 2**-40 L.  M is 4x2 with at most two singular
-values, so |M^dagger M|_F >= tr(M^dagger M)/sqrt(2) and L is at least
-the operator scale over 2 sqrt(2) and the allowance at least 2**-42 times
-the scale: still far more than the few ulps of the scale by which a
-computed deviation, or L itself, can be off.  The flags are those of the
-dense pass exactly, at any tolerance.
+skipped cell clears tol by 2**-40 L, and an accepted cell stays under it
+by as much: the allowance covers both sides alike.  M is 4x2 with at most
+two singular values, so |M^dagger M|_F >= tr(M^dagger M)/sqrt(2) and L is
+at least the operator scale over 2 sqrt(2) and the allowance at least
+2**-42 times the scale: still far more than the few ulps of the scale by
+which a computed deviation, cap, or L itself can be off.  The flags are
+those of the dense pass exactly, at any tolerance.
 
 The grid tolerance is tied to the spacing (tol = kappa * h) so the
 discrete masked set converges onto the continuum set as the grid is
@@ -95,21 +108,23 @@ _BLOCK_NODES = 4096
 _WORKSPACE_ROWS = 90
 # Nodes along each side of the pruning cells, coarse to fine; each size divides the one before.
 _CELL_SIZES = (16, 4)
-# Allowance, in radians of cell radius, for the rounding of a cell's bound (see the module docstring).
+# Allowance, in Bloch distance, for the rounding of a cell's two bounds (see the module docstring).
 _ROUNDING = 2.0**-40
 
 
-def _cell_table(xs: np.ndarray, ys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The centre nodes of the size x size cells of the grid on axes xs and ys, as x and y indices, and each
-    cell's reach along x and y.
+def _cell_table(xs: np.ndarray, ys: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
+    """The centre nodes of the size x size cells of the grid on axes xs and ys, as x and y indices, each
+    cell's reach along x and y, and each x-cell's cap.
 
     Cell (a, b) holds the nodes size*a ... size*a + size - 1 along x and
     likewise along y, cut at the grid's edge; its centre is its node
     (size - 1) // 2 along each axis, or its last one in a cell cut
     shorter.  Its reach along an axis is the largest distance from the
-    centre to a node of the cell along it; its radius, the largest
-    angle-space distance from the centre to a node of the cell, is the
-    hypot of its two reaches, and :meth:`GridSpec.live_nodes` adds
+    centre to a node of the cell along it, and its cap the largest |sin x|
+    over its x range: 1 where that range holds pi/2 + k pi, else the larger
+    at its two ends.  Its radius hypot(reach_x, cap * reach_y) is at least
+    the Bloch distance from the centre to each node of the cell (the cap
+    lemma of the module docstring), and :meth:`GridSpec.live_nodes` adds
     ``_ROUNDING`` for the rounding of the bounds it enters.
     """
     centres, reach = [], []
@@ -118,7 +133,12 @@ def _cell_table(xs: np.ndarray, ys: np.ndarray, size: int) -> tuple[np.ndarray, 
         c = np.minimum(starts + (size - 1) // 2, axis.size - 1)
         centres.append(c)
         reach.append(np.maximum.reduceat(np.abs(axis - axis[c.repeat(size)[: axis.size]]), starts))
-    return centres[0], centres[1], reach[0], reach[1]
+    starts = np.arange(0, xs.size, size)
+    lo, hi = xs[starts], xs[np.minimum(starts + size, xs.size) - 1]
+    # a peak of |sin x| at pi/2 + k pi in (lo, hi] changes the floor; one at lo is |sin lo| itself
+    peak = np.floor((hi - np.pi / 2) / np.pi) != np.floor((lo - np.pi / 2) / np.pi)
+    cap = np.where(peak, 1.0, np.maximum(np.abs(np.sin(lo)), np.abs(np.sin(hi))))
+    return centres[0], centres[1], reach[0], reach[1], cap
 
 
 @dataclass(frozen=True)
@@ -134,7 +154,9 @@ class GridSpec:
     y coordinates, and ``cells`` holds the
     :func:`_cell_table` of each size in ``_CELL_SIZES``, in that order; like
     ``GeneralLinearOp.matrix`` they take no part in equality, hashing or
-    ``repr``, which see ``nx``, ``ny`` and ``region`` only.
+    ``repr``, which see ``nx``, ``ny`` and ``region`` only.  A pickle holds
+    those three alone, and loading it builds the grid anew, read-only fields
+    and all.
     """
 
     nx: int
@@ -163,6 +185,9 @@ class GridSpec:
         for name, value in ("xs", xs), ("ys", ys), ("cells", cells):
             object.__setattr__(self, name, value)
 
+    def __reduce__(self):
+        return GridSpec, (self.nx, self.ny, self.region)
+
     @property
     def spacing(self) -> float:
         """The coarser of the two axis spacings."""
@@ -175,30 +200,42 @@ class GridSpec:
         ``fine`` divides ``size``.  The x and y indices come cell by cell, x-major
         within each cell, cut at the grid's edge.
         """
+        if not a.size:  # most walks accept no cell, and this returns at a tenth of the cost
+            return a, b
         k = size // fine
         da, db = np.divmod(np.arange(k * k), k)  # each sub-cell's offsets, x-major
         sub_a, sub_b = (k * a[:, None] + da).ravel(), (k * b[:, None] + db).ravel()
         inside = (sub_a < -(-self.nx // fine)) & (sub_b < -(-self.ny // fine))
         return sub_a[inside], sub_b[inside]
 
-    def live_nodes(self, bound, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-        """The x and y indices of the nodes of the cells still live after a coarse-to-fine walk.
+    def live_nodes(self, value, slope: float, threshold: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The x and y indices of the nodes a coarse-to-fine walk leaves undecided, and of those it accepts.
 
-        The one place cells are walked.  ``bound(i, j, radius)`` is called on
-        the centres and radii (:attr:`cells`) of the live cells of each size
-        in ``_CELL_SIZES``, from all cells of the first size.  A cell whose
-        bound is greater than ``threshold`` is skipped (a NaN keeps it); each
-        other is split (:meth:`split`) into the cells of the next size, or at
-        the last into its nodes, returned cell by cell.  If the bound is at
-        most some value at each node of the cell, no node whose value is at
-        most ``threshold`` is skipped, since a cell lies inside its parent.
+        The one place cells are walked.  ``value(i, j)`` is called at the
+        centres (:attr:`cells`) of the undecided cells of each size in
+        ``_CELL_SIZES``, from all cells of the first size; ``slope`` bounds
+        how fast the value can change per unit of Bloch distance.  With r a
+        cell's radius plus ``_ROUNDING``, a cell whose value - slope * r is
+        greater than ``threshold`` is skipped (a NaN keeps it); one whose
+        value + slope * r is at most ``threshold`` is accepted, all its nodes;
+        each other is split (:meth:`split`) into the cells of the next size,
+        or at the last into its nodes, the undecided ones.  Both come cell by
+        cell.  If the value is ``slope``-Lipschitz in the Bloch point, no node
+        whose value is at most ``threshold`` is skipped and no node whose
+        value is greater is accepted, since a cell lies inside its parent.
         """
         sizes = _CELL_SIZES + (1,)
         a, b = np.indices((-(-self.nx // sizes[0]), -(-self.ny // sizes[0]))).reshape(2, -1)
-        for size, fine, (ci, cj, reach_x, reach_y) in zip(sizes, sizes[1:], self.cells):
-            live = ~(bound(ci[a], cj[b], np.hypot(reach_x[a], reach_y[b]) + _ROUNDING) > threshold)
-            a, b = self.split(a[live], b[live], size, fine)
-        return a, b
+        accepted = []
+        for size, fine, (ci, cj, reach_x, reach_y, cap) in zip(sizes, sizes[1:], self.cells):
+            centre = value(ci[a], cj[b])
+            margin = slope * (np.hypot(reach_x[a], cap[a] * reach_y[b]) + _ROUNDING)
+            accept = centre + margin <= threshold
+            accepted.append(self.split(a[accept], b[accept], size))
+            undecided = ~(accept | (centre - margin > threshold))
+            a, b = self.split(a[undecided], b[undecided], size, fine)
+        i, j = (np.concatenate(nodes) for nodes in zip(*accepted))
+        return (a, b), (i, j)
 
 
 class _NodeDeviations:
@@ -266,20 +303,25 @@ def grid_deviations(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec):
 
 
 def grid_flags(op: GeneralLinearOp, anchor: AngleState, grid: GridSpec, tol: float) -> np.ndarray:
-    """``grid_deviations(op, anchor, grid) <= tol`` exactly, from the nodes :meth:`GridSpec.live_nodes` keeps.
+    """``grid_deviations(op, anchor, grid) <= tol`` exactly: True at the nodes :meth:`GridSpec.live_nodes`
+    accepts, and the evaluated test at those it leaves undecided.
 
-    The bound and its L are those of the module docstring.  Raises InvalidInputError unless tol is a
+    The bounds and their L are those of the module docstring.  Raises InvalidInputError unless tol is a
     positive finite number, and when the operator's squared norm over- or underflows.
     """
     check_positive_finite(tol, f"tol={tol}")
     operator_scale(op)  # so an operator whose squared norm over- or underflows raises
     deviations, m, e = _NodeDeviations(op, anchor, grid), op.unit, op.exponent
     lipschitz = np.linalg.norm(m.conj().T @ m) / 2
-    # An L * r that overflows is +inf: the bound is then -inf and keeps the cell live, as it should.
-    with np.errstate(over="ignore"):
-        i, j = grid.live_nodes(lambda ci, cj, r: np.ldexp(deviations(ci, cj) - lipschitz * r, 2 * e), tol)
+    # An L * r that overflows is +inf: the lower bound is then -inf (or NaN, from an infinite deviation) and
+    # the upper bound +inf, so the cell is split, as it should be.
+    with np.errstate(over="ignore", invalid="ignore"):
+        undecided, accepted = grid.live_nodes(
+            lambda i, j: np.ldexp(deviations(i, j), 2 * e), np.ldexp(lipschitz, 2 * e), tol
+        )
     flags = np.zeros((grid.nx, grid.ny), dtype=bool)
-    flags[i, j] = np.ldexp(deviations(i, j), 2 * e) <= tol
+    flags[accepted] = True
+    flags[undecided] = np.ldexp(deviations(*undecided), 2 * e) <= tol
     return flags.ravel()
 
 

@@ -144,13 +144,15 @@ def test_angle_state_clears_negative_zeros():
     (lambda: AngleState(1j, 0), "complex"),
     (lambda: AngleState(np.complex128(1 + 1j), 0), "complex128"),
     (lambda: AngleState(0.5, np.complex64(0.25)), "complex64"),
+    (lambda: AngleState(np.array(1j), 0), "complex128"),
     (lambda: MaskerParams(np.complex128(0.5), 0.1), "complex128"),
     (lambda: circle_from_mask_params(0.3, 0.2, 0.1j), "complex"),
     (lambda: SphericalCircle([0, 0, 1], 0.5j), "complex"),
-], ids=["angle_state", "angle_state_numpy", "angle_state_complex64", "masker_params", "mask_params", "circle"])
+], ids=["angle_state", "angle_state_numpy", "angle_state_complex64", "angle_state_0d_array", "masker_params",
+        "mask_params", "circle"])
 def test_complex_scalars_are_invalid_input(read, kind):
-    # the scalar readers reject a complex number as real_array rejects a complex array, where they raised a
-    # bare TypeError or cut a numpy complex to its real part with a ComplexWarning
+    # the scalar readers reject a complex number, a 0-d complex array too, as real_array rejects a complex
+    # array, where they raised a bare TypeError or cut a numpy complex to its real part with a ComplexWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidInputError, match=f"^expected a real number, got {kind}$"):
